@@ -211,7 +211,7 @@ def load_split(path, kind: str | None = None) -> DatasetSplit:
         timesteps = int(dims[-1].split("_t")[1]) + 1
         if len(dims) != channels * timesteps:
             raise ValueError(f"{p}: expected {channels * timesteps} value columns, found {len(dims)}")
-        ids, labels, scenes, values = [], [], [], []
+        ids, labels, scenes, values, line_nos = [], [], [], [], []
         for line_no, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
@@ -223,7 +223,13 @@ def load_split(path, kind: str | None = None) -> DatasetSplit:
             labels.append(int(parts[1]))
             scenes.append(int(parts[2]))
             values.append([float(v) for v in parts[3:]])
-    x = np.asarray(values, dtype=np.float64).reshape(len(values), channels, timesteps)
+            line_nos.append(line_no)
+    x = np.asarray(values, dtype=np.float64).reshape(len(values), len(dims))
+    finite = np.isfinite(x)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise ValueError(f"{p}:{line_nos[row]}: value {dims[col]}={float(x[row, col])} is not finite")
+    x = x.reshape(len(values), channels, timesteps)
     return DatasetSplit(
         kind=kind or p.stem,
         x=x,
@@ -267,7 +273,13 @@ def load_dataset(directory) -> tuple[SyntheticSpec, dict[str, DatasetSplit]]:
     if manifest.get("format") != "osev-dataset-v1":
         raise ValueError(f"unrecognized dataset format: {manifest.get('format')!r}")
     spec = SyntheticSpec.from_dict(manifest["spec"])
+    listed = manifest.get("splits")
+    if not isinstance(listed, dict):
+        listed = {}
+    missing = [name for name in SPLIT_NAMES if name not in listed]
+    if missing:
+        raise ValueError(f"{manifest_path}: manifest lists no file for split(s) {', '.join(missing)}")
     splits = {}
-    for name, fname in manifest["splits"].items():
+    for name, fname in listed.items():
         splits[name] = load_split(d / fname, kind=name)
     return spec, splits

@@ -107,6 +107,22 @@ class Layer:
         return cache
 
 
+def _correlate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Valid cross-correlation over time.
+
+    (B, c_in, T) correlated with (c_out, c_in, k) gives (B, c_out, T - k + 1).
+
+    One matmul per kernel tap, accumulated in place, so the only temporary is
+    one output-sized product; no (B, c_in, T', k) window copy is made.
+    """
+    k = w.shape[2]
+    t_out = x.shape[2] - k + 1
+    out = np.matmul(w[:, :, 0], x[:, :, :t_out])
+    for j in range(1, k):
+        out += np.matmul(w[:, :, j], x[:, :, j : j + t_out])
+    return out
+
+
 class TemporalConv(Layer):
     """1-D convolution across the time axis, stride 1, no padding.
 
@@ -135,27 +151,33 @@ class TemporalConv(Layer):
             )
         if x.shape[2] < self.kernel:
             raise ValueError(f"time axis {x.shape[2]} shorter than kernel {self.kernel}")
-        windows = sliding_window_view(x, self.kernel, axis=2)  # (B, c_in, T', k)
-        out = np.einsum("bitk,oik->bot", windows, self.weight.value)
+        out = _correlate(x, self.weight.value)
         out += self.bias.value[None, :, None]
-        self._cache = (x, windows)
+        self._cache = x
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        x, windows = self._require_cache(self._cache, self.weight.name)
+        x = self._require_cache(self._cache, self.weight.name)
         g = np.asarray(grad_out, dtype=np.float64)
-        t_out = x.shape[2] - self.kernel + 1
-        if g.shape != (x.shape[0], self.c_out, t_out):
+        batch, k = x.shape[0], self.kernel
+        t_out = x.shape[2] - k + 1
+        if g.shape != (batch, self.c_out, t_out):
             raise ValueError(
                 f"upstream gradient shape {g.shape} does not match output shape "
-                f"{(x.shape[0], self.c_out, t_out)}"
+                f"{(batch, self.c_out, t_out)}"
             )
-        self.weight.grad += np.einsum("bot,bitk->oik", g, windows)
+        # weight gradient as one GEMM against the im2col matrix of the cached
+        # input; built here rather than in forward, so inference never pays for it
+        windows = sliding_window_view(x, k, axis=2)  # (B, c_in, T', k) view
+        cols = windows.transpose(0, 2, 1, 3).reshape(batch * t_out, self.c_in * k)
+        g_rows = g.transpose(1, 0, 2).reshape(self.c_out, batch * t_out)
+        self.weight.grad += (g_rows @ cols).reshape(self.weight.shape)
         self.bias.grad += g.sum(axis=(0, 2))
-        grad_x = np.zeros_like(x)
-        for j in range(self.kernel):
-            grad_x[:, :, j : j + t_out] += np.einsum("bot,oi->bit", g, self.weight.value[:, :, j])
-        return grad_x
+        # input gradient: full correlation of the zero-padded upstream gradient
+        # with the time-reversed, channel-transposed kernel
+        padded = np.zeros((batch, self.c_out, t_out + 2 * (k - 1)))
+        padded[:, :, k - 1 : k - 1 + t_out] = g
+        return _correlate(padded, self.weight.value[:, :, ::-1].transpose(1, 0, 2))
 
     def parameters(self) -> list[Parameter]:
         return [self.weight, self.bias]

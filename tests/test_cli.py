@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import osev
 from osev.cli import main
 from osev.metrics import ece, open_predictions, read_score_dump, roc_auc
 
@@ -266,6 +270,29 @@ class TestExitCodes:
             assert main(["train", "--config", str(cfg), "--out", str(out)]) == 3
         assert "non-finite" in (out / "run.log").read_text()
 
+    def test_non_finite_csv_value_is_2(self, tmp_path, dataset_dir, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        lines = (data / "train.csv").read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[5] = "nan"
+        lines[2] = ",".join(fields)
+        (data / "train.csv").write_text("\n".join(lines) + "\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG_TEMPLATE.format(dataset=data))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "train.csv:3:" in capsys.readouterr().err
+
+    def test_manifest_missing_a_split_is_2(self, tmp_path, dataset_dir, run_dir, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        del manifest["splits"]["test_unknown"]
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        argv = ["eval", "--checkpoint", str(run_dir / "model.ckpt"), "--data", str(data)]
+        assert main(argv + ["--out", str(tmp_path / "report.json")]) == 2
+        assert "test_unknown" in capsys.readouterr().err
+
     def test_checkpoint_dataset_mismatch_is_4(self, tmp_path, run_dir):
         spec = tmp_path / "spec.cfg"
         spec.write_text(SPEC_TEXT.replace("known_classes = 3", "known_classes = 4"))
@@ -308,3 +335,40 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "manifest" in proc.stdout
+
+
+def test_blas_thread_count_does_not_change_training_bytes(tmp_path):
+    """The conv runs through BLAS; one or two BLAS threads must give the same bytes.
+
+    The shape is chosen so the conv's weight-gradient GEMM is large enough for
+    OpenBLAS to split it across threads (batch 32, 16 output steps, 6x9 taps).
+    """
+    spec = tmp_path / "spec.cfg"
+    spec.write_text(
+        SPEC_TEXT.replace("samples_per_class = 6", "samples_per_class = 12")
+        .replace("timesteps = 16", "timesteps = 24")
+        .replace("dynamic_channels = 3", "dynamic_channels = 4")
+    )
+    data = tmp_path / "data"
+    assert main(["generate-data", "--spec", str(spec), "--out", str(data)]) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"dataset = {data}\nseed = 0\nepochs = 3\nbatch_size = 32\n"
+        "feature_width = 12\nkernel_width = 9\nuse_euc = true\nuse_ced = true\n"
+    )
+    src = str(Path(osev.__file__).resolve().parents[1])
+    outputs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "osev", "train", "--config", str(cfg), "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs[threads] = [(out / name).read_bytes() for name in ("losses.csv", "model.ckpt")]
+    assert outputs["1"] == outputs["2"]

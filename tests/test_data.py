@@ -207,6 +207,13 @@ class TestSerialization:
         with pytest.raises(ValueError, match=":3:"):
             load_split(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_reports_line_and_column(self, tmp_path, bad):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"id,class,scene,c0_t0,c0_t1\n1,0,0,0.5,0.5\n\n2,0,0,0.5,{bad}\n")
+        with pytest.raises(ValueError, match=r"bad\.csv:4: value c0_t1=.* is not finite"):
+            load_split(path)
+
     def test_dataset_round_trip_and_manifest(self, tmp_path):
         spec = small_spec(samples_per_class=3)
         splits = generate(spec)

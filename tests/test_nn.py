@@ -117,6 +117,56 @@ class TestLayerGradients:
         np.testing.assert_allclose(grad_x, fd, atol=1e-7)
 
 
+def conv_by_loops(x, w, b, g):
+    """Direct nested-loop TemporalConv: output, weight, bias and input gradients."""
+    batch, c_in, t = x.shape
+    c_out, _, k = w.shape
+    t_out = t - k + 1
+    out = np.empty((batch, c_out, t_out))
+    grad_w = np.zeros_like(w)
+    grad_x = np.zeros_like(x)
+    for n in range(batch):
+        for o in range(c_out):
+            for s in range(t_out):
+                acc = b[o]
+                for i in range(c_in):
+                    for j in range(k):
+                        acc += w[o, i, j] * x[n, i, s + j]
+                        grad_w[o, i, j] += g[n, o, s] * x[n, i, s + j]
+                        grad_x[n, i, s + j] += g[n, o, s] * w[o, i, j]
+                out[n, o, s] = acc
+    return out, grad_w, g.sum(axis=(0, 2)), grad_x
+
+
+class TestTemporalConvOracle:
+    @pytest.mark.parametrize(
+        "batch,c_in,c_out,t,kernel",
+        [
+            (4, 3, 5, 11, 4),  # general case
+            (3, 2, 4, 6, 1),  # kernel 1: the pointwise case
+            (2, 3, 2, 7, 7),  # kernel == T: one output step
+            (1, 3, 4, 9, 3),  # batch 1
+            (3, 1, 4, 8, 3),  # one input channel
+        ],
+    )
+    def test_matches_nested_loops(self, batch, c_in, c_out, t, kernel):
+        rng = np.random.default_rng(100 + kernel)
+        if kernel == 1:
+            layer = PointwiseConv(c_in, c_out, rng)
+        else:
+            layer = TemporalConv(c_in, c_out, kernel, rng)
+        layer.bias.assign(rng.normal(size=c_out))
+        x = rng.normal(size=(batch, c_in, t))
+        g = rng.normal(size=(batch, c_out, t - kernel + 1))
+        out = layer.forward(x)
+        grad_x = layer.backward(g)
+        ref_out, ref_gw, ref_gb, ref_gx = conv_by_loops(x, layer.weight.value, layer.bias.value, g)
+        np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(layer.weight.grad, ref_gw, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(layer.bias.grad, ref_gb, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grad_x, ref_gx, rtol=0, atol=1e-12)
+
+
 class TestLayerMechanics:
     def test_backward_before_forward_rejected(self):
         rng = np.random.default_rng(0)
