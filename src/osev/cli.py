@@ -11,17 +11,14 @@ scripting:
     5  gradient check failure
 
 Every command is deterministic given its inputs; timestamps appear only in
-per-run ``run.log`` files.  The sweep worker pool size is capped by the
-``OSEV_THREADS`` environment variable (default 1).
+per-run ``run.log`` files.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -132,8 +129,6 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    threads = max(1, int(os.environ.get("OSEV_THREADS", "1")))
-
     tasks = []
     failures = []
     for path in config_paths:
@@ -146,20 +141,12 @@ def _cmd_sweep(args) -> int:
             run_config = replace(base, seed=base.seed + offset)
             tasks.append((path.stem, run_config, out / path.stem / f"seed{run_config.seed}"))
 
-    def run_task(task):
-        stem, run_config, run_dir = task
-        try:
-            return stem, run_config.seed, _sweep_one(run_config, run_dir), None
-        except Exception as exc:  # noqa: BLE001 - a failed run must not kill the sweep
-            return stem, run_config.seed, None, f"{type(exc).__name__}: {exc}"
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(run_task, tasks))
-
     per_config: dict[str, dict] = {}
-    for stem, seed, report, error in results:
-        if error is not None:
-            failures.append({"config": stem, "seed": seed, "error": error})
+    for stem, run_config, run_dir in tasks:
+        try:
+            report = _sweep_one(run_config, run_dir)
+        except Exception as exc:  # noqa: BLE001 - a failed run must not kill the sweep
+            failures.append({"config": stem, "seed": run_config.seed, "error": f"{type(exc).__name__}: {exc}"})
             continue
         bucket = per_config.setdefault(stem, {name: [] for name, _ in SWEEP_METRICS})
         for name, path in SWEEP_METRICS:

@@ -74,7 +74,6 @@ class RunConfig:
     lambda_hsic: float = 1.0
     lambda0: float = 0.01
     hsic_sigma: float = 0.0  # 0 selects the median heuristic
-    hsic_center: bool = False
 
     # Optimization
     epochs: int = 30

@@ -219,9 +219,11 @@ def load_split(path, kind: str | None = None) -> DatasetSplit:
             parts = line.split(",")
             if len(parts) != 3 + len(dims):
                 raise ValueError(f"{p}:{line_no}: expected {3 + len(dims)} fields, found {len(parts)}")
-            ids.append(int(parts[0]))
-            labels.append(int(parts[1]))
-            scenes.append(int(parts[2]))
+            for column, text, out in zip(header, parts, (ids, labels, scenes)):
+                try:
+                    out.append(int(text))
+                except ValueError:
+                    raise ValueError(f"{p}:{line_no}: value {column}={text!r} is not an integer") from None
             values.append([float(v) for v in parts[3:]])
             line_nos.append(line_no)
     x = np.asarray(values, dtype=np.float64).reshape(len(values), len(dims))
@@ -272,6 +274,8 @@ def load_dataset(directory) -> tuple[SyntheticSpec, dict[str, DatasetSplit]]:
         manifest = json.load(fh)
     if manifest.get("format") != "osev-dataset-v1":
         raise ValueError(f"unrecognized dataset format: {manifest.get('format')!r}")
+    if "spec" not in manifest:
+        raise ValueError(f"{manifest_path}: manifest has no 'spec'")
     spec = SyntheticSpec.from_dict(manifest["spec"])
     listed = manifest.get("splits")
     if not isinstance(listed, dict):

@@ -8,12 +8,15 @@ pushing the main branch's features toward statistical independence from both
 removes those shortcuts from f while the biased branches are simultaneously
 trained to stay good at exploiting them:
 
-    debias side:  L(theta_f, phi_f) = L_cls(y, e) + lam * sum_h HSIC(f, h)
-    bias side:    L(theta_h, phi_h) = sum_h [ L_cls(y, e_h) - lam * HSIC(f, h) ]
+    debias side:  L(theta_f, phi_f) = L_cls(y, e) + w_euc * L_cal
+                                      + w_ced * lam * sum_h HSIC(f, h)
+    bias side:    L(theta_h, phi_h) = w_ced * sum_h [ L_cls(y, e_h) - lam * HSIC(h, f) ]
 
 Each side differentiates only its own parameters; the other side's features
-are treated as constants (stop-gradient).  At inference the biased branches
-are dropped entirely.
+are treated as constants (stop-gradient).  ``debias_objective`` and
+``bias_objective`` are the only code computing these losses and gradients;
+the training step calls both.  At inference the biased branches are dropped
+entirely.
 """
 
 from __future__ import annotations
@@ -177,6 +180,7 @@ def ced_forward(
 class DebiasResult:
     loss: float
     edl: float
+    euc: float
     hsic_shuffled: float
     hsic_static: float
 
@@ -193,41 +197,60 @@ class BiasResult:
 def debias_objective(
     branches: CedBranches,
     fwd: CedForward,
-    one_hot: np.ndarray,
-    lam: float,
-    kernel: KernelParams = KernelParams(),
+    labels: np.ndarray,
+    weights: LossWeights,
+    kernel: KernelParams,
+    *,
+    lambda_t: float = 0.0,
+    use_euc: bool = False,
     apply_grads: bool = True,
 ) -> DebiasResult:
-    """Main-branch objective: mean classification loss plus lam * sum HSIC(f, h).
+    """Main-branch objective: L_cls + w_euc * L_cal + w_ced * lam * sum_h HSIC(f, h).
 
     Gradients flow into the main branch's parameters only; both biased
-    branches' features are constants here.
+    branches' features are constants here.  The dependence values are always
+    computed, but with w_ced * lam = 0 their gradient is skipped, not
+    multiplied by zero, so the main branch's gradient equals the plain run's
+    bit for bit.
     """
-    b = fwd.x.shape[0]
-    losses, grads_e = edl_loss_batch(one_hot, fwd.e_f)
-    edl = float(losses.mean())
+    one_hot = _one_hot(labels, branches.num_classes)
+    edl, euc, grad_e = _f_losses_and_grad_e(one_hot, labels, fwd.e_f, lambda_t, use_euc, weights.w_euc)
+    coeff = weights.w_ced * weights.lambda_hsic
     hs_sh, g_sh = hsic_value_and_grad(fwd.f, fwd.h_shuffled, kernel)
     hs_st, g_st = hsic_value_and_grad(fwd.f, fwd.h_static, kernel)
     if apply_grads:
-        branches.f_branch.backward(grads_e / b, extra_feature_grad=lam * (g_sh + g_st))
-    return DebiasResult(loss=edl + lam * (hs_sh + hs_st), edl=edl, hsic_shuffled=hs_sh, hsic_static=hs_st)
+        extra = coeff * (g_sh + g_st) if coeff != 0.0 else None
+        branches.f_branch.backward(grad_e, extra_feature_grad=extra)
+    return DebiasResult(
+        loss=edl + weights.w_euc * euc + coeff * (hs_sh + hs_st),
+        edl=edl,
+        euc=euc,
+        hsic_shuffled=hs_sh,
+        hsic_static=hs_st,
+    )
 
 
 def bias_objective(
     branches: CedBranches,
     fwd: CedForward,
-    one_hot: np.ndarray,
-    lam: float,
-    kernel: KernelParams = KernelParams(),
+    labels: np.ndarray,
+    weights: LossWeights,
+    kernel: KernelParams,
+    *,
     apply_grads: bool = True,
 ) -> BiasResult:
-    """Biased-branch objective: each h keeps classifying while evading HSIC.
+    """Biased-branch objective: w_ced * sum_h [L_cls(y, e_h) - lam * HSIC(h, f)].
 
-    Gradients flow into the biased branches' parameters only; the main
-    branch's features are constants here (the HSIC gradient is taken with
-    respect to h by swapping the argument order).
+    Each h keeps classifying while evading the dependence penalty.  Gradients
+    flow into the biased branches' parameters only; the main branch's
+    features are constants here (the HSIC gradient is taken with respect to h
+    by swapping the argument order).  As on the main side, the dependence
+    gradient is skipped when w_ced * lam = 0.
     """
+    one_hot = _one_hot(labels, branches.num_classes)
     b = fwd.x.shape[0]
+    lam = weights.lambda_hsic
+    coeff = weights.w_ced * lam
     parts = {}
     for key, branch, feats, ev in (
         ("shuffled", branches.h_shuffled, fwd.h_shuffled, fwd.e_shuffled),
@@ -236,12 +259,13 @@ def bias_objective(
         losses, grads_e = edl_loss_batch(one_hot, ev)
         hs, g_h = hsic_value_and_grad(feats, fwd.f, kernel)
         if apply_grads:
-            branch.backward(grads_e / b, extra_feature_grad=-lam * g_h)
+            extra = -coeff * g_h if coeff != 0.0 else None
+            branch.backward(weights.w_ced * grads_e / b, extra_feature_grad=extra)
         parts[key] = (float(losses.mean()), hs)
     edl_sh, hs_sh = parts["shuffled"]
     edl_st, hs_st = parts["static"]
     return BiasResult(
-        loss=(edl_sh - lam * hs_sh) + (edl_st - lam * hs_st),
+        loss=weights.w_ced * ((edl_sh - lam * hs_sh) + (edl_st - lam * hs_st)),
         edl_shuffled=edl_sh,
         edl_static=edl_st,
         hsic_shuffled=hs_sh,
@@ -341,76 +365,49 @@ def accumulate_gradients(
     shuffle_rng: np.random.Generator | None = None,
     perms: np.ndarray | None = None,
     side: str = "joint",
-    apply_grads: bool = True,
     debug: bool = False,
 ) -> StepRecord:
-    """Forward all branches and (optionally) accumulate this step's gradients.
+    """Forward all branches and accumulate this step's gradients.
 
-    The main branch receives d/dtheta_f of
-
-        L_cls(y, e_f) + w_euc * L_cal + w_ced * lambda_hsic * sum_h HSIC(f, h)
-
-    with the biased features frozen; each biased branch receives d/dtheta_h of
-
-        w_ced * (L_cls(y, e_h) - lambda_hsic * HSIC(f, h))
-
-    with f frozen.  ``side`` restricts which half accumulates ("f", "h" or
-    "joint" for both); loss values are always computed for the record.  With
-    lambda_hsic = 0 the main branch's gradient equals the plain run's exactly
-    (the dependence terms are skipped, not multiplied by zero).
+    The main branch receives the gradient of :func:`debias_objective` and the
+    biased branches that of :func:`bias_objective`, each with the other
+    side's features frozen.  ``side`` restricts which half accumulates ("f",
+    "h" or "joint" for both); loss values are always computed for the record.
+    With w_ced * lambda_hsic = 0 the main branch's gradient equals the plain
+    run's exactly (the dependence terms are skipped, not multiplied by zero).
     """
     if side not in ("joint", "f", "h"):
         raise ValueError(f"side must be joint, f or h, got {side!r}")
-    one_hot = _one_hot(labels, branches.num_classes)
+    _one_hot(labels, branches.num_classes)  # reject bad labels before the forward pass
     fwd = ced_forward(branches, x, rng=shuffle_rng, perms=perms)
-    b = fwd.x.shape[0]
-    lam = weights.lambda_hsic
-    coeff = weights.w_ced * lam
+    apply_f = side in ("joint", "f")
+    apply_h = side in ("joint", "h")
 
-    edl, euc, grad_e = _f_losses_and_grad_e(one_hot, labels, fwd.e_f, lambda_t, use_euc, weights.w_euc)
+    if debug and apply_f:
+        _assert_zero_grads(branches.h_parameters(), "start of f-side accumulation")
+    main = debias_objective(
+        branches, fwd, labels, weights, kernel, lambda_t=lambda_t, use_euc=use_euc, apply_grads=apply_f
+    )
+    if debug and apply_f:
+        _assert_zero_grads(branches.h_parameters(), "f-side objective")
 
-    hs_sh = hs_st = 0.0
-    g_f_sh = g_f_st = None
-    if coeff != 0.0:
-        hs_sh, g_f_sh = hsic_value_and_grad(fwd.f, fwd.h_shuffled, kernel)
-        hs_st, g_f_st = hsic_value_and_grad(fwd.f, fwd.h_static, kernel)
-
-    if apply_grads and side in ("joint", "f"):
-        if debug:
-            _assert_zero_grads(branches.h_parameters(), "start of f-side accumulation")
-        extra = coeff * (g_f_sh + g_f_st) if coeff != 0.0 else None
-        branches.f_branch.backward(grad_e, extra_feature_grad=extra)
-        if debug:
-            _assert_zero_grads(branches.h_parameters(), "f-side objective")
-
-    h_parts = {}
-    f_snapshot = [p.grad.copy() for p in branches.f_parameters()] if debug else None
-    for branch, feats, ev, key, hs_h in (
-        (branches.h_shuffled, fwd.h_shuffled, fwd.e_shuffled, "shuffled", hs_sh),
-        (branches.h_static, fwd.h_static, fwd.e_static, "static", hs_st),
-    ):
-        losses_h, grads_h = edl_loss_batch(one_hot, ev)
-        h_parts[key] = float(losses_h.mean())
-        if apply_grads and side in ("joint", "h"):
-            extra_h = None
-            if coeff != 0.0:
-                _, g_h = hsic_value_and_grad(feats, fwd.f, kernel)
-                extra_h = -coeff * g_h
-            branch.backward(weights.w_ced * grads_h / b, extra_feature_grad=extra_h)
-    if debug and apply_grads and side in ("joint", "h"):
+    f_snapshot = [p.grad.copy() for p in branches.f_parameters()] if debug and apply_h else None
+    biased = bias_objective(branches, fwd, labels, weights, kernel, apply_grads=apply_h)
+    if f_snapshot is not None:
         for p, before in zip(branches.f_parameters(), f_snapshot):
             if np.any(p.grad != before):
                 raise AssertionError(f"stop-gradient violated: {p.name} changed during h-side objective")
 
-    ced = lam * (hs_sh + hs_st) + (h_parts["shuffled"] - lam * hs_sh) + (h_parts["static"] - lam * hs_st)
-    total = total_loss(edl, euc, ced, weights)
+    lam = weights.lambda_hsic
+    hs_sh, hs_st = main.hsic_shuffled, main.hsic_static
+    ced = lam * (hs_sh + hs_st) + (biased.edl_shuffled - lam * hs_sh) + (biased.edl_static - lam * hs_st)
     return StepRecord(
-        edl=edl,
-        euc=euc,
+        edl=main.edl,
+        euc=main.euc,
         ced=ced,
         hsic_shuffled=hs_sh,
         hsic_static=hs_st,
-        total=total,
+        total=total_loss(main.edl, main.euc, ced, weights),
         lambda_t=lambda_t,
         side=side,
     )

@@ -32,14 +32,12 @@ __all__ = [
 class KernelParams:
     """RBF kernel configuration.
 
-    sigma None selects the median heuristic per input matrix.  The
-    center_features flag subtracts the batch mean from the rows first; for an
-    RBF kernel this is a mathematical no-op (pairwise differences are
-    translation invariant) and exists only so the behaviour is explicit.
+    sigma None selects the median heuristic per input matrix.  Features are
+    not centred: RBF distances are translation invariant, so centring would
+    change nothing.
     """
 
     sigma: float | None = None
-    center_features: bool = False
 
     def __post_init__(self) -> None:
         if self.sigma is not None and not (math.isfinite(self.sigma) and self.sigma > 0.0):
@@ -80,8 +78,6 @@ def resolve_bandwidth(x, params: KernelParams) -> float:
 def rbf_gram(x, params: KernelParams = KernelParams()) -> np.ndarray:
     """Gaussian Gram matrix; symmetric, unit diagonal, entries in (0, 1]."""
     arr = _as_feature_matrix(x, "features")
-    if params.center_features:
-        arr = arr - arr.mean(axis=0)
     sigma = resolve_bandwidth(arr, params)
     gram = np.exp(-_sq_dists(arr) / (2.0 * sigma * sigma))
     np.fill_diagonal(gram, 1.0)
@@ -123,9 +119,6 @@ def hsic_value_and_grad(
     ay = _as_feature_matrix(y, "y")
     if ax.shape[0] != ay.shape[0]:
         raise ValueError(f"x and y must pair the same samples, got {ax.shape[0]} and {ay.shape[0]}")
-    if params.center_features:
-        ax = ax - ax.mean(axis=0)
-        ay = ay - ay.mean(axis=0)
     n = ax.shape[0]
     sigma_x = resolve_bandwidth(ax, params)
     kx = np.exp(-_sq_dists(ax) / (2.0 * sigma_x * sigma_x))

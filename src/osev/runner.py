@@ -160,10 +160,7 @@ def _batch_slices(perm: np.ndarray, batch_size: int) -> list[np.ndarray]:
 
 
 def _kernel_params(config: RunConfig) -> KernelParams:
-    return KernelParams(
-        sigma=config.hsic_sigma if config.hsic_sigma > 0.0 else None,
-        center_features=config.hsic_center,
-    )
+    return KernelParams(sigma=config.hsic_sigma if config.hsic_sigma > 0.0 else None)
 
 
 def _softmax_step(net: EvidentialNet, x, labels, *, config: RunConfig, lr: float, lambda_t: float) -> StepRecord:
@@ -332,7 +329,8 @@ def load_model(checkpoint_path) -> tuple[EvidentialNet, RunConfig, dict]:
     """Rebuild the inference branch from a checkpoint (full or stripped)."""
     arrays, meta = load_checkpoint(checkpoint_path)
     try:
-        config = RunConfig.from_dict(meta["config"])
+        # older checkpoints store the removed no-op key hsic_center
+        config = RunConfig.from_dict({k: v for k, v in meta["config"].items() if k != "hsic_center"})
         channels = int(meta["channels"])
         num_classes = int(meta["num_classes"])
     except (KeyError, ConfigError) as exc:
@@ -579,8 +577,9 @@ def run_gradcheck(
 
     Each named check redraws ``instances`` random problems and keeps the worst
     relative error.  Layers are checked under a quadratic loss; the losses are
-    checked down to evidence; the two debiasing objectives and the composed
-    training step are checked per side, because each side's update is the
+    checked down to evidence; the two debiasing objectives are checked per
+    side, once through their own gradients and once through the composed
+    training step at the training weights, because each side's update is the
     gradient of its own objective with the other side's features held
     constant (there is no single scalar both updates descend).  Kernel
     bandwidths and shuffle permutations are frozen during differencing, which
@@ -681,10 +680,11 @@ def run_gradcheck(
     lam = config.lambda_hsic if config.lambda_hsic > 0.0 else 1.0
     w_ced = config.w_ced if config.w_ced > 0.0 else 0.1
     weights = LossWeights(w_euc=config.w_euc, w_ced=w_ced, lambda_hsic=lam)
+    objective_weights = LossWeights(w_euc=0.0, w_ced=1.0, lambda_hsic=lam)
     sigma = KernelParams(sigma=1.0)
 
-    def fresh_instance() -> tuple[CedBranches, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Branches, input, labels, one-hot and shuffle clear of every kink."""
+    def fresh_instance() -> tuple[CedBranches, np.ndarray, np.ndarray, np.ndarray]:
+        """Branches, input, labels and shuffle clear of every kink."""
         while True:
             branches = build_branches(
                 channels,
@@ -698,86 +698,41 @@ def run_gradcheck(
                 exp_bound=config.exp_bound,
             )
             x = draw_input()
-            labels, one_hot = draw_labels()
+            labels, _ = draw_labels()
             perms = draw_time_permutations(rng, batch, timesteps)
             if _branch_kink_distance(branches, x, perms, config.evidence, config.exp_bound) > KINK_MARGIN:
-                return branches, x, labels, one_hot, perms
+                return branches, x, labels, perms
 
-    def debias_instance() -> float:
-        branches, x, _, one_hot, perms = fresh_instance()
+    def side_instance(objective, parameters_of, weights: LossWeights, step_side: str | None, **options) -> float:
+        """FD check of one side's objective against that side's parameters.
+
+        The analytic gradient comes from the objective itself or, given
+        ``step_side``, from the training step restricted to that side.
+        """
+        branches, x, labels, perms = fresh_instance()
         _zero_grads(branches.all_parameters())
-        debias_objective(branches, ced_forward(branches, x, perms=perms), one_hot, lam, sigma, apply_grads=True)
-        rep = gradcheck(
-            lambda: debias_objective(
-                branches, ced_forward(branches, x, perms=perms), one_hot, lam, sigma, apply_grads=False
-            ).loss,
-            branches.f_parameters(),
-            eps=eps,
-        )
-        return rep.max_rel_err
 
-    add("objective.debias", debias_instance)
+        def loss(apply_grads: bool) -> float:
+            fwd = ced_forward(branches, x, perms=perms)
+            return objective(branches, fwd, labels, weights, sigma, apply_grads=apply_grads, **options).loss
 
-    def bias_instance() -> float:
-        branches, x, _, one_hot, perms = fresh_instance()
-        _zero_grads(branches.all_parameters())
-        bias_objective(branches, ced_forward(branches, x, perms=perms), one_hot, lam, sigma, apply_grads=True)
-        rep = gradcheck(
-            lambda: bias_objective(
-                branches, ced_forward(branches, x, perms=perms), one_hot, lam, sigma, apply_grads=False
-            ).loss,
-            branches.h_parameters(),
-            eps=eps,
-        )
-        return rep.max_rel_err
-
-    add("objective.bias", bias_instance)
-
-    def composed_instance(side: str) -> float:
-        branches, x, labels, _, perms = fresh_instance()
-
-        def record() -> StepRecord:
-            return accumulate_gradients(
-                branches,
-                x,
-                labels,
-                weights=weights,
-                lambda_t=lam_t,
-                use_euc=True,
-                kernel=sigma,
-                perms=perms,
-                apply_grads=False,
-            )
-
-        def f_value() -> float:
-            r = record()
-            return r.edl + weights.w_euc * r.euc + w_ced * lam * (r.hsic_shuffled + r.hsic_static)
-
-        def h_value() -> float:
-            r = record()
-            return w_ced * (r.ced - lam * (r.hsic_shuffled + r.hsic_static))
-
-        _zero_grads(branches.all_parameters())
-        accumulate_gradients(
-            branches,
-            x,
-            labels,
-            weights=weights,
-            lambda_t=lam_t,
-            use_euc=True,
-            kernel=sigma,
-            perms=perms,
-            side=side,
-            apply_grads=True,
-        )
-        if side == "f":
-            rep = gradcheck(f_value, branches.f_parameters(), eps=eps)
+        if step_side is None:
+            loss(True)
         else:
-            rep = gradcheck(h_value, branches.h_parameters(), eps=eps)
-        return rep.max_rel_err
+            accumulate_gradients(
+                branches, x, labels, weights=weights, lambda_t=lam_t, use_euc=True, kernel=sigma, perms=perms,
+                side=step_side,
+            )
+        return gradcheck(lambda: loss(False), parameters_of(branches), eps=eps).max_rel_err
 
-    add("composed.main_side", lambda: composed_instance("f"))
-    add("composed.biased_side", lambda: composed_instance("h"))
+    f_params, h_params = CedBranches.f_parameters, CedBranches.h_parameters
+    add("objective.debias", lambda: side_instance(debias_objective, f_params, objective_weights, None))
+    add("objective.bias", lambda: side_instance(bias_objective, h_params, objective_weights, None))
+    add(
+        "composed.main_side",
+        lambda: side_instance(debias_objective, f_params, weights, "f", lambda_t=lam_t, use_euc=True),
+    )
+    add("composed.biased_side", lambda: side_instance(bias_objective, h_params, weights, "h"))
 
     ok = all(entry["max_rel_err"] < tol for entry in entries)
     return entries, ok

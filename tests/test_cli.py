@@ -187,6 +187,19 @@ class TestDeterminism:
         for name in ("losses.csv", "model.ckpt", "model.ckpt.json", "model_full.ckpt"):
             assert (out / name).read_bytes() == (run_dir / name).read_bytes(), name
 
+    def test_checkpoint_with_legacy_hsic_center_key_evaluates(self, tmp_path, dataset_dir, run_dir, eval_dir):
+        # checkpoints written before hsic_center was removed store it in their config
+        for name in ("model.ckpt", "model.ckpt.json"):
+            shutil.copy(run_dir / name, tmp_path / name)
+        sidecar = json.loads((tmp_path / "model.ckpt.json").read_text())
+        sidecar["meta"]["config"]["hsic_center"] = False
+        (tmp_path / "model.ckpt.json").write_text(json.dumps(sidecar))
+        out = tmp_path / "eval"
+        argv = ["eval", "--checkpoint", str(tmp_path / "model.ckpt"), "--data", str(dataset_dir)]
+        assert main(argv + ["--out", str(out / "report.json")]) == 0
+        for name in ("report.json", "curve.csv", "scores.jsonl", "scores_unbiased.jsonl"):
+            assert (out / name).read_bytes() == (eval_dir / name).read_bytes(), name
+
     def test_eval_is_byte_identical(self, tmp_path, dataset_dir, run_dir, eval_dir):
         out = tmp_path / "eval_again"
         code = main(
@@ -243,10 +256,13 @@ class TestSweep:
 
 
 class TestExitCodes:
-    def test_unknown_config_key_is_2(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("bogus_key = 1\n")
-        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    def test_unknown_config_key_is_2(self, tmp_path, capsys):
+        # hsic_center is not a key: centring changes nothing for RBF kernels
+        for key in ("bogus_key", "hsic_center"):
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key} = 1\n")
+            assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+            assert f"unknown config key '{key}'" in capsys.readouterr().err
 
     def test_missing_spec_file_is_2(self, tmp_path):
         assert (
@@ -292,6 +308,16 @@ class TestExitCodes:
         argv = ["eval", "--checkpoint", str(run_dir / "model.ckpt"), "--data", str(data)]
         assert main(argv + ["--out", str(tmp_path / "report.json")]) == 2
         assert "test_unknown" in capsys.readouterr().err
+
+    def test_manifest_missing_spec_is_2(self, tmp_path, dataset_dir, run_dir, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        del manifest["spec"]
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        argv = ["eval", "--checkpoint", str(run_dir / "model.ckpt"), "--data", str(data)]
+        assert main(argv + ["--out", str(tmp_path / "report.json")]) == 2
+        assert "manifest.json: manifest has no 'spec'" in capsys.readouterr().err
 
     def test_checkpoint_dataset_mismatch_is_4(self, tmp_path, run_dir):
         spec = tmp_path / "spec.cfg"

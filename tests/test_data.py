@@ -207,11 +207,20 @@ class TestSerialization:
         with pytest.raises(ValueError, match=":3:"):
             load_split(path)
 
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
-    def test_non_finite_value_reports_line_and_column(self, tmp_path, bad):
+    @pytest.mark.parametrize(
+        "row, message",
+        [pytest.param(f"2,0,0,0.5,{bad}", r"value c0_t1=.* is not finite", id=bad) for bad in ("nan", "inf", "-Infinity")]
+        + [
+            pytest.param("x,0,0,0.5,0.5", "value id='x' is not an integer", id="id"),
+            pytest.param("2,1.5,0,0.5,0.5", "value class='1.5' is not an integer", id="class"),
+            pytest.param("2,0,,0.5,0.5", "value scene='' is not an integer", id="scene"),
+        ],
+    )
+    def test_non_finite_value_reports_line_and_column(self, tmp_path, row, message):
+        """A non-finite value or a non-integer id, class or scene names file:line and the column."""
         path = tmp_path / "bad.csv"
-        path.write_text(f"id,class,scene,c0_t0,c0_t1\n1,0,0,0.5,0.5\n\n2,0,0,0.5,{bad}\n")
-        with pytest.raises(ValueError, match=r"bad\.csv:4: value c0_t1=.* is not finite"):
+        path.write_text(f"id,class,scene,c0_t0,c0_t1\n1,0,0,0.5,0.5\n\n{row}\n")
+        with pytest.raises(ValueError, match=rf"bad\.csv:4: {message}"):
             load_split(path)
 
     def test_dataset_round_trip_and_manifest(self, tmp_path):

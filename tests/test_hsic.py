@@ -110,13 +110,16 @@ def test_self_dependence_is_positive():
 
 
 def test_centering_features_is_a_no_op_for_value():
+    # RBF distances are translation invariant, so features need no centring
     rng = np.random.default_rng(5)
-    x = rng.normal(size=(7, 3)) + 100.0
-    y = rng.normal(size=(7, 2)) - 50.0
-    plain, gp = hsic_value_and_grad(x, y, KernelParams(sigma=1.0))
-    centered, gc = hsic_value_and_grad(x, y, KernelParams(sigma=1.0, center_features=True))
-    assert centered == pytest.approx(plain, abs=1e-12)
-    np.testing.assert_allclose(gc, gp, atol=1e-12)
+    x = rng.normal(size=(7, 3))
+    y = rng.normal(size=(7, 2))
+    c = np.array([100.0, -50.0, 3.0])
+    for params in (KernelParams(sigma=1.0), KernelParams()):
+        plain, gp = hsic_value_and_grad(x, y, params)
+        shifted, gs = hsic_value_and_grad(x + c, y, params)
+        assert shifted == pytest.approx(plain, abs=1e-12)
+        np.testing.assert_allclose(gs, gp, atol=1e-12)
 
 
 class TestRbfGram:
