@@ -22,7 +22,6 @@ from .losses import (
     LossWeights,
     NonFiniteLossError,
     annealing_lambda,
-    avu_utility,
     edl_loss,
     edl_loss_batch,
     euc_loss,

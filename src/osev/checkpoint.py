@@ -9,6 +9,7 @@ a full training state or stripped to the inference branch.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,11 @@ FORMAT_NAME = "osev-checkpoint-v1"
 def sidecar_path(path) -> Path:
     p = Path(path)
     return p.with_name(p.name + ".json")
+
+
+def _is_count(v) -> bool:
+    """A non-negative JSON integer (booleans excluded)."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
 def save_checkpoint(path, arrays, meta: dict | None = None) -> Path:
@@ -66,8 +72,14 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         )
     arrays: dict[str, np.ndarray] = {}
     for entry in sidecar["arrays"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=entry["offset"])
-        arrays[entry["name"]] = arr.reshape(shape).astype(np.float64)
+        name, shape, offset = entry.get("name"), entry.get("shape"), entry.get("offset")
+        if not (isinstance(shape, list) and all(map(_is_count, shape)) and _is_count(offset)):
+            raise ValueError(f"checkpoint {p}: array {name!r} has invalid shape {shape!r} or offset {offset!r}")
+        count = math.prod(shape)
+        if offset + 8 * count > len(blob):
+            raise ValueError(
+                f"checkpoint {p}: array {name!r} needs bytes {offset} to {offset + 8 * count}, file has {len(blob)}"
+            )
+        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
+        arrays[name] = arr.reshape(shape).astype(np.float64)
     return arrays, sidecar.get("meta", {})

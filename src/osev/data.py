@@ -285,5 +285,11 @@ def load_dataset(directory) -> tuple[SyntheticSpec, dict[str, DatasetSplit]]:
         raise ValueError(f"{manifest_path}: manifest lists no file for split(s) {', '.join(missing)}")
     splits = {}
     for name, fname in listed.items():
-        splits[name] = load_split(d / fname, kind=name)
+        split = load_split(d / fname, kind=name)
+        if split.x.shape[1:] != (spec.channels, spec.timesteps):
+            raise ValueError(
+                f"{d / fname}: {split.x.shape[1]} channels x {split.x.shape[2]} timesteps, "
+                f"manifest spec says {spec.channels} x {spec.timesteps}"
+            )
+        splits[name] = split
     return spec, splits

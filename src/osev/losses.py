@@ -8,8 +8,7 @@ negative log-likelihood under the predicted Dirichlet,
 with no extra regularizer on the Dirichlet itself.  An annealed
 evidential-uncertainty calibration term pushes uncertainty down on correctly
 predicted samples and up on mispredicted ones, ramping its accurate-side
-weight from lambda0 to 1 over training.  Accuracy-versus-uncertainty (AvU) is
-provided as a non-differentiable diagnostic only.
+weight from lambda0 to 1 over training.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ __all__ = [
     "LossWeights",
     "NonFiniteLossError",
     "annealing_lambda",
-    "avu_utility",
     "edl_loss",
     "edl_loss_batch",
     "euc_loss",
@@ -83,7 +81,8 @@ def annealing_lambda(t: float, schedule: AnnealingSchedule) -> float:
 def _validate_one_hot(y: np.ndarray, k: int) -> None:
     if y.shape[-1] != k:
         raise ValueError(f"label shape {y.shape} does not match {k} classes")
-    if not np.all((y == 0.0) | (y == 1.0)) or not np.allclose(y.sum(axis=-1), 1.0):
+    # with every entry 0 or 1 the row sums are exact integers
+    if not np.all((y == 0.0) | (y == 1.0)) or not np.all(y.sum(axis=-1) == 1.0):
         raise ValueError("labels must be one-hot")
 
 
@@ -126,7 +125,6 @@ class BatchPrediction:
     """Evidence plus everything the calibration losses need per sample."""
 
     labels: np.ndarray  # (B,) integer class indices
-    one_hot: np.ndarray  # (B, K)
     evidence: np.ndarray  # (B, K)
     probs: np.ndarray  # (B, K) expected probabilities alpha / S
     uncertainty: np.ndarray  # (B,)
@@ -147,11 +145,8 @@ class BatchPrediction:
         lab = lab.astype(np.int64)
         probs, u = batch_probs_and_uncertainty(ev)
         predicted = np.argmax(probs, axis=1)
-        one_hot = np.zeros_like(ev)
-        one_hot[np.arange(lab.size), lab] = 1.0
         return cls(
             labels=lab,
-            one_hot=one_hot,
             evidence=ev,
             probs=probs,
             uncertainty=u,
@@ -235,21 +230,6 @@ def euc_loss_grad_evidence(
     grad_e = np.repeat(common[:, None], k, axis=1)
     grad_e[rows, batch.predicted] += grad_p / strength
     return loss, grad_e
-
-
-def avu_utility(batch: BatchPrediction, u_threshold: float) -> float:
-    """Accuracy-versus-uncertainty utility (n_AC + n_IU) / n.
-
-    A sample counts as certain when its uncertainty is strictly below the
-    threshold.  Diagnostic only; never differentiated.
-    """
-    n = batch.batch_size
-    if n == 0:
-        raise ValueError("empty batch")
-    certain = batch.uncertainty < u_threshold
-    n_ac = int(np.sum(batch.accurate & certain))
-    n_iu = int(np.sum(~batch.accurate & ~certain))
-    return (n_ac + n_iu) / n
 
 
 @dataclass(frozen=True)

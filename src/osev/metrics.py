@@ -1,9 +1,9 @@
 """Open-set evaluation: openness-weighted macro-F1, AUC, ECE, confusion.
 
-A scored sample is an :class:`OpenSetRecord` holding the K known-class
-probabilities, a scalar rejection score (higher means more likely unknown)
-and the ground-truth label, where label K stands for "unknown".  The headline
-number is the openness-weighted macro-F1
+A scored set is three arrays: ``probs`` (N, K) of known-class probabilities,
+``scores`` (N,) of rejection scores (higher means more likely unknown) and
+``labels`` (N,) of ground-truth labels, where label K stands for "unknown".
+The headline number is the openness-weighted macro-F1
 
     maF1 = sum_i w_i * F1_i / sum_i w_i,    w_i = 1 - sqrt(2K / (2K + i)),
 
@@ -22,8 +22,8 @@ import numpy as np
 from scipy.stats import rankdata
 
 __all__ = [
-    "OpenSetRecord",
     "OpennessPoint",
+    "avu",
     "confusion_and_top_confusions",
     "ece",
     "macro_f1",
@@ -36,35 +36,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OpenSetRecord:
-    """Scored sample: known-class probabilities, rejection score, true label.
-
-    ``label`` is a known-class index in [0, K) or exactly K for unknown.
-    """
-
-    probs: np.ndarray
-    score: float
-    label: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "probs", np.asarray(self.probs, dtype=np.float64))
-        if self.probs.ndim != 1 or self.probs.shape[0] < 2:
-            raise ValueError(f"probs must be a K>=2 vector, got shape {self.probs.shape}")
-        if not np.all(np.isfinite(self.probs)) or not math.isfinite(self.score):
-            raise ValueError("record contains non-finite values")
-        if not 0 <= self.label <= self.probs.shape[0]:
-            raise ValueError(f"label {self.label} out of range for K={self.probs.shape[0]}")
-
-    @property
-    def num_known(self) -> int:
-        return int(self.probs.shape[0])
-
-    @property
-    def is_unknown(self) -> bool:
-        return self.label == self.num_known
-
-
 def openness(num_known: int, num_unknown: int) -> float:
     """1 - sqrt(2K / (2K + i)); zero when no unknown classes are present."""
     if num_known < 1:
@@ -74,18 +45,17 @@ def openness(num_known: int, num_unknown: int) -> float:
     return 1.0 - math.sqrt(2.0 * num_known / (2.0 * num_known + num_unknown))
 
 
-def open_predictions(records, tau: float) -> np.ndarray:
+def open_predictions(probs, scores, tau: float) -> np.ndarray:
     """(K+1)-way predictions: label K when score > tau, else argmax of probs."""
-    records = list(records)
-    if not records:
-        raise ValueError("no records")
-    k = records[0].num_known
-    preds = np.empty(len(records), dtype=np.int64)
-    for i, r in enumerate(records):
-        if r.num_known != k:
-            raise ValueError("records disagree on the number of known classes")
-        preds[i] = k if r.score > tau else int(np.argmax(r.probs))
-    return preds
+    p = np.asarray(probs, dtype=np.float64)
+    s = np.asarray(scores, dtype=np.float64)
+    if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] < 2:
+        raise ValueError(f"probs must be a non-empty (N, K>=2) array, got shape {p.shape}")
+    if s.shape != p.shape[:1]:
+        raise ValueError(f"scores shape {s.shape} does not match {p.shape[0]} samples")
+    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(s))):
+        raise ValueError("probs and scores must be finite")
+    return np.where(s > tau, p.shape[1], np.argmax(p, axis=1))
 
 
 def macro_f1(preds, labels, num_classes: int) -> float:
@@ -126,51 +96,56 @@ class OpennessPoint:
 
 
 def open_maf1_curve(
-    known_records,
-    unknown_by_class: dict[int, list[OpenSetRecord]],
-    tau: float,
+    preds,
+    labels,
+    unknown_ids,
+    num_known: int,
+    *,
     num_selections: int = 10,
     seed: int = 0,
     max_unknown: int | None = None,
 ) -> tuple[list[OpennessPoint], float, float, str | None]:
     """Openness sweep of (K+1)-way macro-F1 with randomized unknown subsets.
 
+    ``preds`` and ``labels`` are (K+1)-way, with K for unknown; ``unknown_ids``
+    holds the original class of each unknown sample and -1 for known ones.
     For each i in 1..U, ``num_selections`` random i-subsets of the unknown
-    classes (without replacement, seeded per (i, selection)) are mixed with
-    the known records and scored at threshold tau.  Returns the per-point
-    curve, the openness-weighted scalar over selection means, the standard
-    deviation of that scalar across aligned selections, and a truncation note
-    when max_unknown cut the sweep short.
+    classes (without replacement, seeded per (i, selection)) are kept with
+    all known samples and scored by macro-F1.  Returns the per-point curve,
+    the openness-weighted scalar over selection means, the standard deviation
+    of that scalar across aligned selections, and a truncation note when
+    max_unknown cut the sweep short.
     """
-    known_records = list(known_records)
-    if not known_records:
-        raise ValueError("no known records")
-    class_ids = sorted(unknown_by_class)
+    p = np.asarray(preds, dtype=np.int64)
+    y = np.asarray(labels, dtype=np.int64)
+    ids = np.asarray(unknown_ids, dtype=np.int64)
+    if p.ndim != 1 or p.shape != y.shape or ids.shape != y.shape:
+        raise ValueError(
+            f"preds, labels and unknown_ids must be matching 1-D arrays, got {p.shape}, {y.shape}, {ids.shape}"
+        )
+    known = ids < 0
+    if not known.any():
+        raise ValueError("no known samples")
+    class_ids = sorted(set(ids[~known].tolist()))
     if not class_ids:
         raise ValueError("no unknown classes")
     if num_selections < 1:
         raise ValueError(f"num_selections must be >= 1, got {num_selections}")
-    k = known_records[0].num_known
+    k = num_known
     note = None
     limit = len(class_ids)
     if max_unknown is not None and max_unknown < limit:
         limit = max_unknown
         note = f"sweep truncated to {limit} of {len(class_ids)} unknown classes"
-    known_labels = [min(r.label, k) for r in known_records]
 
     points: list[OpennessPoint] = []
     for i in range(1, limit + 1):
         f1s = []
         for s in range(num_selections):
             rng = np.random.default_rng([seed, 7001, i, s])
-            chosen = sorted(int(c) for c in rng.choice(class_ids, size=i, replace=False))
-            records = list(known_records)
-            labels = list(known_labels)
-            for c in chosen:
-                records.extend(unknown_by_class[c])
-                labels.extend([k] * len(unknown_by_class[c]))
-            preds = open_predictions(records, tau)
-            f1s.append(macro_f1(preds, np.asarray(labels), k + 1))
+            chosen = rng.choice(class_ids, size=i, replace=False)
+            mask = known | np.isin(ids, chosen)
+            f1s.append(macro_f1(p[mask], y[mask], k + 1))
         arr = np.asarray(f1s)
         std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
         points.append(
@@ -238,6 +213,19 @@ def ece(confidences, correct, num_bins: int = 15) -> float:
     return float(total)
 
 
+def avu(correct, scores, threshold: float) -> float:
+    """Accuracy-versus-uncertainty (n_AC + n_IU) / n.
+
+    A sample counts as certain when its score is strictly below the threshold.
+    """
+    ok = np.asarray(correct, dtype=bool)
+    s = np.asarray(scores, dtype=np.float64)
+    if ok.shape != s.shape or ok.ndim != 1 or ok.size == 0:
+        raise ValueError(f"flags and scores must be matching non-empty 1-D arrays, got {ok.shape} and {s.shape}")
+    certain = s < threshold
+    return float(np.mean((ok & certain) | (~ok & ~certain)))
+
+
 def confusion_and_top_confusions(
     preds,
     labels,
@@ -283,36 +271,55 @@ def confusion_and_top_confusions(
     return matrix, top
 
 
-def write_score_dump(path, records) -> Path:
+def write_score_dump(path, probs, scores, labels) -> Path:
     """One JSON object per line: {probs, score, label}, label K as "unknown"."""
     p = Path(path)
+    k = np.shape(probs)[1]
+    rows = zip(np.asarray(probs).tolist(), np.asarray(scores).tolist(), np.asarray(labels).tolist())
     with open(p, "w", encoding="utf-8") as fh:
-        for r in records:
-            label = "unknown" if r.is_unknown else int(r.label)
-            fh.write(
-                json.dumps(
-                    {"probs": [float(v) for v in r.probs], "score": float(r.score), "label": label},
-                    sort_keys=True,
-                )
-            )
+        for row, score, label in rows:
+            record = {"probs": row, "score": score, "label": "unknown" if label == k else label}
+            fh.write(json.dumps(record, sort_keys=True))
             fh.write("\n")
     return p
 
 
-def read_score_dump(path) -> list[OpenSetRecord]:
-    records = []
+def read_score_dump(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read a score dump back into (probs (N, K), scores (N,), labels (N,)).
+
+    Every line must hold K >= 2 finite probabilities, with the same K on every
+    line, a finite score, and an integer label in [0, K] or "unknown"; any
+    other line raises ValueError naming ``path:line``.
+    """
+    rows, scores, labels = [], [], []
+    k = None
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}:{line_no}"
             try:
                 obj = json.loads(line)
-                probs = obj["probs"]
-                score = obj["score"]
+                probs = np.asarray(obj["probs"], dtype=np.float64)
+                score = float(obj["score"])
                 label = obj["label"]
-            except (json.JSONDecodeError, KeyError) as exc:
-                raise ValueError(f"{path}:{line_no}: malformed score record: {exc}") from exc
-            k = len(probs)
-            records.append(OpenSetRecord(probs=np.asarray(probs), score=float(score), label=k if label == "unknown" else int(label)))
-    return records
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{where}: malformed score record: {exc}") from exc
+            if probs.ndim != 1 or probs.size < 2:
+                raise ValueError(f"{where}: probs must be a K>=2 vector, got shape {probs.shape}")
+            if k is None:
+                k = probs.size
+            elif probs.size != k:
+                raise ValueError(f"{where}: {probs.size} class probabilities, earlier lines have {k}")
+            if not (np.all(np.isfinite(probs)) and math.isfinite(score)):
+                raise ValueError(f"{where}: record contains non-finite values")
+            if label == "unknown":
+                label = k
+            elif isinstance(label, bool) or not isinstance(label, int) or not 0 <= label <= k:
+                raise ValueError(f"{where}: label {label!r} out of range for K={k}")
+            rows.append(probs)
+            scores.append(score)
+            labels.append(label)
+    probs = np.asarray(rows, dtype=np.float64).reshape(len(rows), k or 0)
+    return probs, np.asarray(scores, dtype=np.float64), np.asarray(labels, dtype=np.int64)

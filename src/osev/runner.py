@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import datetime
 import json
-import math
 from dataclasses import asdict
 from pathlib import Path
 
@@ -47,7 +46,7 @@ from .losses import (
     softmax_ce_loss,
 )
 from .metrics import (
-    OpenSetRecord,
+    avu,
     confusion_and_top_confusions,
     ece,
     open_maf1_curve,
@@ -329,11 +328,14 @@ def load_model(checkpoint_path) -> tuple[EvidentialNet, RunConfig, dict]:
     """Rebuild the inference branch from a checkpoint (full or stripped)."""
     arrays, meta = load_checkpoint(checkpoint_path)
     try:
+        raw = meta["config"]
+        if not isinstance(raw, dict):
+            raise TypeError(f"config must be a JSON object, got {type(raw).__name__}")
         # older checkpoints store the removed no-op key hsic_center
-        config = RunConfig.from_dict({k: v for k, v in meta["config"].items() if k != "hsic_center"})
+        config = RunConfig.from_dict({k: v for k, v in raw.items() if k != "hsic_center"})
         channels = int(meta["channels"])
         num_classes = int(meta["num_classes"])
-    except (KeyError, ConfigError) as exc:
+    except (KeyError, TypeError, ConfigError) as exc:
         raise CheckpointDataMismatch(f"checkpoint metadata unusable: {exc}") from exc
     head = "logits" if config.loss_type == "softmax" else "evidence"
     net = build_branch(
@@ -372,22 +374,6 @@ def score_split(net: EvidentialNet, config: RunConfig, x: np.ndarray) -> tuple[n
         return probs, 1.0 - probs.max(axis=1)
     probs, u = batch_probs_and_uncertainty(out)
     return probs, u
-
-
-def _records(probs: np.ndarray, scores: np.ndarray, labels) -> list[OpenSetRecord]:
-    return [
-        OpenSetRecord(probs=probs[i], score=float(scores[i]), label=int(labels[i]))
-        for i in range(probs.shape[0])
-    ]
-
-
-def _augmented_confidence(records, preds) -> np.ndarray:
-    """Confidence of the (K+1)-way prediction under the distribution that
-    assigns mass score to "unknown" and (1 - score) * p_k to each known class."""
-    conf = np.empty(len(records))
-    for i, (r, pred) in enumerate(zip(records, preds)):
-        conf[i] = r.score if pred == r.num_known else float(r.probs[pred]) * (1.0 - r.score)
-    return conf
 
 
 def run_evaluation(
@@ -431,42 +417,39 @@ def run_evaluation(
     _, train_scores = score_split(net, config, splits["train"].x)
     tau = threshold_from_train_scores(train_scores, coverage)
 
-    probs_b, scores_b = score_split(net, config, splits["test_biased"].x)
-    probs_u, scores_u = score_split(net, config, splits["test_unbiased"].x)
-    probs_unk, scores_unk = score_split(net, config, splits["test_unknown"].x)
+    biased, unbiased, unknown = splits["test_biased"], splits["test_unbiased"], splits["test_unknown"]
+    probs_b, scores_b = score_split(net, config, biased.x)
+    probs_u, scores_u = score_split(net, config, unbiased.x)
+    probs_unk, scores_unk = score_split(net, config, unknown.x)
 
-    rec_biased = _records(probs_b, scores_b, splits["test_biased"].labels)
-    rec_unbiased = _records(probs_u, scores_u, splits["test_unbiased"].labels)
-    rec_unknown = _records(probs_unk, scores_unk, np.full(len(splits["test_unknown"]), k))
-    unknown_by_class: dict[int, list[OpenSetRecord]] = {}
-    for rec, cls in zip(rec_unknown, splits["test_unknown"].labels):
-        unknown_by_class.setdefault(int(cls), []).append(rec)
+    # the open set: the biased known test split, then the unknown pool labelled K
+    probs = np.concatenate([probs_b, probs_unk])
+    scores = np.concatenate([scores_b, scores_unk])
+    labels = np.concatenate([biased.labels, np.full(len(unknown), k)])
+    unknown_ids = np.concatenate([np.full(len(biased), -1), unknown.labels])
+    preds = open_predictions(probs, scores, tau)
 
-    closed_biased = float(np.mean(np.argmax(probs_b, axis=1) == splits["test_biased"].labels))
-    closed_unbiased = float(np.mean(np.argmax(probs_u, axis=1) == splits["test_unbiased"].labels))
+    correct_closed = np.argmax(probs_b, axis=1) == biased.labels
+    closed_biased = float(np.mean(correct_closed))
+    closed_unbiased = float(np.mean(np.argmax(probs_u, axis=1) == unbiased.labels))
     auc = roc_auc(scores_b, scores_unk)
     points, maf1_scalar, maf1_std, note = open_maf1_curve(
-        rec_biased, unknown_by_class, tau, num_selections=num_selections, seed=seed
+        preds, labels, unknown_ids, k, num_selections=num_selections, seed=seed
     )
+    matrix, top = confusion_and_top_confusions(preds, labels, k, unknown_ids)
 
-    all_records = rec_biased + rec_unknown
-    all_labels = np.asarray([r.label for r in all_records])
-    preds_all = open_predictions(all_records, tau)
-    unknown_ids = [None] * len(rec_biased) + [int(c) for c in splits["test_unknown"].labels]
-    matrix, top = confusion_and_top_confusions(preds_all, all_labels, k, unknown_ids)
-
-    correct_closed = np.argmax(probs_b, axis=1) == splits["test_biased"].labels
     ece_closed = ece(probs_b.max(axis=1), correct_closed.astype(float), ece_bins)
-    is_unknown = all_labels == k
-    pred_unknown = np.asarray([r.score > tau for r in all_records])
-    conf_two_way = np.where(pred_unknown, [r.score for r in all_records], [1.0 - r.score for r in all_records])
-    ece_open2 = ece(conf_two_way, (pred_unknown == is_unknown).astype(float), ece_bins)
-    conf_k1 = _augmented_confidence(all_records, preds_all)
-    ece_open_k1 = ece(conf_k1, (preds_all == all_labels).astype(float), ece_bins)
+    pred_unknown = preds == k
+    conf_two_way = np.where(pred_unknown, scores, 1.0 - scores)
+    ece_open2 = ece(conf_two_way, (pred_unknown == (labels == k)).astype(float), ece_bins)
+    # confidence of the (K+1)-way prediction under the distribution that puts
+    # mass score on "unknown" and (1 - score) * p_c on each known class c
+    prob_pred = np.take_along_axis(probs, np.minimum(preds, k - 1)[:, None], axis=1)[:, 0]
+    conf_k1 = np.where(pred_unknown, scores, prob_pred * (1.0 - scores))
+    ece_open_k1 = ece(conf_k1, (preds == labels).astype(float), ece_bins)
 
     thr = float(avu_threshold) if avu_threshold > 0.0 else float(np.median(scores_b))
-    certain = scores_b < thr
-    avu = float(np.mean((correct_closed & certain) | (~correct_closed & ~certain)))
+    avu_value = avu(correct_closed, scores_b, thr)
 
     report = {
         "format": REPORT_FORMAT,
@@ -494,7 +477,7 @@ def run_evaluation(
             ],
         },
         "ece": {"closed": ece_closed, "open_two_way": ece_open2, "open_k_plus_one": ece_open_k1},
-        "avu": {"value": avu, "threshold": thr},
+        "avu": {"value": avu_value, "threshold": thr},
         "confusion": {
             "matrix": [[float(v) for v in row] for row in matrix],
             "top_confusions": top,
@@ -509,8 +492,8 @@ def run_evaluation(
             f"{pt.num_unknown},{_float_repr(pt.omega)},{_float_repr(pt.f1_mean)},{_float_repr(pt.f1_std)}"
         )
     (out / "curve.csv").write_text("\n".join(curve_lines) + "\n", encoding="utf-8")
-    write_score_dump(out / "scores.jsonl", all_records)
-    write_score_dump(out / "scores_unbiased.jsonl", rec_unbiased)
+    write_score_dump(out / "scores.jsonl", probs, scores, labels)
+    write_score_dump(out / "scores_unbiased.jsonl", probs_u, scores_u, unbiased.labels)
     return report
 
 

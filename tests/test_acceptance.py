@@ -22,7 +22,7 @@ from osev.debias import build_branches, ced_forward, strip_for_inference
 from osev.evidential import opinion_from_evidence
 from osev.hsic import KernelParams, hsic_biased, hsic_value_and_grad, rbf_gram
 from osev.losses import AnnealingSchedule, annealing_lambda, edl_loss_batch
-from osev.metrics import OpenSetRecord, ece, open_maf1_curve, openness, roc_auc
+from osev.metrics import ece, open_maf1_curve, open_predictions, openness, roc_auc
 from osev.nn import draw_time_permutations
 from osev.runner import run_evaluation, run_gradcheck, run_training
 
@@ -255,12 +255,14 @@ def test_criterion_06_metrics_oracles():
     conf = rng.uniform(0.0, 1.0, size=n)
     correct = (rng.uniform(0.0, 1.0, size=n) < conf).astype(float)
     calibrated = ece(conf, correct, num_bins=15)
-    known_rec = [OpenSetRecord(probs=np.eye(3)[i % 3], score=0.1, label=i % 3) for i in range(30)]
-    unknown_by_class = {
-        c: [OpenSetRecord(probs=np.ones(3) / 3.0, score=0.9, label=3) for _ in range(10)]
-        for c in (3, 4, 5)
-    }
-    points, scalar, _, _ = open_maf1_curve(known_rec, unknown_by_class, tau=0.5)
+    # 30 known samples predicted right and accepted, 10 rejected unknowns from each of classes 3, 4, 5
+    known_labels = np.arange(30) % 3
+    probs = np.concatenate([np.eye(3)[known_labels], np.full((30, 3), 1.0 / 3.0)])
+    scores = np.concatenate([np.full(30, 0.1), np.full(30, 0.9)])
+    labels = np.concatenate([known_labels, np.full(30, 3)])
+    unknown_ids = np.concatenate([np.full(30, -1), np.repeat([3, 4, 5], 10)])
+    preds = open_predictions(probs, scores, 0.5)
+    points, scalar, _, _ = open_maf1_curve(preds, labels, unknown_ids, 3)
     curve_vals = {p.f1_mean for p in points}
     curve_constant = curve_vals == {1.0} and scalar == 1.0
     ok = (

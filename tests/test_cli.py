@@ -147,32 +147,25 @@ class TestReportSelfConsistency:
 
     def test_open_auc(self, eval_dir):
         report = json.loads((eval_dir / "report.json").read_text())
-        records = read_score_dump(eval_dir / "scores.jsonl")
+        _, scores, labels = read_score_dump(eval_dir / "scores.jsonl")
         k = report["num_known_classes"]
-        known = [r.score for r in records if r.label < k]
-        unknown = [r.score for r in records if r.label == k]
-        assert roc_auc(known, unknown) == pytest.approx(report["open_auc"], abs=1e-12)
+        assert roc_auc(scores[labels < k], scores[labels == k]) == pytest.approx(report["open_auc"], abs=1e-12)
 
     def test_closed_biased_accuracy(self, eval_dir):
         report = json.loads((eval_dir / "report.json").read_text())
-        records = read_score_dump(eval_dir / "scores.jsonl")
-        k = report["num_known_classes"]
-        known = [r for r in records if r.label < k]
-        acc = float(np.mean([int(np.argmax(r.probs)) == r.label for r in known]))
+        probs, _, labels = read_score_dump(eval_dir / "scores.jsonl")
+        known = labels < report["num_known_classes"]
+        acc = float(np.mean(np.argmax(probs[known], axis=1) == labels[known]))
         assert acc == pytest.approx(report["closed_accuracy"]["biased"], abs=1e-12)
 
     def test_open_ece_from_scores(self, eval_dir):
         report = json.loads((eval_dir / "report.json").read_text())
-        records = read_score_dump(eval_dir / "scores.jsonl")
+        probs, scores, labels = read_score_dump(eval_dir / "scores.jsonl")
         tau = report["threshold"]
         k = report["num_known_classes"]
-        preds = open_predictions(records, tau)
-        labels = np.asarray([r.label for r in records])
+        preds = open_predictions(probs, scores, tau)
         conf = np.asarray(
-            [
-                r.score if p == k else float(r.probs[p]) * (1.0 - r.score)
-                for r, p in zip(records, preds)
-            ]
+            [s if p == k else float(row[p]) * (1.0 - s) for row, s, p in zip(probs, scores, preds)]
         )
         recomputed = ece(conf, (preds == labels).astype(float), num_bins=15)
         assert recomputed == pytest.approx(report["ece"]["open_k_plus_one"], abs=1e-12)
@@ -199,6 +192,16 @@ class TestDeterminism:
         assert main(argv + ["--out", str(out / "report.json")]) == 0
         for name in ("report.json", "curve.csv", "scores.jsonl", "scores_unbiased.jsonl"):
             assert (out / name).read_bytes() == (eval_dir / name).read_bytes(), name
+
+    def test_checkpoint_with_non_object_config_is_4(self, tmp_path, dataset_dir, run_dir, capsys):
+        for name in ("model.ckpt", "model.ckpt.json"):
+            shutil.copy(run_dir / name, tmp_path / name)
+        sidecar = json.loads((tmp_path / "model.ckpt.json").read_text())
+        sidecar["meta"]["config"] = ["not", "a", "dict"]
+        (tmp_path / "model.ckpt.json").write_text(json.dumps(sidecar))
+        argv = ["eval", "--checkpoint", str(tmp_path / "model.ckpt"), "--data", str(dataset_dir)]
+        assert main(argv + ["--out", str(tmp_path / "eval" / "report.json")]) == 4
+        assert "checkpoint metadata unusable: config must be a JSON object" in capsys.readouterr().err
 
     def test_eval_is_byte_identical(self, tmp_path, dataset_dir, run_dir, eval_dir):
         out = tmp_path / "eval_again"
@@ -318,6 +321,18 @@ class TestExitCodes:
         argv = ["eval", "--checkpoint", str(run_dir / "model.ckpt"), "--data", str(data)]
         assert main(argv + ["--out", str(tmp_path / "report.json")]) == 2
         assert "manifest.json: manifest has no 'spec'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [("timesteps", 20), ("dynamic_channels", 4)])
+    def test_csv_shape_disagreeing_with_manifest_spec_is_2(self, tmp_path, dataset_dir, field, value, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifest["spec"][field] = value
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG_TEMPLATE.format(dataset=data))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert ".csv: 5 channels x 16 timesteps, manifest spec says" in capsys.readouterr().err
 
     def test_checkpoint_dataset_mismatch_is_4(self, tmp_path, run_dir):
         spec = tmp_path / "spec.cfg"

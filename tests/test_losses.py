@@ -18,7 +18,6 @@ from osev.losses import (
     LossWeights,
     NonFiniteLossError,
     annealing_lambda,
-    avu_utility,
     edl_loss,
     edl_loss_batch,
     euc_loss,
@@ -26,6 +25,7 @@ from osev.losses import (
     softmax_ce_loss,
     total_loss,
 )
+from osev.metrics import avu
 
 
 def mc_dirichlet_nll(y, alpha, draws, seed):
@@ -74,6 +74,29 @@ def test_edl_loss_batch_matches_scalar():
         loss_i, grad_i = edl_loss(y[i], e[i])
         assert losses[i] == pytest.approx(loss_i, abs=1e-15)
         np.testing.assert_allclose(grads[i], grad_i, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [[0.5, 0.5, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]],
+    ids=["half", "two_ones", "all_zero"],
+)
+def test_non_one_hot_labels_rejected(row):
+    y = np.array([[0.0, 1.0, 0.0], row])
+    e = np.ones((2, 3))
+    with pytest.raises(ValueError, match="one-hot"):
+        edl_loss_batch(y, e)
+    with pytest.raises(ValueError, match="one-hot"):
+        edl_loss(y[1], e[1])
+    with pytest.raises(ValueError, match="one-hot"):
+        softmax_ce_loss(y, e)
+
+
+def test_one_hot_of_the_wrong_width_rejected():
+    with pytest.raises(ValueError, match="does not match 3 classes"):
+        edl_loss([1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="does not match"):
+        edl_loss_batch(np.eye(4)[:2], np.ones((2, 3)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -210,14 +233,14 @@ def test_avu_counts():
     )
     labels = np.array([0, 0, 0, 0])
     batch = BatchPrediction.from_evidence(labels, e)
-    assert avu_utility(batch, u_threshold=0.5) == pytest.approx(0.75)
+    assert avu(batch.accurate, batch.uncertainty, threshold=0.5) == pytest.approx(0.75)
 
 
 def test_avu_extremes():
     e = np.array([[9.0, 0.0], [9.0, 0.0]])
     batch = BatchPrediction.from_evidence(np.array([0, 0]), e)
-    assert avu_utility(batch, u_threshold=0.99) == 1.0  # all accurate and certain
-    assert avu_utility(batch, u_threshold=0.0001) == 0.0  # all accurate but uncertain
+    assert avu(batch.accurate, batch.uncertainty, threshold=0.99) == 1.0  # all accurate and certain
+    assert avu(batch.accurate, batch.uncertainty, threshold=0.0001) == 0.0  # all accurate but uncertain
 
 
 def test_total_loss_combination():

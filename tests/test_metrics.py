@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osev.metrics import (
-    OpenSetRecord,
+    OpennessPoint,
     confusion_and_top_confusions,
     ece,
     macro_f1,
@@ -44,54 +44,33 @@ class TestOpenness:
             openness(3, -1)
 
 
-def rec(probs, score, label):
-    return OpenSetRecord(probs=np.asarray(probs, dtype=np.float64), score=score, label=label)
+class TestOpenPredictions:
+    def test_mixed_hand_case(self):
+        probs = [[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.2, 0.3, 0.5], [0.4, 0.4, 0.2]]
+        np.testing.assert_array_equal(open_predictions(probs, [0.3, 0.6, 0.5, 0.9], 0.55), [0, 3, 2, 3])
 
+    def test_infinite_threshold_reduces_to_argmax(self):
+        probs = [[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.4, 0.4, 0.2]]
+        np.testing.assert_array_equal(open_predictions(probs, [0.9, 0.9, 0.9], math.inf), [0, 1, 0])
 
-class TestOpenSetRecord:
-    def test_unknown_flag(self):
-        r = rec([0.5, 0.5], 0.1, 2)
-        assert r.is_unknown and r.num_known == 2
-        assert not rec([0.5, 0.5], 0.1, 0).is_unknown
+    def test_all_above_threshold_all_unknown(self):
+        np.testing.assert_array_equal(open_predictions([[0.9, 0.1], [0.1, 0.9]], [0.5, 0.6], 0.0), [2, 2])
+
+    def test_empty_and_inconsistent_records_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            open_predictions(np.zeros((0, 2)), np.zeros(0), 0.5)
+        with pytest.raises(ValueError, match="does not match"):
+            open_predictions([[0.5, 0.5], [0.3, 0.7]], [0.1], 0.5)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="K>=2"):
-            rec([1.0], 0.1, 0)
-        with pytest.raises(ValueError, match="non-finite"):
-            rec([0.5, np.nan], 0.1, 0)
-        with pytest.raises(ValueError, match="non-finite"):
-            rec([0.5, 0.5], math.inf, 0)
-        with pytest.raises(ValueError, match="out of range"):
-            rec([0.5, 0.5], 0.1, 3)
-
-
-class TestOpenPredictions:
-    def test_mixed_hand_case(self):
-        records = [
-            rec([0.7, 0.2, 0.1], 0.3, 0),
-            rec([0.1, 0.8, 0.1], 0.6, 1),
-            rec([0.2, 0.3, 0.5], 0.5, 2),
-            rec([0.4, 0.4, 0.2], 0.9, 3),
-        ]
-        np.testing.assert_array_equal(open_predictions(records, 0.55), [0, 3, 2, 3])
-
-    def test_infinite_threshold_reduces_to_argmax(self):
-        records = [
-            rec([0.7, 0.2, 0.1], 0.9, 0),
-            rec([0.1, 0.8, 0.1], 0.9, 1),
-            rec([0.4, 0.4, 0.2], 0.9, 2),
-        ]
-        np.testing.assert_array_equal(open_predictions(records, math.inf), [0, 1, 0])
-
-    def test_all_above_threshold_all_unknown(self):
-        records = [rec([0.9, 0.1], 0.5, 0), rec([0.1, 0.9], 0.6, 1)]
-        np.testing.assert_array_equal(open_predictions(records, 0.0), [2, 2])
-
-    def test_empty_and_inconsistent_records_rejected(self):
-        with pytest.raises(ValueError, match="no records"):
-            open_predictions([], 0.5)
-        with pytest.raises(ValueError, match="disagree"):
-            open_predictions([rec([0.5, 0.5], 0.1, 0), rec([0.3, 0.3, 0.4], 0.1, 0)], 0.5)
+            open_predictions([[1.0]], [0.1], 0.5)
+        with pytest.raises(ValueError, match="K>=2"):
+            open_predictions([0.5, 0.5], [0.1, 0.1], 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            open_predictions([[0.5, np.nan]], [0.1], 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            open_predictions([[0.5, 0.5]], [math.inf], 0.5)
 
 
 class TestMacroF1:
@@ -125,28 +104,33 @@ class TestMacroF1:
             macro_f1([0], [0], 1)
 
 
-def perfect_known_records(k, per_class):
-    out = []
-    for c in range(k):
-        probs = np.full(k, 0.0)
-        probs[c] = 1.0
-        out.extend(rec(probs, 0.1, c) for _ in range(per_class))
-    return out
+def perfect_known(k, per_class):
+    """(probs, scores, labels) of known samples the model gets right and accepts."""
+    labels = np.repeat(np.arange(k), per_class)
+    return np.eye(k)[labels], np.full(labels.size, 0.1), labels
 
 
 def unknown_pool(k, class_ids, per_class, score):
-    pool = {}
-    for c in class_ids:
-        probs = np.full(k, 1.0 / k)
-        pool[c] = [rec(probs, score, k) for _ in range(per_class)]
-    return pool
+    """(probs, scores, unknown class ids) of uniform-probability unknown samples."""
+    ids = np.repeat(np.asarray(class_ids, dtype=np.int64), per_class)
+    return np.full((ids.size, k), 1.0 / k), np.full(ids.size, score), ids
+
+
+def sweep(known, pool, tau, **kwargs):
+    """Open-set curve of known samples mixed with an unknown pool at threshold tau."""
+    (probs_k, scores_k, labels_k), (probs_u, scores_u, ids_u) = known, pool
+    k = probs_k.shape[1]
+    preds = open_predictions(np.concatenate([probs_k, probs_u]), np.concatenate([scores_k, scores_u]), tau)
+    labels = np.concatenate([labels_k, np.full(ids_u.size, k)])
+    ids = np.concatenate([np.full(labels_k.size, -1), ids_u])
+    return open_maf1_curve(preds, labels, ids, k, **kwargs)
 
 
 class TestOpenMaf1Curve:
     def test_perfect_separation_gives_constant_one(self):
-        known = perfect_known_records(3, 4)
+        known = perfect_known(3, 4)
         pool = unknown_pool(3, [10, 11, 12], 4, score=0.9)
-        points, scalar, scalar_std, note = open_maf1_curve(known, pool, tau=0.5, num_selections=5)
+        points, scalar, scalar_std, note = sweep(known, pool, tau=0.5, num_selections=5)
         assert note is None
         assert len(points) == 3
         for i, pt in enumerate(points, start=1):
@@ -160,49 +144,113 @@ class TestOpenMaf1Curve:
 
     def test_scalar_is_weighted_mean_of_point_means(self):
         rng = np.random.default_rng(3)
-        known = [
-            rec(np.eye(3)[rng.integers(0, 3)], float(rng.uniform(0, 1)), int(rng.integers(0, 3)))
-            for _ in range(30)
-        ]
-        pool = {
-            c: [rec(np.full(3, 1 / 3), float(rng.uniform(0, 1)), 3) for _ in range(8)]
-            for c in (0, 1)
-        }
-        points, scalar, _, _ = open_maf1_curve(known, pool, tau=0.5, num_selections=4)
+        rows = [(np.eye(3)[rng.integers(0, 3)], float(rng.uniform(0, 1)), int(rng.integers(0, 3))) for _ in range(30)]
+        known = tuple(np.asarray(col) for col in zip(*rows))
+        scores_u = np.asarray([float(rng.uniform(0, 1)) for _ in range(16)])
+        pool = (np.full((16, 3), 1 / 3), scores_u, np.repeat([0, 1], 8))
+        points, scalar, _, _ = sweep(known, pool, tau=0.5, num_selections=4)
         omegas = np.array([pt.omega for pt in points])
         means = np.array([pt.f1_mean for pt in points])
         assert scalar == pytest.approx((omegas * means).sum() / omegas.sum(), abs=1e-12)
         assert means.min() - 1e-12 <= scalar <= means.max() + 1e-12
 
     def test_single_unknown_class_scalar_equals_its_f1(self):
-        known = perfect_known_records(3, 4)
+        known = perfect_known(3, 4)
         pool = unknown_pool(3, [42], 4, score=0.2)  # below tau: every unknown leaks
-        points, scalar, _, _ = open_maf1_curve(known, pool, tau=0.5, num_selections=3)
+        points, scalar, _, _ = sweep(known, pool, tau=0.5, num_selections=3)
         assert len(points) == 1
         assert scalar == points[0].f1_mean
         assert points[0].f1_mean < 1.0
 
     def test_truncation_note(self):
-        known = perfect_known_records(3, 2)
+        known = perfect_known(3, 2)
         pool = unknown_pool(3, [1, 2, 3, 4], 2, score=0.9)
-        points, _, _, note = open_maf1_curve(known, pool, tau=0.5, max_unknown=2)
+        points, _, _, note = sweep(known, pool, tau=0.5, max_unknown=2)
         assert len(points) == 2
         assert note == "sweep truncated to 2 of 4 unknown classes"
 
     def test_selections_are_reproducible(self):
-        known = perfect_known_records(4, 3)
+        known = perfect_known(4, 3)
         pool = unknown_pool(4, [5, 6, 7], 3, score=0.9)
-        a = open_maf1_curve(known, pool, tau=0.5, num_selections=4, seed=9)
-        b = open_maf1_curve(known, pool, tau=0.5, num_selections=4, seed=9)
+        a = sweep(known, pool, tau=0.5, num_selections=4, seed=9)
+        b = sweep(known, pool, tau=0.5, num_selections=4, seed=9)
         assert a[0] == b[0] and a[1] == b[1]
 
     def test_validation(self):
         with pytest.raises(ValueError, match="no known"):
-            open_maf1_curve([], {0: []}, tau=0.5)
+            open_maf1_curve([3], [3], [0], 3)
         with pytest.raises(ValueError, match="no unknown"):
-            open_maf1_curve(perfect_known_records(2, 1), {}, tau=0.5)
+            open_maf1_curve([0], [0], [-1], 3)
         with pytest.raises(ValueError, match="num_selections"):
-            open_maf1_curve(perfect_known_records(2, 1), {0: []}, tau=0.5, num_selections=0)
+            open_maf1_curve([0, 3], [0, 3], [-1, 0], 3, num_selections=0)
+        with pytest.raises(ValueError, match="matching"):
+            open_maf1_curve([0, 3], [0, 3], [-1], 3)
+
+
+def record_open_predictions(records, tau):
+    """Former per-record implementation; a record is (probs, score, label)."""
+    k = len(records[0][0])
+    preds = np.empty(len(records), dtype=np.int64)
+    for i, (probs, score, _) in enumerate(records):
+        preds[i] = k if score > tau else int(np.argmax(probs))
+    return preds
+
+
+def record_curve(known_records, unknown_by_class, tau, num_selections, seed):
+    """Former per-record sweep: known records plus {class: unknown records}."""
+    class_ids = sorted(unknown_by_class)
+    k = len(known_records[0][0])
+    points = []
+    for i in range(1, len(class_ids) + 1):
+        f1s = []
+        for s in range(num_selections):
+            rng = np.random.default_rng([seed, 7001, i, s])
+            chosen = sorted(int(c) for c in rng.choice(class_ids, size=i, replace=False))
+            records = list(known_records)
+            labels = [min(r[2], k) for r in known_records]
+            for c in chosen:
+                records.extend(unknown_by_class[c])
+                labels.extend([k] * len(unknown_by_class[c]))
+            f1s.append(macro_f1(record_open_predictions(records, tau), np.asarray(labels), k + 1))
+        arr = np.asarray(f1s)
+        std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
+        points.append(OpennessPoint(i, openness(k, i), float(arr.mean()), std, tuple(float(v) for v in arr)))
+    omegas = np.asarray([pt.omega for pt in points])
+    means = np.asarray([pt.f1_mean for pt in points])
+    scalar = float((omegas * means).sum() / omegas.sum())
+    per_trial = np.asarray(
+        [(omegas * np.asarray([pt.f1_values[s] for pt in points])).sum() / omegas.sum() for s in range(num_selections)]
+    )
+    return points, scalar, float(per_trial.std(ddof=1)) if num_selections > 1 else 0.0
+
+
+class TestArraysMatchRecordOracle:
+    """The array paths reproduce the former per-record loops bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_predictions_and_curve_bit_equal(self, seed):
+        rng = np.random.default_rng(seed)
+        k, n_known, n_unknown = 4, 60, 45
+        # quantized probs and scores force argmax ties and scores equal to tau
+        probs = rng.integers(0, 3, size=(n_known + n_unknown, k)) / 4.0
+        scores = rng.integers(0, 5, size=n_known + n_unknown) / 4.0
+        tau = 0.5
+        labels = np.concatenate([rng.integers(0, k, size=n_known), np.full(n_unknown, k)])
+        # unknown samples interleaved across classes, not grouped
+        ids = np.concatenate([np.full(n_known, -1), rng.choice([4, 6, 7, 9, 12], size=n_unknown)])
+
+        records = [(probs[i], float(scores[i]), int(labels[i])) for i in range(labels.size)]
+        preds = open_predictions(probs, scores, tau)
+        np.testing.assert_array_equal(preds, record_open_predictions(records, tau))
+        accepted = probs[scores <= tau]
+        assert np.any((accepted == accepted.max(axis=1, keepdims=True)).sum(axis=1) > 1)  # argmax ties
+        assert np.any(scores == tau)
+
+        unknown_by_class = {}
+        for rec, c in zip(records[n_known:], ids[n_known:]):
+            unknown_by_class.setdefault(int(c), []).append(rec)
+        points, scalar, scalar_std, _ = open_maf1_curve(preds, labels, ids, k, num_selections=6, seed=seed)
+        assert (points, scalar, scalar_std) == record_curve(records[:n_known], unknown_by_class, tau, 6, seed)
 
 
 def brute_force_auc(known, unknown):
@@ -337,23 +385,20 @@ class TestConfusion:
 
 class TestScoreDump:
     def test_round_trip(self, tmp_path):
-        records = [
-            rec([0.25, 0.5, 0.25], 0.125, 1),
-            rec([0.1, 0.2, 0.7], 0.9375, 3),  # unknown
-            rec([1 / 3, 1 / 3, 1 / 3], 1e-9, 0),
-        ]
+        probs = np.array([[0.25, 0.5, 0.25], [0.1, 0.2, 0.7], [1 / 3, 1 / 3, 1 / 3]])
+        scores = np.array([0.125, 0.9375, 1e-9])
+        labels = np.array([1, 3, 0])  # the second sample is unknown
         path = tmp_path / "scores.jsonl"
-        write_score_dump(path, records)
-        loaded = read_score_dump(path)
-        assert len(loaded) == 3
-        for orig, back in zip(records, loaded):
-            np.testing.assert_array_equal(orig.probs, back.probs)
-            assert orig.score == back.score
-            assert orig.label == back.label
+        write_score_dump(path, probs, scores, labels)
+        back = read_score_dump(path)
+        assert len(back[0]) == 3
+        for orig, loaded in zip((probs, scores, labels), back):
+            np.testing.assert_array_equal(orig, loaded)
+        assert back[2].dtype == np.int64
 
     def test_unknown_label_serialized_as_string(self, tmp_path):
         path = tmp_path / "scores.jsonl"
-        write_score_dump(path, [rec([0.5, 0.5], 0.9, 2)])
+        write_score_dump(path, [[0.5, 0.5]], [0.9], [2])
         assert '"label": "unknown"' in path.read_text()
 
     def test_malformed_line_reports_line_number(self, tmp_path):
@@ -365,4 +410,28 @@ class TestScoreDump:
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "scores.jsonl"
         path.write_text('\n{"probs": [0.5, 0.5], "score": 0.1, "label": 0}\n\n')
-        assert len(read_score_dump(path)) == 1
+        assert len(read_score_dump(path)[0]) == 1
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"probs": [0.5, 0.5], "score": 0.1}', "malformed"),
+            ('{"probs": 0.5, "score": 0.1, "label": 0}', "K>=2"),
+            ('{"probs": [1.0], "score": 0.1, "label": 0}', "K>=2"),
+            ('{"probs": [0.3, 0.3, 0.4], "score": 0.1, "label": 0}', "earlier lines have 2"),
+            ('{"probs": [0.5, NaN], "score": 0.1, "label": 0}', "non-finite"),
+            ('{"probs": [0.5, 0.5], "score": Infinity, "label": 0}', "non-finite"),
+            ('{"probs": [0.5, 0.5], "score": 0.1, "label": 3}', "out of range"),
+            ('{"probs": [0.5, 0.5], "score": 0.1, "label": -1}', "out of range"),
+            ('{"probs": [0.5, 0.5], "score": 0.1, "label": "cat"}', "out of range"),
+        ],
+        ids=[
+            "missing_key", "probs_not_a_list", "k_below_2", "k_differs", "nan_prob", "inf_score",
+            "label_above_k", "label_negative", "label_not_an_int",
+        ],
+    )
+    def test_invalid_record_reports_line(self, tmp_path, line, message):
+        path = tmp_path / "scores.jsonl"
+        path.write_text('{"probs": [0.5, 0.5], "score": 0.1, "label": "unknown"}\n' + line + "\n")
+        with pytest.raises(ValueError, match=rf"scores\.jsonl:2: .*{message}"):
+            read_score_dump(path)

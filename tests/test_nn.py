@@ -1,5 +1,6 @@
 """Layer forward/backward checks, optimizer arithmetic, and checkpoint I/O."""
 
+import json
 import math
 
 import numpy as np
@@ -384,6 +385,26 @@ class TestCheckpoint:
         save_checkpoint(path, {"a": np.arange(4.0)})
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValueError, match="size mismatch"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("offset", 10**6, "needs bytes 1000000 to 1000032, file has 64"),
+            ("offset", 40, "needs bytes 40 to 72, file has 64"),
+            ("offset", -8, "invalid shape"),
+            ("offset", 1.5, "invalid shape"),
+            ("shape", [-4], "invalid shape"),
+            ("shape", [5], "needs bytes 32 to 72"),
+        ],
+    )
+    def test_corrupt_entry_names_checkpoint_and_array(self, tmp_path, field, value, message):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, {"a": np.arange(4.0), "b": np.arange(4.0)})
+        sidecar = json.loads(sidecar_path(path).read_text())
+        sidecar["arrays"][1][field] = value
+        sidecar_path(path).write_text(json.dumps(sidecar))
+        with pytest.raises(ValueError, match=rf"checkpoint .*m\.ckpt: array 'b' .*{message}"):
             load_checkpoint(path)
 
     def test_unknown_format_rejected(self, tmp_path):
