@@ -8,12 +8,10 @@ features from static (time-collapsed) shortcuts.
 """
 
 from .evidential import (
-    DirichletOpinion,
     EvidenceFunction,
+    NonFiniteInputError,
     batch_probs_and_uncertainty,
     evidence_from_logits,
-    opinion_from_evidence,
-    predict,
     threshold_from_train_scores,
 )
 from .losses import (
@@ -22,7 +20,6 @@ from .losses import (
     LossWeights,
     NonFiniteLossError,
     annealing_lambda,
-    edl_loss,
     edl_loss_batch,
     euc_loss,
     euc_loss_grad_evidence,

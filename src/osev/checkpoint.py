@@ -63,15 +63,20 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     p = Path(path)
     with open(sidecar_path(p), "r", encoding="utf-8") as fh:
         sidecar = json.load(fh)
+    if not isinstance(sidecar, dict):
+        raise ValueError(f"checkpoint {p}: sidecar is not a JSON object")
     if sidecar.get("format") != FORMAT_NAME:
         raise ValueError(f"unrecognized checkpoint format: {sidecar.get('format')!r}")
+    total, entries = sidecar.get("total_bytes"), sidecar.get("arrays")
+    if not _is_count(total):
+        raise ValueError(f"checkpoint {p}: sidecar 'total_bytes' is {total!r}, not a byte count")
+    if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
+        raise ValueError(f"checkpoint {p}: sidecar 'arrays' is not a list of JSON objects")
     blob = p.read_bytes()
-    if len(blob) != sidecar["total_bytes"]:
-        raise ValueError(
-            f"checkpoint size mismatch: sidecar says {sidecar['total_bytes']} bytes, file has {len(blob)}"
-        )
+    if len(blob) != total:
+        raise ValueError(f"checkpoint size mismatch: sidecar says {total} bytes, file has {len(blob)}")
     arrays: dict[str, np.ndarray] = {}
-    for entry in sidecar["arrays"]:
+    for entry in entries:
         name, shape, offset = entry.get("name"), entry.get("shape"), entry.get("offset")
         if not (isinstance(shape, list) and all(map(_is_count, shape)) and _is_count(offset)):
             raise ValueError(f"checkpoint {p}: array {name!r} has invalid shape {shape!r} or offset {offset!r}")

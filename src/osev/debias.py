@@ -30,6 +30,7 @@ from .hsic import KernelParams, hsic_value_and_grad
 from .losses import (
     BatchPrediction,
     LossWeights,
+    _validate_labels,
     edl_loss_batch,
     euc_loss_grad_evidence,
     total_loss,
@@ -213,8 +214,7 @@ def debias_objective(
     multiplied by zero, so the main branch's gradient equals the plain run's
     bit for bit.
     """
-    one_hot = _one_hot(labels, branches.num_classes)
-    edl, euc, grad_e = _f_losses_and_grad_e(one_hot, labels, fwd.e_f, lambda_t, use_euc, weights.w_euc)
+    edl, euc, grad_e = _f_losses_and_grad_e(labels, fwd.e_f, lambda_t, use_euc, weights.w_euc)
     coeff = weights.w_ced * weights.lambda_hsic
     hs_sh, g_sh = hsic_value_and_grad(fwd.f, fwd.h_shuffled, kernel)
     hs_st, g_st = hsic_value_and_grad(fwd.f, fwd.h_static, kernel)
@@ -247,7 +247,6 @@ def bias_objective(
     by swapping the argument order).  As on the main side, the dependence
     gradient is skipped when w_ced * lam = 0.
     """
-    one_hot = _one_hot(labels, branches.num_classes)
     b = fwd.x.shape[0]
     lam = weights.lambda_hsic
     coeff = weights.w_ced * lam
@@ -256,7 +255,7 @@ def bias_objective(
         ("shuffled", branches.h_shuffled, fwd.h_shuffled, fwd.e_shuffled),
         ("static", branches.h_static, fwd.h_static, fwd.e_static),
     ):
-        losses, grads_e = edl_loss_batch(one_hot, ev)
+        losses, grads_e = edl_loss_batch(labels, ev)
         hs, g_h = hsic_value_and_grad(feats, fwd.f, kernel)
         if apply_grads:
             extra = -coeff * g_h if coeff != 0.0 else None
@@ -315,19 +314,7 @@ class StepRecord:
     side: str
 
 
-def _one_hot(labels, num_classes: int) -> np.ndarray:
-    lab = np.asarray(labels, dtype=np.int64)
-    if lab.ndim != 1:
-        raise ValueError(f"labels must be 1-D, got shape {lab.shape}")
-    if lab.size and (lab.min() < 0 or lab.max() >= num_classes):
-        raise ValueError("label index out of range")
-    out = np.zeros((lab.size, num_classes))
-    out[np.arange(lab.size), lab] = 1.0
-    return out
-
-
 def _f_losses_and_grad_e(
-    one_hot: np.ndarray,
     labels: np.ndarray,
     evidence: np.ndarray,
     lambda_t: float,
@@ -335,10 +322,9 @@ def _f_losses_and_grad_e(
     w_euc: float,
 ) -> tuple[float, float, np.ndarray]:
     """Mean classification loss, calibration loss, and d(total)/d(evidence)."""
-    b = one_hot.shape[0]
-    losses, grads = edl_loss_batch(one_hot, evidence)
+    losses, grads = edl_loss_batch(labels, evidence)
     edl = float(losses.mean())
-    grad_e = grads / b
+    grad_e = grads / losses.shape[0]
     euc = 0.0
     if use_euc:
         batch = BatchPrediction.from_evidence(labels, evidence)
@@ -378,7 +364,7 @@ def accumulate_gradients(
     """
     if side not in ("joint", "f", "h"):
         raise ValueError(f"side must be joint, f or h, got {side!r}")
-    _one_hot(labels, branches.num_classes)  # reject bad labels before the forward pass
+    _validate_labels(labels, len(x), branches.num_classes)  # reject bad labels before the forward pass
     fwd = ced_forward(branches, x, rng=shuffle_rng, perms=perms)
     apply_f = side in ("joint", "f")
     apply_h = side in ("joint", "h")
@@ -475,9 +461,8 @@ def vanilla_train_step(
     nesterov: bool = False,
 ) -> StepRecord:
     """One step without the debiasing branches."""
-    one_hot = _one_hot(labels, net.num_classes)
     _, e = net.forward(np.asarray(x, dtype=np.float64))
-    edl, euc, grad_e = _f_losses_and_grad_e(one_hot, labels, e, lambda_t, use_euc, weights.w_euc)
+    edl, euc, grad_e = _f_losses_and_grad_e(labels, e, lambda_t, use_euc, weights.w_euc)
     total = total_loss(edl, euc, 0.0, weights)
     net.backward(grad_e)
     sgd_step(net.parameters(), lr, momentum=momentum, weight_decay=weight_decay, nesterov=nesterov)

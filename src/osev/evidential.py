@@ -17,23 +17,28 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
 __all__ = [
     "DEFAULT_EXP_BOUND",
-    "DirichletOpinion",
     "EvidenceFunction",
+    "NonFiniteInputError",
     "batch_probs_and_uncertainty",
     "evidence_from_logits",
     "evidence_grad_wrt_logits",
-    "opinion_from_evidence",
-    "predict",
     "threshold_from_train_scores",
     "validate_evidence",
 ]
+
+
+class NonFiniteInputError(ValueError):
+    """A model quantity (logit, evidence, feature) is NaN or infinite.
+
+    Training meets it when a run diverges, so the trainer reports it as a
+    non-finite loss rather than as invalid input.
+    """
 
 
 class EvidenceFunction(enum.Enum):
@@ -68,7 +73,7 @@ def evidence_from_logits(
     if x.ndim == 0 or x.shape[-1] < 2:
         raise ValueError(f"need at least 2 classes on the last axis, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
-        raise ValueError(f"non-finite logit at index {_first_bad_index(~np.isfinite(x))}")
+        raise NonFiniteInputError(f"non-finite logit at index {_first_bad_index(~np.isfinite(x))}")
     kind = EvidenceFunction(kind)
     if kind is EvidenceFunction.EXPONENTIAL:
         if exp_bound <= 0:
@@ -105,50 +110,10 @@ def validate_evidence(e) -> np.ndarray:
     if arr.ndim == 0 or arr.shape[-1] < 2:
         raise ValueError(f"evidence needs at least 2 classes on the last axis, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"non-finite evidence at index {_first_bad_index(~np.isfinite(arr))}")
+        raise NonFiniteInputError(f"non-finite evidence at index {_first_bad_index(~np.isfinite(arr))}")
     if np.any(arr < 0.0):
         raise ValueError(f"negative evidence at index {_first_bad_index(arr < 0.0)}")
     return arr
-
-
-@dataclass(frozen=True)
-class DirichletOpinion:
-    """Multinomial opinion induced by one evidence vector.
-
-    Fields satisfy uncertainty + belief.sum() == 1 and
-    probs == belief + base_rate * uncertainty up to float rounding.
-    """
-
-    evidence: np.ndarray
-    alpha: np.ndarray
-    strength: float
-    belief: np.ndarray
-    uncertainty: float
-    base_rate: np.ndarray
-    probs: np.ndarray
-
-    @property
-    def num_classes(self) -> int:
-        return int(self.alpha.shape[0])
-
-
-def opinion_from_evidence(e) -> DirichletOpinion:
-    """Build the opinion (alpha, S, b, u, a, p) for a single evidence vector."""
-    arr = validate_evidence(e)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a single evidence vector, got shape {arr.shape}")
-    k = arr.shape[0]
-    alpha = arr + 1.0
-    strength = float(alpha.sum())
-    return DirichletOpinion(
-        evidence=arr,
-        alpha=alpha,
-        strength=strength,
-        belief=arr / strength,
-        uncertainty=k / strength,
-        base_rate=np.full(k, 1.0 / k),
-        probs=alpha / strength,
-    )
 
 
 def batch_probs_and_uncertainty(e) -> tuple[np.ndarray, np.ndarray]:
@@ -157,15 +122,6 @@ def batch_probs_and_uncertainty(e) -> tuple[np.ndarray, np.ndarray]:
     alpha = arr + 1.0
     strength = alpha.sum(axis=-1)
     return alpha / strength[..., None], arr.shape[-1] / strength
-
-
-def predict(opinion: DirichletOpinion) -> tuple[int, float, float]:
-    """Return (class index, its expected probability, uncertainty).
-
-    Ties on the expected probability resolve to the lowest class index.
-    """
-    k = int(np.argmax(opinion.probs))
-    return k, float(opinion.probs[k]), float(opinion.uncertainty)
 
 
 def threshold_from_train_scores(scores, coverage: float = 0.95) -> float:

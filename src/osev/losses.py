@@ -1,9 +1,10 @@
 """Training losses over Dirichlet evidence.
 
-The classification loss is the closed form of the expected categorical
-negative log-likelihood under the predicted Dirichlet,
+Labels are integer class indices, one per sample.  The classification loss
+is the closed form of the expected categorical negative log-likelihood under
+the predicted Dirichlet for true class y,
 
-    L(y, e) = sum_k y_k * (ln S - ln(e_k + 1)),   S = sum_k (e_k + 1),
+    L(y, e) = ln S - ln(e_y + 1),   S = sum_k (e_k + 1),
 
 with no extra regularizer on the Dirichlet itself.  An annealed
 evidential-uncertainty calibration term pushes uncertainty down on correctly
@@ -28,7 +29,6 @@ __all__ = [
     "LossWeights",
     "NonFiniteLossError",
     "annealing_lambda",
-    "edl_loss",
     "edl_loss_batch",
     "euc_loss",
     "euc_loss_grad_evidence",
@@ -78,45 +78,34 @@ def annealing_lambda(t: float, schedule: AnnealingSchedule) -> float:
     return schedule.lambda0 * math.exp(-rate * t)
 
 
-def _validate_one_hot(y: np.ndarray, k: int) -> None:
-    if y.shape[-1] != k:
-        raise ValueError(f"label shape {y.shape} does not match {k} classes")
-    # with every entry 0 or 1 the row sums are exact integers
-    if not np.all((y == 0.0) | (y == 1.0)) or not np.all(y.sum(axis=-1) == 1.0):
-        raise ValueError("labels must be one-hot")
+def _validate_labels(labels, batch_size: int, num_classes: int) -> np.ndarray:
+    """Return labels as a (batch_size,) int64 array of indices in [0, num_classes)."""
+    lab = np.asarray(labels)
+    if lab.shape != (batch_size,):
+        raise ValueError(f"labels shape {lab.shape} does not match batch size {batch_size}")
+    if not np.issubdtype(lab.dtype, np.integer):
+        raise ValueError(f"labels must be integer class indices, got dtype {lab.dtype}")
+    if np.any(lab < 0) or np.any(lab >= num_classes):
+        raise ValueError(f"label index out of range for {num_classes} classes")
+    return lab.astype(np.int64, copy=False)
 
 
-def edl_loss(y, e) -> tuple[float, np.ndarray]:
-    """Per-sample evidential classification loss and its evidence gradient.
+def edl_loss_batch(labels, e) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample evidential losses (B,) and their evidence gradients (B, K).
 
-    Returns (sum_k y_k (ln S - ln(e_k + 1)), grad) with
-    grad_j = 1/S - y_j / (e_j + 1).
+    grad_j = 1/S - 1[j == y] / (e_y + 1).
     """
-    ev = validate_evidence(e)
-    if ev.ndim != 1:
-        raise ValueError(f"expected a single evidence vector, got shape {ev.shape}")
-    yy = np.asarray(y, dtype=np.float64)
-    _validate_one_hot(yy, ev.shape[0])
-    alpha = ev + 1.0
-    strength = alpha.sum()
-    loss = float(np.dot(yy, np.log(strength) - np.log(alpha)))
-    grad = 1.0 / strength - yy / alpha
-    return loss, grad
-
-
-def edl_loss_batch(y, e) -> tuple[np.ndarray, np.ndarray]:
-    """Batched evidential loss: (B,) per-sample losses and (B, K) gradients."""
     ev = validate_evidence(e)
     if ev.ndim != 2:
         raise ValueError(f"expected (batch, classes) evidence, got shape {ev.shape}")
-    yy = np.asarray(y, dtype=np.float64)
-    if yy.shape != ev.shape:
-        raise ValueError(f"label shape {yy.shape} does not match evidence shape {ev.shape}")
-    _validate_one_hot(yy, ev.shape[1])
+    y = _validate_labels(labels, *ev.shape)
+    rows = np.arange(y.size)
     alpha = ev + 1.0
-    strength = alpha.sum(axis=1, keepdims=True)
-    losses = (yy * (np.log(strength) - np.log(alpha))).sum(axis=1)
-    grads = 1.0 / strength - yy / alpha
+    alpha_y = alpha[rows, y]
+    strength = alpha.sum(axis=1)
+    losses = np.log(strength) - np.log(alpha_y)
+    grads = np.repeat(1.0 / strength[:, None], ev.shape[1], axis=1)
+    grads[rows, y] -= 1.0 / alpha_y
     return losses, grads
 
 
@@ -137,12 +126,7 @@ class BatchPrediction:
         ev = validate_evidence(evidence)
         if ev.ndim != 2:
             raise ValueError(f"expected (batch, classes) evidence, got shape {ev.shape}")
-        lab = np.asarray(labels)
-        if lab.shape != (ev.shape[0],):
-            raise ValueError(f"labels shape {lab.shape} does not match batch size {ev.shape[0]}")
-        if np.any(lab < 0) or np.any(lab >= ev.shape[1]):
-            raise ValueError("label index out of range")
-        lab = lab.astype(np.int64)
+        lab = _validate_labels(labels, *ev.shape)
         probs, u = batch_probs_and_uncertainty(ev)
         predicted = np.argmax(probs, axis=1)
         return cls(
@@ -255,17 +239,18 @@ def total_loss(edl: float, euc: float, ced: float, weights: LossWeights) -> floa
     return edl + weights.w_euc * euc + weights.w_ced * ced
 
 
-def softmax_ce_loss(y, logits) -> tuple[float, np.ndarray]:
+def softmax_ce_loss(labels, logits) -> tuple[float, np.ndarray]:
     """Mean softmax cross-entropy with its logit gradient (baseline model)."""
     z = np.asarray(logits, dtype=np.float64)
-    yy = np.asarray(y, dtype=np.float64)
-    if z.ndim != 2 or yy.shape != z.shape:
-        raise ValueError(f"expected matching (batch, classes) arrays, got {yy.shape} and {z.shape}")
-    _validate_one_hot(yy, z.shape[1])
+    if z.ndim != 2:
+        raise ValueError(f"expected (batch, classes) logits, got shape {z.shape}")
+    y = _validate_labels(labels, *z.shape)
+    rows = np.arange(y.size)
     shifted = z - z.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     log_probs = shifted - log_norm
     b = z.shape[0]
-    loss = float(-(yy * log_probs).sum() / b)
-    grad = (np.exp(log_probs) - yy) / b
-    return loss, grad
+    loss = float(-log_probs[rows, y].sum() / b)
+    grad = np.exp(log_probs)
+    grad[rows, y] -= 1.0
+    return loss, grad / b

@@ -236,7 +236,7 @@ def confusion_and_top_confusions(
 
     Rows are true labels, columns predictions; each non-empty row sums to 1.
     When ``unknown_ids`` gives the original class of every unknown-labeled
-    sample (and None elsewhere), the second element ranks unknown classes by
+    sample (and -1 elsewhere), the second element ranks unknown classes by
     the fraction of their samples predicted as some known class, each with its
     most frequent known target (lowest index on ties).
     """
@@ -254,10 +254,10 @@ def confusion_and_top_confusions(
 
     top: list[dict] = []
     if unknown_ids is not None:
-        ids = np.asarray([(-1 if v is None else int(v)) for v in unknown_ids])
+        ids = np.asarray(unknown_ids, dtype=np.int64)
         if ids.shape != y.shape:
             raise ValueError(f"unknown_ids shape {ids.shape} does not match labels {y.shape}")
-        for cls in sorted(set(ids[ids >= 0].tolist())):
+        for cls in np.unique(ids[ids >= 0]):
             mask = ids == cls
             as_known = p[mask] < num_known
             rate = float(as_known.mean())

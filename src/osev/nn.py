@@ -35,11 +35,12 @@ __all__ = [
     "TemporalConv",
     "TemporalMeanPool",
     "TensorValue",
+    "apply_time_permutations",
     "build_feature_net",
+    "draw_time_permutations",
     "glorot_uniform",
     "gradcheck",
     "sgd_step",
-    "temporal_shuffle",
 ]
 
 
@@ -394,13 +395,8 @@ def sgd_step(
         p.zero_grad()
 
 
-def temporal_shuffle(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Permute the time axis independently per sample; channels move together."""
-    perms = draw_time_permutations(rng, x.shape[0], x.shape[2])
-    return apply_time_permutations(x, perms)
-
-
 def draw_time_permutations(rng: np.random.Generator, batch: int, timesteps: int) -> np.ndarray:
+    """One independent permutation of the time axis per sample, shape (batch, timesteps)."""
     perms = np.empty((batch, timesteps), dtype=np.int64)
     for b in range(batch):
         perms[b] = rng.permutation(timesteps)
@@ -408,6 +404,7 @@ def draw_time_permutations(rng: np.random.Generator, batch: int, timesteps: int)
 
 
 def apply_time_permutations(x: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """Reorder each sample's time axis by its permutation; channels move together."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
         raise ValueError(f"expected (batch, channels, time), got shape {x.shape}")

@@ -33,7 +33,7 @@ from .debias import (
     train_step,
     vanilla_train_step,
 )
-from .evidential import batch_probs_and_uncertainty, threshold_from_train_scores
+from .evidential import NonFiniteInputError, batch_probs_and_uncertainty, threshold_from_train_scores
 from .hsic import KernelParams, hsic_value_and_grad, median_bandwidth
 from .losses import (
     AnnealingSchedule,
@@ -163,10 +163,8 @@ def _kernel_params(config: RunConfig) -> KernelParams:
 
 
 def _softmax_step(net: EvidentialNet, x, labels, *, config: RunConfig, lr: float, lambda_t: float) -> StepRecord:
-    one_hot = np.zeros((len(labels), net.num_classes))
-    one_hot[np.arange(len(labels)), labels] = 1.0
     _, logits = net.forward(x)
-    loss, grad = softmax_ce_loss(one_hot, logits)
+    loss, grad = softmax_ce_loss(labels, logits)
     net.backward(grad)
     sgd_step(
         net.parameters(),
@@ -274,14 +272,11 @@ def run_training(config: RunConfig, out_dir) -> dict:
                 except (NonFiniteLossError, NonFiniteGradientError) as exc:
                     _log(log, f"non-finite loss at epoch {epoch} step {step_index}: {exc}")
                     raise
-                except ValueError as exc:
-                    # a diverged run trips input validation ("non-finite logit",
-                    # "non-finite values") before any loss is computed; classify
-                    # that as divergence, not as a config error
-                    if "non-finite" in str(exc):
-                        _log(log, f"non-finite loss at epoch {epoch} step {step_index}: {exc}")
-                        raise NonFiniteLossError(str(exc)) from exc
-                    raise
+                except NonFiniteInputError as exc:
+                    # a diverged run trips input validation before any loss is
+                    # computed; classify that as divergence, not as a config error
+                    _log(log, f"non-finite loss at epoch {epoch} step {step_index}: {exc}")
+                    raise NonFiniteLossError(str(exc)) from exc
                 records.append(rec)
                 step_index += 1
             means = {
@@ -585,11 +580,8 @@ def run_gradcheck(
     def draw_input() -> np.ndarray:
         return rng.standard_normal((batch, channels, timesteps))
 
-    def draw_labels() -> tuple[np.ndarray, np.ndarray]:
-        labels = rng.integers(0, k, size=batch)
-        one_hot = np.zeros((batch, k))
-        one_hot[np.arange(batch), labels] = 1.0
-        return labels, one_hot
+    def draw_labels() -> np.ndarray:
+        return rng.integers(0, k, size=batch)
 
     add(
         "layer.temporal_conv",
@@ -623,18 +615,18 @@ def run_gradcheck(
     add("layer.backbone_chain", backbone_chain_instance)
 
     def edl_instance() -> float:
-        _, one_hot = draw_labels()
+        labels = draw_labels()
         e = Parameter("edl.evidence", rng.uniform(0.5, 4.0, size=(batch, k)))
-        _, grads = edl_loss_batch(one_hot, e.value)
+        _, grads = edl_loss_batch(labels, e.value)
         e.grad += grads / batch
-        rep = gradcheck(lambda: float(edl_loss_batch(one_hot, e.value)[0].mean()), [e], eps=eps)
+        rep = gradcheck(lambda: float(edl_loss_batch(labels, e.value)[0].mean()), [e], eps=eps)
         return rep.max_rel_err
 
     add("loss.edl", edl_instance)
 
     def euc_instance() -> float:
         while True:
-            labels, _ = draw_labels()
+            labels = draw_labels()
             e = Parameter("euc.evidence", rng.uniform(0.5, 4.0, size=(batch, k)))
             if _top2_gap(batch_probs_and_uncertainty(e.value)[0]) > KINK_MARGIN:
                 break
@@ -681,7 +673,7 @@ def run_gradcheck(
                 exp_bound=config.exp_bound,
             )
             x = draw_input()
-            labels, _ = draw_labels()
+            labels = draw_labels()
             perms = draw_time_permutations(rng, batch, timesteps)
             if _branch_kink_distance(branches, x, perms, config.evidence, config.exp_bound) > KINK_MARGIN:
                 return branches, x, labels, perms

@@ -352,6 +352,16 @@ class TestExitCodes:
         )
         assert code == 4
 
+    def test_sidecar_without_total_bytes_is_2(self, tmp_path, dataset_dir, run_dir, capsys):
+        for name in ("model.ckpt", "model.ckpt.json"):
+            shutil.copy(run_dir / name, tmp_path / name)
+        sidecar = json.loads((tmp_path / "model.ckpt.json").read_text())
+        del sidecar["total_bytes"]
+        (tmp_path / "model.ckpt.json").write_text(json.dumps(sidecar))
+        argv = ["eval", "--checkpoint", str(tmp_path / "model.ckpt"), "--data", str(dataset_dir)]
+        assert main(argv + ["--out", str(tmp_path / "eval" / "report.json")]) == 2
+        assert "model.ckpt: sidecar 'total_bytes' is None" in capsys.readouterr().err
+
     def test_gradcheck_passes_at_default_tolerance(self, tmp_path, dataset_dir, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(CONFIG_TEMPLATE.format(dataset=dataset_dir))

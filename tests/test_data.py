@@ -13,7 +13,7 @@ from osev.data import (
     save_dataset,
     save_split,
 )
-from osev.nn import temporal_shuffle
+from osev.nn import apply_time_permutations, draw_time_permutations
 
 
 def small_spec(**overrides):
@@ -142,7 +142,8 @@ class TestGeneration:
     def test_shuffle_preserves_per_channel_means(self):
         spec = small_spec()
         train = generate(spec)["train"]
-        shuffled = temporal_shuffle(train.x, np.random.default_rng(0))
+        perms = draw_time_permutations(np.random.default_rng(0), len(train), spec.timesteps)
+        shuffled = apply_time_permutations(train.x, perms)
         np.testing.assert_allclose(
             shuffled.mean(axis=2), train.x.mean(axis=2), atol=1e-12
         )

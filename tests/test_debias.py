@@ -123,6 +123,23 @@ class TestStopGradients:
                 side="both",
             )
 
+    @pytest.mark.parametrize(
+        "labels, message",
+        [(np.full(12, CLASSES), "out of range"), (np.zeros(12), "integer"), (np.zeros(11, dtype=int), "shape")],
+        ids=["too_large", "float_dtype", "wrong_length"],
+    )
+    def test_bad_labels_rejected_before_the_forward_pass(self, monkeypatch, labels, message):
+        def no_forward(*args, **kwargs):
+            raise AssertionError("forward pass ran on bad labels")
+
+        monkeypatch.setattr("osev.debias.ced_forward", no_forward)
+        x, _ = make_batch()
+        with pytest.raises(ValueError, match=message):
+            accumulate_gradients(
+                make_branches(), x, labels, weights=LossWeights(), lambda_t=0.5, use_euc=False,
+                shuffle_rng=np.random.default_rng(0),
+            )
+
 
 class TestZeroPenaltyEquivalence:
     def test_main_branch_matches_vanilla_run_bit_for_bit(self):

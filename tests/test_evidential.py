@@ -8,36 +8,45 @@ from hypothesis import strategies as st
 from osev.evidential import (
     DEFAULT_EXP_BOUND,
     EvidenceFunction,
+    NonFiniteInputError,
+    batch_probs_and_uncertainty,
     evidence_from_logits,
     evidence_grad_wrt_logits,
-    opinion_from_evidence,
-    predict,
     threshold_from_train_scores,
     validate_evidence,
 )
+from osev.hsic import hsic_value_and_grad
+from osev.losses import BatchPrediction
+
+
+def opinion(evidence):
+    """(probs, uncertainty, belief) of one evidence vector; belief is e / S with S = K / u."""
+    e = np.asarray(evidence, dtype=np.float64)
+    probs, u = batch_probs_and_uncertainty(e)
+    return probs, u, e / (e.size / u)
 
 
 def test_zero_evidence_is_maximal_uncertainty():
-    op = opinion_from_evidence([0.0, 0.0, 0.0])
-    assert op.uncertainty == 1.0
-    np.testing.assert_allclose(op.probs, [1 / 3, 1 / 3, 1 / 3])
-    np.testing.assert_array_equal(op.belief, [0.0, 0.0, 0.0])
+    probs, u, belief = opinion([0.0, 0.0, 0.0])
+    assert u == 1.0
+    np.testing.assert_allclose(probs, [1 / 3, 1 / 3, 1 / 3])
+    np.testing.assert_array_equal(belief, [0.0, 0.0, 0.0])
 
 
 def test_worked_opinion_example():
     # e=[4,1,0]: alpha=[5,2,1], S=8
-    op = opinion_from_evidence([4.0, 1.0, 0.0])
-    np.testing.assert_allclose(op.alpha, [5.0, 2.0, 1.0])
-    assert op.strength == 8.0
-    np.testing.assert_allclose(op.probs, [0.625, 0.25, 0.125])
-    assert op.uncertainty == pytest.approx(0.375, abs=1e-15)
-    np.testing.assert_allclose(op.belief, [0.5, 0.125, 0.0])
+    probs, u, belief = opinion([4.0, 1.0, 0.0])
+    assert 3 / u == 8.0
+    np.testing.assert_allclose(probs * 8.0, [5.0, 2.0, 1.0])
+    np.testing.assert_allclose(probs, [0.625, 0.25, 0.125])
+    assert u == pytest.approx(0.375, abs=1e-15)
+    np.testing.assert_allclose(belief, [0.5, 0.125, 0.0])
 
 
 def test_high_evidence_opinion():
-    op = opinion_from_evidence([9.0, 0.0, 0.0])
-    assert op.uncertainty == pytest.approx(0.25, abs=1e-15)
-    np.testing.assert_allclose(op.probs, [10 / 12, 1 / 12, 1 / 12])
+    probs, u, _ = opinion([9.0, 0.0, 0.0])
+    assert u == pytest.approx(0.25, abs=1e-15)
+    np.testing.assert_allclose(probs, [10 / 12, 1 / 12, 1 / 12])
 
 
 @settings(max_examples=200, deadline=None)
@@ -47,20 +56,19 @@ def test_high_evidence_opinion():
     )
 )
 def test_opinion_identities(evidence):
-    op = opinion_from_evidence(evidence)
+    probs, u, belief = opinion(evidence)
     k = len(evidence)
-    assert abs(op.uncertainty + op.belief.sum() - 1.0) < 1e-12
-    assert abs(op.probs.sum() - 1.0) < 1e-12
-    np.testing.assert_allclose(op.probs, op.belief + op.uncertainty / k, atol=1e-12)
-    assert abs(op.uncertainty - k / op.strength) < 1e-12
+    assert abs(u + belief.sum() - 1.0) < 1e-12
+    assert abs(probs.sum() - 1.0) < 1e-12
+    np.testing.assert_allclose(probs, belief + u / k, atol=1e-12)
+    assert abs(u - k / (sum(evidence) + k)) < 1e-12
 
 
 def test_increasing_evidence_moves_mass():
     """Raising e_k strictly decreases u and strictly increases p_k."""
-    base = opinion_from_evidence([1.0, 2.0, 3.0])
-    bumped = opinion_from_evidence([1.0, 2.0, 4.0])
-    assert bumped.uncertainty < base.uncertainty
-    assert bumped.probs[2] > base.probs[2]
+    (base_probs, bumped_probs), (base_u, bumped_u) = batch_probs_and_uncertainty([[1.0, 2.0, 3.0], [1.0, 2.0, 4.0]])
+    assert bumped_u < base_u
+    assert bumped_probs[2] > base_probs[2]
 
 
 def test_evidence_function_values():
@@ -93,18 +101,39 @@ def test_validate_evidence_rejects_bad_input():
         validate_evidence([1.0])
 
 
+def test_non_finite_model_values_raise_the_typed_error():
+    with pytest.raises(NonFiniteInputError, match="logit"):
+        evidence_from_logits([[0.0, np.nan]])
+    with pytest.raises(NonFiniteInputError, match="evidence"):
+        validate_evidence([[1.0, np.nan]])
+    good = np.random.default_rng(0).standard_normal((4, 2))
+    bad = good.copy()
+    bad[2, 1] = np.nan
+    with pytest.raises(NonFiniteInputError, match="x contains non-finite"):
+        hsic_value_and_grad(bad, good)
+    with pytest.raises(NonFiniteInputError, match="y contains non-finite"):
+        hsic_value_and_grad(good, bad)
+    # malformed but finite input stays a plain ValueError
+    with pytest.raises(ValueError) as info:
+        validate_evidence([1.0, -0.5])
+    assert not isinstance(info.value, NonFiniteInputError)
+
+
 def test_predict_tie_breaks_to_lowest_index():
-    idx, p, u = predict(opinion_from_evidence([0.0, 0.0, 0.0]))
-    assert idx == 0
-    assert p == pytest.approx(1 / 3)
-    assert u == 1.0
+    batch = BatchPrediction.from_evidence([0], [[0.0, 0.0, 0.0]])
+    assert batch.predicted[0] == 0
+    assert batch.max_prob[0] == pytest.approx(1 / 3)
+    assert batch.uncertainty[0] == 1.0
 
 
 def test_predict_worked_example():
-    idx, p, u = predict(opinion_from_evidence([4.0, 1.0, 0.0]))
-    assert (idx, p, u) == (0, pytest.approx(0.625), pytest.approx(0.375))
-    idx2, _, _ = predict(opinion_from_evidence([0.0, 8.0, 0.0]))
-    assert idx2 == 1
+    batch = BatchPrediction.from_evidence([0, 0], [[4.0, 1.0, 0.0], [0.0, 8.0, 0.0]])
+    assert (batch.predicted[0], batch.max_prob[0], batch.uncertainty[0]) == (
+        0,
+        pytest.approx(0.625),
+        pytest.approx(0.375),
+    )
+    assert batch.predicted[1] == 1
 
 
 def test_threshold_order_statistic():

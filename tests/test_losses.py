@@ -18,7 +18,6 @@ from osev.losses import (
     LossWeights,
     NonFiniteLossError,
     annealing_lambda,
-    edl_loss,
     edl_loss_batch,
     euc_loss,
     euc_loss_grad_evidence,
@@ -28,25 +27,39 @@ from osev.losses import (
 from osev.metrics import avu
 
 
-def mc_dirichlet_nll(y, alpha, draws, seed):
-    """Monte-Carlo −ln E_{p~Dir(alpha)}[prod p_k^{y_k}] with a standard error."""
+def mc_dirichlet_nll(label, alpha, draws, seed):
+    """Monte-Carlo −ln E_{p~Dir(alpha)}[p_label] with a standard error."""
     rng = np.random.default_rng(seed)
     p = rng.dirichlet(alpha, size=draws)
-    lik = p[:, int(np.argmax(y))]
+    lik = p[:, label]
     mean = lik.mean()
     se = lik.std(ddof=1) / math.sqrt(draws)
     # delta method: sd of ln(mean)
     return -math.log(mean), se / mean
 
 
+def scalar_edl_oracle(y, e):
+    """The one-hot, single-sample EDL formula: (sum_k y_k (ln S - ln alpha_k), 1/S - y / alpha)."""
+    y = np.asarray(y, dtype=np.float64)
+    alpha = np.asarray(e, dtype=np.float64) + 1.0
+    strength = alpha.sum()
+    return float(np.dot(y, np.log(strength) - np.log(alpha))), 1.0 / strength - y / alpha
+
+
+def edl_one(label, e):
+    """Loss and gradient of one sample through the batched API."""
+    losses, grads = edl_loss_batch(np.array([label]), np.asarray(e, dtype=np.float64)[None, :])
+    return float(losses[0]), grads[0]
+
+
 def test_edl_loss_zero_evidence():
-    loss, grad = edl_loss([1.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+    loss, grad = edl_one(0, [0.0, 0.0, 0.0])
     assert loss == pytest.approx(math.log(3.0), abs=1e-12)
     np.testing.assert_allclose(grad, [1 / 3 - 1, 1 / 3, 1 / 3], atol=1e-15)
 
 
 def test_edl_loss_worked_example():
-    loss, _ = edl_loss([1.0, 0.0, 0.0], [4.0, 1.0, 0.0])
+    loss, _ = edl_one(0, [4.0, 1.0, 0.0])
     assert loss == pytest.approx(math.log(8.0) - math.log(5.0), abs=1e-12)
     assert loss == pytest.approx(0.470004, abs=1e-6)
 
@@ -57,60 +70,54 @@ def test_edl_loss_matches_monte_carlo():
     for i in range(2):
         k = int(rng.integers(2, 6))
         e = rng.uniform(0.0, 5.0, size=k)
-        y = np.zeros(k)
-        y[int(rng.integers(0, k))] = 1.0
-        closed, _ = edl_loss(y, e)
-        est, se = mc_dirichlet_nll(y, e + 1.0, draws=100_000, seed=100 + i)
+        label = int(rng.integers(0, k))
+        closed, _ = edl_one(label, e)
+        est, se = mc_dirichlet_nll(label, e + 1.0, draws=100_000, seed=100 + i)
         assert abs(closed - est) < 3.0 * se, f"instance {i}: {closed} vs {est} +- {se}"
 
 
 def test_edl_loss_batch_matches_scalar():
     rng = np.random.default_rng(0)
-    e = rng.uniform(0, 4, size=(6, 4))
-    labels = rng.integers(0, 4, size=6)
-    y = np.eye(4)[labels]
-    losses, grads = edl_loss_batch(y, e)
-    for i in range(6):
-        loss_i, grad_i = edl_loss(y[i], e[i])
-        assert losses[i] == pytest.approx(loss_i, abs=1e-15)
-        np.testing.assert_allclose(grads[i], grad_i, atol=1e-15)
+    for k in (2, 4, 9):
+        e = rng.uniform(0, 4, size=(6, k)) * 10.0 ** rng.uniform(-3, 3, size=(6, 1))
+        labels = rng.integers(0, k, size=6)
+        losses, grads = edl_loss_batch(labels, e)
+        for i in range(6):
+            loss_i, grad_i = scalar_edl_oracle(np.eye(k)[labels[i]], e[i])
+            assert losses[i] == loss_i
+            assert (grads[i] == grad_i).all()
 
 
 @pytest.mark.parametrize(
-    "row",
-    [[0.5, 0.5, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]],
-    ids=["half", "two_ones", "all_zero"],
+    "labels, message",
+    [
+        (np.array([0.0, 1.0]), "integer"),
+        (np.array([[0], [1]]), "shape"),
+        (np.array([0, -1]), "out of range"),
+        (np.array([0, 3]), "out of range"),
+        (np.array([0, 1, 2]), "shape"),
+    ],
+    ids=["float_dtype", "two_d", "negative", "too_large", "wrong_length"],
 )
-def test_non_one_hot_labels_rejected(row):
-    y = np.array([[0.0, 1.0, 0.0], row])
+def test_bad_labels_rejected(labels, message):
     e = np.ones((2, 3))
-    with pytest.raises(ValueError, match="one-hot"):
-        edl_loss_batch(y, e)
-    with pytest.raises(ValueError, match="one-hot"):
-        edl_loss(y[1], e[1])
-    with pytest.raises(ValueError, match="one-hot"):
-        softmax_ce_loss(y, e)
-
-
-def test_one_hot_of_the_wrong_width_rejected():
-    with pytest.raises(ValueError, match="does not match 3 classes"):
-        edl_loss([1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
-    with pytest.raises(ValueError, match="does not match"):
-        edl_loss_batch(np.eye(4)[:2], np.ones((2, 3)))
+    with pytest.raises(ValueError, match=message):
+        edl_loss_batch(labels, e)
+    with pytest.raises(ValueError, match=message):
+        softmax_ce_loss(labels, e)
+    with pytest.raises(ValueError, match=message):
+        BatchPrediction.from_evidence(labels, e)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(0.0, 30.0, allow_nan=False), min_size=3, max_size=3), st.integers(0, 2))
 def test_edl_loss_non_negative(evidence, true_class):
-    y = np.zeros(3)
-    y[true_class] = 1.0
-    loss, _ = edl_loss(y, evidence)
+    loss, _ = edl_one(true_class, evidence)
     assert loss >= 0.0
 
 
 def test_edl_loss_vanishes_with_strong_evidence():
-    y = [1.0, 0.0, 0.0]
-    losses = [edl_loss(y, [s, 0.0, 0.0])[0] for s in (10.0, 100.0, 10_000.0)]
+    losses = [edl_one(0, [s, 0.0, 0.0])[0] for s in (10.0, 100.0, 10_000.0)]
     assert losses[0] > losses[1] > losses[2]
     assert losses[-1] < 1e-3
 
@@ -265,7 +272,19 @@ def test_loss_weights_reject_negative():
 def test_softmax_ce_gradient_sums_to_zero():
     rng = np.random.default_rng(4)
     logits = rng.standard_normal((5, 3))
-    y = np.eye(3)[rng.integers(0, 3, size=5)]
-    loss, grad = softmax_ce_loss(y, logits)
+    labels = rng.integers(0, 3, size=5)
+    loss, grad = softmax_ce_loss(labels, logits)
     assert loss > 0.0
     np.testing.assert_allclose(grad.sum(axis=1), 0.0, atol=1e-12)
+
+
+def test_softmax_ce_matches_one_hot_form():
+    rng = np.random.default_rng(5)
+    logits = rng.standard_normal((9, 4)) * 3.0
+    labels = rng.integers(0, 4, size=9)
+    y = np.eye(4)[labels]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    loss, grad = softmax_ce_loss(labels, logits)
+    assert loss == pytest.approx(float(-(y * log_probs).sum() / 9), rel=1e-15)
+    assert (grad == (np.exp(log_probs) - y) / 9).all()

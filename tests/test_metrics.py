@@ -350,7 +350,7 @@ class TestConfusion:
     def test_single_unknown_class_always_leaks_to_three(self):
         preds = np.array([3, 3, 3])
         labels = np.array([5, 5, 5])
-        ids = [7, 7, 7]
+        ids = np.array([7, 7, 7])
         matrix, top = confusion_and_top_confusions(preds, labels, num_known=5, unknown_ids=ids)
         assert matrix[5, 3] == 1.0
         assert top == [{"unknown_class": 7, "rate": 1.0, "target": 3}]
@@ -359,7 +359,7 @@ class TestConfusion:
         # K=3; last three samples are unknowns from classes 10, 10, 11
         preds = np.array([0, 1, 1, 3, 2, 2])
         labels = np.array([0, 1, 2, 3, 3, 3])
-        ids = [None, None, None, 10, 10, 11]
+        ids = np.array([-1, -1, -1, 10, 10, 11])
         matrix, top = confusion_and_top_confusions(preds, labels, num_known=3, unknown_ids=ids)
         np.testing.assert_allclose(matrix[0], [1, 0, 0, 0], atol=0.0)
         np.testing.assert_allclose(matrix[2], [0, 1, 0, 0], atol=0.0)
@@ -380,7 +380,7 @@ class TestConfusion:
         with pytest.raises(ValueError, match="out of range"):
             confusion_and_top_confusions([4], [0], num_known=3)
         with pytest.raises(ValueError, match="unknown_ids"):
-            confusion_and_top_confusions([0], [0], num_known=3, unknown_ids=[None, None])
+            confusion_and_top_confusions([0], [0], num_known=3, unknown_ids=np.array([-1, -1]))
 
 
 class TestScoreDump:

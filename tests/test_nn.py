@@ -20,10 +20,10 @@ from osev.nn import (
     TemporalMeanPool,
     apply_time_permutations,
     build_feature_net,
+    draw_time_permutations,
     glorot_uniform,
     gradcheck,
     sgd_step,
-    temporal_shuffle,
 )
 
 
@@ -317,12 +317,13 @@ class TestSgd:
 class TestTemporalShuffle:
     def test_single_timestep_is_identity(self):
         x = np.random.default_rng(0).normal(size=(4, 3, 1))
-        np.testing.assert_allclose(temporal_shuffle(x, np.random.default_rng(1)), x, atol=0.0)
+        perms = draw_time_permutations(np.random.default_rng(1), 4, 1)
+        np.testing.assert_allclose(apply_time_permutations(x, perms), x, atol=0.0)
 
     def test_columns_are_permuted_not_altered(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(3, 2, 10))
-        shuffled = temporal_shuffle(x, np.random.default_rng(6))
+        shuffled = apply_time_permutations(x, draw_time_permutations(np.random.default_rng(6), 3, 10))
         for b in range(3):
             orig_cols = sorted(map(tuple, x[b].T))
             new_cols = sorted(map(tuple, shuffled[b].T))
@@ -331,14 +332,14 @@ class TestTemporalShuffle:
 
     def test_seeded_replay(self):
         x = np.random.default_rng(7).normal(size=(2, 2, 8))
-        a = temporal_shuffle(x, np.random.default_rng(99))
-        b = temporal_shuffle(x, np.random.default_rng(99))
+        a = apply_time_permutations(x, draw_time_permutations(np.random.default_rng(99), 2, 8))
+        b = apply_time_permutations(x, draw_time_permutations(np.random.default_rng(99), 2, 8))
         np.testing.assert_allclose(a, b, atol=0.0)
 
     def test_temporal_conv_sees_order_pointwise_does_not(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(4, 3, 12))
-        shuffled = temporal_shuffle(x, np.random.default_rng(9))
+        shuffled = apply_time_permutations(x, draw_time_permutations(np.random.default_rng(9), 4, 12))
 
         temporal = build_feature_net(3, 5, 3, np.random.default_rng(10))
         assert not np.allclose(temporal.forward(x), temporal.forward(shuffled))
@@ -396,15 +397,29 @@ class TestCheckpoint:
             ("offset", 1.5, "invalid shape"),
             ("shape", [-4], "invalid shape"),
             ("shape", [5], "needs bytes 32 to 72"),
+            # the remaining cases corrupt the sidecar itself: None deletes the key
+            pytest.param("total_bytes", None, "sidecar 'total_bytes' is None, not a byte count", id="no_total_bytes"),
+            pytest.param("total_bytes", "64", "sidecar 'total_bytes' is '64', not a byte count", id="text_total_bytes"),
+            pytest.param("arrays", None, "sidecar 'arrays' is not a list of JSON objects", id="no_arrays"),
+            pytest.param("arrays", [{"name": "a"}, "b"], "sidecar 'arrays' is not a list of JSON", id="entry_not_object"),
+            pytest.param("sidecar", ["not", "an", "object"], "sidecar is not a JSON object", id="not_an_object"),
         ],
     )
     def test_corrupt_entry_names_checkpoint_and_array(self, tmp_path, field, value, message):
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, {"a": np.arange(4.0), "b": np.arange(4.0)})
         sidecar = json.loads(sidecar_path(path).read_text())
-        sidecar["arrays"][1][field] = value
+        if field in ("offset", "shape"):
+            sidecar["arrays"][1][field] = value
+            message = f"array 'b' .*{message}"
+        elif field == "sidecar":
+            sidecar = value
+        elif value is None:
+            del sidecar[field]
+        else:
+            sidecar[field] = value
         sidecar_path(path).write_text(json.dumps(sidecar))
-        with pytest.raises(ValueError, match=rf"checkpoint .*m\.ckpt: array 'b' .*{message}"):
+        with pytest.raises(ValueError, match=rf"checkpoint .*m\.ckpt: {message}"):
             load_checkpoint(path)
 
     def test_unknown_format_rejected(self, tmp_path):
