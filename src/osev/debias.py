@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evidential import EvidenceFunction
-from .hsic import KernelParams, hsic_value_and_grad
+from .hsic import KernelParams, hsic_value, hsic_value_and_grad
 from .losses import (
     BatchPrediction,
     LossWeights,
@@ -177,6 +177,13 @@ def ced_forward(
     return CedForward(x=x, perms=perms, f=f, h_shuffled=h_sh, h_static=h_st, e_f=e_f, e_shuffled=e_sh, e_static=e_st)
 
 
+def _hsic(x, y, kernel: KernelParams, with_grad: bool) -> tuple[float, np.ndarray | None]:
+    """HSIC(x, y) and its gradient in x; the gradient is None when nothing reads it."""
+    if with_grad:
+        return hsic_value_and_grad(x, y, kernel)
+    return hsic_value(x, y, kernel), None
+
+
 @dataclass(frozen=True)
 class DebiasResult:
     loss: float
@@ -210,16 +217,17 @@ def debias_objective(
 
     Gradients flow into the main branch's parameters only; both biased
     branches' features are constants here.  The dependence values are always
-    computed, but with w_ced * lam = 0 their gradient is skipped, not
-    multiplied by zero, so the main branch's gradient equals the plain run's
-    bit for bit.
+    computed; their gradient only when it is applied.  With w_ced * lam = 0
+    it is skipped, not multiplied by zero, so the main branch's gradient
+    equals the plain run's bit for bit.
     """
     edl, euc, grad_e = _f_losses_and_grad_e(labels, fwd.e_f, lambda_t, use_euc, weights.w_euc)
     coeff = weights.w_ced * weights.lambda_hsic
-    hs_sh, g_sh = hsic_value_and_grad(fwd.f, fwd.h_shuffled, kernel)
-    hs_st, g_st = hsic_value_and_grad(fwd.f, fwd.h_static, kernel)
+    with_grad = apply_grads and coeff != 0.0
+    hs_sh, g_sh = _hsic(fwd.f, fwd.h_shuffled, kernel, with_grad)
+    hs_st, g_st = _hsic(fwd.f, fwd.h_static, kernel, with_grad)
     if apply_grads:
-        extra = coeff * (g_sh + g_st) if coeff != 0.0 else None
+        extra = coeff * (g_sh + g_st) if with_grad else None
         branches.f_branch.backward(grad_e, extra_feature_grad=extra)
     return DebiasResult(
         loss=edl + weights.w_euc * euc + coeff * (hs_sh + hs_st),
@@ -245,20 +253,21 @@ def bias_objective(
     flow into the biased branches' parameters only; the main branch's
     features are constants here (the HSIC gradient is taken with respect to h
     by swapping the argument order).  As on the main side, the dependence
-    gradient is skipped when w_ced * lam = 0.
+    gradient is skipped when it is not applied or w_ced * lam = 0.
     """
     b = fwd.x.shape[0]
     lam = weights.lambda_hsic
     coeff = weights.w_ced * lam
+    with_grad = apply_grads and coeff != 0.0
     parts = {}
     for key, branch, feats, ev in (
         ("shuffled", branches.h_shuffled, fwd.h_shuffled, fwd.e_shuffled),
         ("static", branches.h_static, fwd.h_static, fwd.e_static),
     ):
         losses, grads_e = edl_loss_batch(labels, ev)
-        hs, g_h = hsic_value_and_grad(feats, fwd.f, kernel)
+        hs, g_h = _hsic(feats, fwd.f, kernel, with_grad)
         if apply_grads:
-            extra = -coeff * g_h if coeff != 0.0 else None
+            extra = -coeff * g_h if with_grad else None
             branch.backward(weights.w_ced * grads_e / b, extra_feature_grad=extra)
         parts[key] = (float(losses.mean()), hs)
     edl_sh, hs_sh = parts["shuffled"]

@@ -13,6 +13,7 @@ bandwidth.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,6 +24,7 @@ from .evidential import NonFiniteInputError
 __all__ = [
     "KernelParams",
     "hsic_biased",
+    "hsic_value",
     "hsic_value_and_grad",
     "median_bandwidth",
     "rbf_gram",
@@ -63,14 +65,32 @@ def _sq_dists(x: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0)
 
 
+@functools.lru_cache(maxsize=64)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (rows, cols) of the strict upper triangle of an n x n matrix."""
+    pairs = np.triu_indices(n, k=1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
 def median_bandwidth(x) -> float:
-    """Median of the nonzero pairwise Euclidean distances, 1.0 if none."""
+    """Median of the nonzero pairwise Euclidean distances, 1.0 if none.
+
+    The order statistics are taken on squared distances and rooted after:
+    sqrt is monotone and positive exactly where its argument is, so this is
+    np.median of the distances bit for bit, without rooting every pair.
+    """
     arr = _as_feature_matrix(x, "features")
-    d = np.sqrt(_sq_dists(arr)[np.triu_indices(arr.shape[0], k=1)])
-    nonzero = d[d > 0.0]
+    d2 = _sq_dists(arr)[_upper_pairs(arr.shape[0])]
+    nonzero = d2[d2 > 0.0]
     if nonzero.size == 0:
         return 1.0
-    return float(np.median(nonzero))
+    half, odd = divmod(nonzero.size, 2)
+    if odd:
+        return math.sqrt(np.partition(nonzero, half)[half])
+    lo, hi = np.partition(nonzero, (half - 1, half))[half - 1 : half + 1]
+    return (math.sqrt(lo) + math.sqrt(hi)) / 2.0
 
 
 def resolve_bandwidth(x, params: KernelParams) -> float:
@@ -92,10 +112,15 @@ def rbf_gram(x, params: KernelParams = KernelParams()) -> np.ndarray:
 
 
 def _center(gram: np.ndarray) -> np.ndarray:
-    """H G H without materializing H."""
-    row = gram.mean(axis=0, keepdims=True)
-    col = gram.mean(axis=1, keepdims=True)
-    return gram - row - col + gram.mean()
+    """H G H without materializing H.
+
+    The means are sums divided by their counts, which is what ndarray.mean
+    computes, without its per-call Python overhead.
+    """
+    n = gram.shape[0]
+    row = np.add.reduce(gram, axis=0, keepdims=True) / n
+    col = np.add.reduce(gram, axis=1, keepdims=True) / n
+    return gram - row - col + np.add.reduce(gram, axis=None) / (n * n)
 
 
 def hsic_biased(gram_x, gram_y) -> float:
@@ -110,6 +135,31 @@ def hsic_biased(gram_x, gram_y) -> float:
     return float((kx * _center(ky)).sum() / (n - 1) ** 2)
 
 
+def _kernels(x, y, params: KernelParams) -> tuple[np.ndarray, np.ndarray, float, np.ndarray, float]:
+    """Validated x, its Gram Kx and squared bandwidth, the centred M = H Ky H, and 1 / (n - 1)^2."""
+    ax = _as_feature_matrix(x, "x")
+    ay = _as_feature_matrix(y, "y")
+    if ax.shape[0] != ay.shape[0]:
+        raise ValueError(f"x and y must pair the same samples, got {ax.shape[0]} and {ay.shape[0]}")
+    sigma_x = resolve_bandwidth(ax, params)
+    sigma_x_sq = sigma_x * sigma_x
+    # y's bandwidth is squared with ** and x's with a product: the two round
+    # differently in about 1 of 1000 values, and trained outputs keep these bits
+    kx = _gram(ax, sigma_x_sq)
+    m = _center(_gram(ay, resolve_bandwidth(ay, params) ** 2))
+    return ax, kx, sigma_x_sq, m, 1.0 / (ax.shape[0] - 1) ** 2
+
+
+def _value(kx: np.ndarray, m: np.ndarray, scale: float) -> float:
+    return float((kx * m).sum() * scale)
+
+
+def hsic_value(x, y, params: KernelParams = KernelParams()) -> float:
+    """The value of :func:`hsic_value_and_grad`, bit for bit, without the gradient."""
+    _, kx, _, m, scale = _kernels(x, y, params)
+    return _value(kx, m, scale)
+
+
 def hsic_value_and_grad(
     x, y, params: KernelParams = KernelParams()
 ) -> tuple[float, np.ndarray]:
@@ -122,19 +172,7 @@ def hsic_value_and_grad(
     treating both bandwidths as constants.  The gradient with respect to y
     follows by symmetry: swap the arguments.
     """
-    ax = _as_feature_matrix(x, "x")
-    ay = _as_feature_matrix(y, "y")
-    if ax.shape[0] != ay.shape[0]:
-        raise ValueError(f"x and y must pair the same samples, got {ax.shape[0]} and {ay.shape[0]}")
-    n = ax.shape[0]
-    sigma_x = resolve_bandwidth(ax, params)
-    sigma_x_sq = sigma_x * sigma_x
-    # y's bandwidth is squared with ** and x's with a product: the two round
-    # differently in about 1 of 1000 values, and trained outputs keep these bits
-    kx = _gram(ax, sigma_x_sq)
-    m = _center(_gram(ay, resolve_bandwidth(ay, params) ** 2))
-    scale = 1.0 / (n - 1) ** 2
-    value = float((kx * m).sum() * scale)
+    ax, kx, sigma_x_sq, m, scale = _kernels(x, y, params)
     w = m * kx
     grad = (-2.0 * scale / sigma_x_sq) * (w.sum(axis=1)[:, None] * ax - w @ ax)
-    return value, grad
+    return _value(kx, m, scale), grad

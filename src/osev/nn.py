@@ -129,6 +129,8 @@ class TemporalConv(Layer):
 
     Input (batch, c_in, T) -> output (batch, c_out, T - kernel + 1).  Kernel
     widths >= 2 see temporal order; width 1 degenerates to a per-timestep map.
+    It is an input layer: every backbone starts with it and no caller reads
+    the gradient of its input, so backward computes none and returns None.
     """
 
     def __init__(self, c_in: int, c_out: int, kernel: int, rng: np.random.Generator, name: str = "tconv") -> None:
@@ -157,7 +159,7 @@ class TemporalConv(Layer):
         self._cache = x
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray) -> None:
         x = self._require_cache(self._cache, self.weight.name)
         g = np.asarray(grad_out, dtype=np.float64)
         batch, k = x.shape[0], self.kernel
@@ -174,11 +176,6 @@ class TemporalConv(Layer):
         g_rows = g.transpose(1, 0, 2).reshape(self.c_out, batch * t_out)
         self.weight.grad += (g_rows @ cols).reshape(self.weight.shape)
         self.bias.grad += g.sum(axis=(0, 2))
-        # input gradient: full correlation of the zero-padded upstream gradient
-        # with the time-reversed, channel-transposed kernel
-        padded = np.zeros((batch, self.c_out, t_out + 2 * (k - 1)))
-        padded[:, :, k - 1 : k - 1 + t_out] = g
-        return _correlate(padded, self.weight.value[:, :, ::-1].transpose(1, 0, 2))
 
     def parameters(self) -> list[Parameter]:
         return [self.weight, self.bias]
@@ -279,7 +276,7 @@ class Sequential(Layer):
         self._ran = True
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray) -> np.ndarray | None:
         if not self._ran:
             raise RuntimeError("backward called before forward on Sequential")
         g = grad_out
@@ -342,11 +339,11 @@ class EvidentialNet:
         features = self.backbone.forward(x)
         return features, self.head.forward(features)
 
-    def backward(self, grad_head_out: np.ndarray, extra_feature_grad: np.ndarray | None = None) -> np.ndarray:
+    def backward(self, grad_head_out: np.ndarray, extra_feature_grad: np.ndarray | None = None) -> None:
         grad_f = self.head.backward(grad_head_out)
         if extra_feature_grad is not None:
             grad_f = grad_f + extra_feature_grad
-        return self.backbone.backward(grad_f)
+        self.backbone.backward(grad_f)
 
     def parameters(self) -> list[Parameter]:
         return self.backbone.parameters() + self.head.parameters()
@@ -396,11 +393,12 @@ def sgd_step(
 
 
 def draw_time_permutations(rng: np.random.Generator, batch: int, timesteps: int) -> np.ndarray:
-    """One independent permutation of the time axis per sample, shape (batch, timesteps)."""
-    perms = np.empty((batch, timesteps), dtype=np.int64)
-    for b in range(batch):
-        perms[b] = rng.permutation(timesteps)
-    return perms
+    """One independent permutation of the time axis per sample, shape (batch, timesteps).
+
+    Shuffling the rows of a tiled arange consumes the stream exactly as one
+    ``rng.permutation(timesteps)`` per sample would.
+    """
+    return rng.permuted(np.tile(np.arange(timesteps, dtype=np.int64), (batch, 1)), axis=1)
 
 
 def apply_time_permutations(x: np.ndarray, perms: np.ndarray) -> np.ndarray:
@@ -410,10 +408,7 @@ def apply_time_permutations(x: np.ndarray, perms: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected (batch, channels, time), got shape {x.shape}")
     if perms.shape != (x.shape[0], x.shape[2]):
         raise ValueError(f"permutation shape {perms.shape} does not match input {x.shape}")
-    out = np.empty_like(x)
-    for b in range(x.shape[0]):
-        out[b] = x[b][:, perms[b]]
-    return out
+    return np.take_along_axis(x, perms[:, None, :], axis=2)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from osev.debias import (
     train_step,
     vanilla_train_step,
 )
-from osev.hsic import KernelParams
+from osev.hsic import KernelParams, hsic_value_and_grad
 from osev.losses import LossWeights
 
 CHANNELS, WIDTH, KERNEL, CLASSES = 3, 6, 3, 4
@@ -139,6 +139,37 @@ class TestStopGradients:
                 make_branches(), x, labels, weights=LossWeights(), lambda_t=0.5, use_euc=False,
                 shuffle_rng=np.random.default_rng(0),
             )
+
+
+class TestRecordOnlyDependence:
+    @pytest.mark.parametrize(
+        "side, lam, gradient_calls",
+        [("joint", 1.0, 4), ("f", 1.0, 2), ("h", 1.0, 2), ("joint", 0.0, 0)],
+    )
+    def test_only_applied_gradients_are_computed(self, monkeypatch, side, lam, gradient_calls):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return hsic_value_and_grad(*args, **kwargs)
+
+        monkeypatch.setattr("osev.debias.hsic_value_and_grad", counted)
+        x, labels = make_batch()
+        perms = np.random.default_rng(3).permuted(np.tile(np.arange(x.shape[2]), (x.shape[0], 1)), axis=1)
+        weights = LossWeights(w_euc=1.0, w_ced=0.1, lambda_hsic=lam)
+
+        def step(on):
+            return accumulate_gradients(
+                make_branches(), x, labels, weights=weights, lambda_t=0.5, use_euc=True, perms=perms, side=on
+            )
+
+        record = step(side)
+        assert len(calls) == gradient_calls
+        # value-only dependence terms record exactly what the gradient path computes
+        joint = step("joint")
+        assert record.hsic_shuffled == joint.hsic_shuffled
+        assert record.hsic_static == joint.hsic_static
+        assert record.ced == joint.ced
 
 
 class TestZeroPenaltyEquivalence:

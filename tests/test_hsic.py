@@ -9,7 +9,11 @@ from hypothesis import strategies as st
 
 from osev.hsic import (
     KernelParams,
+    _center,
+    _gram,
+    _sq_dists,
     hsic_biased,
+    hsic_value,
     hsic_value_and_grad,
     median_bandwidth,
     rbf_gram,
@@ -155,6 +159,77 @@ class TestMedianBandwidth:
         # duplicates contribute zero distances which must not drag the median down
         x = np.array([[0.0], [0.0], [4.0]])
         assert median_bandwidth(x) == pytest.approx(4.0, abs=0.0)
+
+
+def median_by_np_median(x):
+    """The median bandwidth as np.median of the rooted nonzero pair distances."""
+    d = np.sqrt(_sq_dists(x)[np.triu_indices(x.shape[0], k=1)])
+    nonzero = d[d > 0.0]
+    return 1.0 if nonzero.size == 0 else float(np.median(nonzero))
+
+
+def center_by_means(gram):
+    return gram - gram.mean(axis=0, keepdims=True) - gram.mean(axis=1, keepdims=True) + gram.mean()
+
+
+def nonzero_pair_count(x):
+    return int((_sq_dists(x)[np.triu_indices(x.shape[0], k=1)] > 0.0).sum())
+
+
+class TestMedianBandwidthOracle:
+    def test_edge_cases_equal_np_median(self):
+        rng = np.random.default_rng(31)
+        dup = rng.normal(size=(9, 4))
+        dup[[2, 5, 7]] = dup[0]
+        cases = [
+            np.array([[0.0], [1.0]]),  # n = 2: one pair
+            np.array([[0.0], [1.0], [3.0]]),  # 3 pairs: odd count
+            np.array([[0.0], [1.0], [3.0], [7.0]]),  # 6 pairs: even count
+            np.array([[0.0], [0.0], [4.0]]),  # duplicate rows: 2 nonzero pairs
+            dup,
+            np.ones((6, 3)),  # all rows equal: falls back to 1.0
+            np.round(rng.normal(size=(12, 2)), 1),  # tied distances
+        ]
+        counts = {nonzero_pair_count(x) % 2 for x in cases}
+        assert counts == {0, 1}
+        for x in cases:
+            assert median_bandwidth(x) == median_by_np_median(x)
+        assert median_bandwidth(np.ones((6, 3))) == 1.0
+
+    def test_random_inputs_equal_np_median(self):
+        rng = np.random.default_rng(32)
+        parities = set()
+        for i in range(600):
+            n = int(rng.integers(2, 40))
+            x = rng.normal(size=(n, int(rng.integers(1, 13)))) * 10.0 ** rng.uniform(-3, 3)
+            if i % 3 == 0:
+                x[rng.integers(0, n, size=int(rng.integers(1, n + 1)))] = x[0]
+            if i % 5 == 0:
+                x = np.round(x, 1)
+            parities.add(nonzero_pair_count(x) % 2)
+            assert median_bandwidth(x) == median_by_np_median(x)
+        assert parities == {0, 1}
+
+
+class TestCenteringOracle:
+    @pytest.mark.parametrize("n", [2, 3, 8, 32, 39])
+    def test_sums_equal_the_three_means(self, n):
+        rng = np.random.default_rng(n)
+        for scale in (0.1, 1.0, 10.0):
+            gram = _gram(rng.normal(size=(n, 5)), scale)
+            assert (_center(gram) == center_by_means(gram)).all()
+        asymmetric = rng.uniform(size=(n, n))
+        assert (_center(asymmetric) == center_by_means(asymmetric)).all()
+
+
+@pytest.mark.parametrize("params", [KernelParams(sigma=0.9), KernelParams()])
+def test_value_only_path_is_the_value_bit_for_bit(params):
+    rng = np.random.default_rng(41)
+    for n in (2, 8, 32):
+        x = rng.normal(size=(n, 12))
+        y = rng.normal(size=(n, 12))
+        assert hsic_value(x, y, params) == hsic_value_and_grad(x, y, params)[0]
+        assert hsic_value(y, x, params) == hsic_value_and_grad(y, x, params)[0]
 
 
 def test_gradient_matches_central_differences():

@@ -119,13 +119,12 @@ class TestLayerGradients:
 
 
 def conv_by_loops(x, w, b, g):
-    """Direct nested-loop TemporalConv: output, weight, bias and input gradients."""
+    """Direct nested-loop TemporalConv: output, weight and bias gradients."""
     batch, c_in, t = x.shape
     c_out, _, k = w.shape
     t_out = t - k + 1
     out = np.empty((batch, c_out, t_out))
     grad_w = np.zeros_like(w)
-    grad_x = np.zeros_like(x)
     for n in range(batch):
         for o in range(c_out):
             for s in range(t_out):
@@ -134,9 +133,8 @@ def conv_by_loops(x, w, b, g):
                     for j in range(k):
                         acc += w[o, i, j] * x[n, i, s + j]
                         grad_w[o, i, j] += g[n, o, s] * x[n, i, s + j]
-                        grad_x[n, i, s + j] += g[n, o, s] * w[o, i, j]
                 out[n, o, s] = acc
-    return out, grad_w, g.sum(axis=(0, 2)), grad_x
+    return out, grad_w, g.sum(axis=(0, 2))
 
 
 class TestTemporalConvOracle:
@@ -160,12 +158,11 @@ class TestTemporalConvOracle:
         x = rng.normal(size=(batch, c_in, t))
         g = rng.normal(size=(batch, c_out, t - kernel + 1))
         out = layer.forward(x)
-        grad_x = layer.backward(g)
-        ref_out, ref_gw, ref_gb, ref_gx = conv_by_loops(x, layer.weight.value, layer.bias.value, g)
+        layer.backward(g)
+        ref_out, ref_gw, ref_gb = conv_by_loops(x, layer.weight.value, layer.bias.value, g)
         np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-12)
         np.testing.assert_allclose(layer.weight.grad, ref_gw, rtol=0, atol=1e-12)
         np.testing.assert_allclose(layer.bias.grad, ref_gb, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(grad_x, ref_gx, rtol=0, atol=1e-12)
 
 
 class TestLayerMechanics:
@@ -201,7 +198,7 @@ class TestLayerMechanics:
         grad_x = layer.backward(np.zeros_like(out))
         assert not layer.weight.grad.any()
         assert not layer.bias.grad.any()
-        assert not grad_x.any()
+        assert grad_x is None  # an input layer computes no input gradient
 
     def test_dense_identity_passthrough(self):
         layer = Dense(3, 3, np.random.default_rng(0))
@@ -352,6 +349,44 @@ class TestTemporalShuffle:
     def test_apply_permutations_validates_shape(self):
         with pytest.raises(ValueError, match="permutation shape"):
             apply_time_permutations(np.zeros((2, 3, 4)), np.zeros((2, 5), dtype=np.int64))
+
+
+def permutations_by_loop(rng, batch, timesteps):
+    """One ``rng.permutation`` per sample, the draw order training relies on."""
+    perms = np.empty((batch, timesteps), dtype=np.int64)
+    for b in range(batch):
+        perms[b] = rng.permutation(timesteps)
+    return perms
+
+
+def gather_by_loop(x, perms):
+    out = np.empty_like(x)
+    for b in range(x.shape[0]):
+        out[b] = x[b][:, perms[b]]
+    return out
+
+
+class TestTimePermutationOracle:
+    @pytest.mark.parametrize("batch,timesteps", [(1, 1), (1, 9), (2, 2), (5, 7), (32, 24)])
+    def test_draws_match_the_per_sample_loop_and_leave_the_same_stream(self, batch, timesteps):
+        rng, oracle_rng = np.random.default_rng(batch * 100 + timesteps), np.random.default_rng(batch * 100 + timesteps)
+        perms = draw_time_permutations(rng, batch, timesteps)
+        expected = permutations_by_loop(oracle_rng, batch, timesteps)
+        assert perms.dtype == expected.dtype
+        assert perms.shape == expected.shape
+        assert (perms == expected).all()
+        assert rng.random() == oracle_rng.random()
+        assert (rng.permutation(timesteps) == oracle_rng.permutation(timesteps)).all()
+
+    @pytest.mark.parametrize("batch,channels,timesteps", [(1, 1, 1), (1, 3, 8), (4, 2, 5), (32, 6, 24)])
+    def test_gather_matches_the_per_sample_loop(self, batch, channels, timesteps):
+        rng = np.random.default_rng(channels * 1000 + timesteps)
+        x = rng.normal(size=(batch, channels, timesteps))
+        perms = draw_time_permutations(rng, batch, timesteps)
+        shuffled = apply_time_permutations(x, perms)
+        expected = gather_by_loop(x, perms)
+        assert shuffled.shape == expected.shape
+        assert (shuffled == expected).all()
 
 
 class TestCheckpoint:
