@@ -1,8 +1,13 @@
 """Synthetic dataset: spectral identity, bias wiring, serialization."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from osev import data as data_mod
 from osev.data import (
     SPLIT_NAMES,
     DatasetSplit,
@@ -257,3 +262,128 @@ class TestSerialization:
         (tmp_path / "manifest.json").write_text('{"format": "other"}\n')
         with pytest.raises(ValueError, match="unrecognized dataset format"):
             load_dataset(tmp_path)
+
+
+def _parse_both(path):
+    """(fast, loop) parses of a split file's rows; loop is an exception if it raises."""
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        lines = fh.readlines()
+    fast = data_mod._parse_rows_fast(lines, len(header) - 3)
+    try:
+        loop = data_mod._parse_rows(Path(path), header, lines)
+    except ValueError as exc:
+        loop = exc
+    return fast, loop
+
+
+def _assert_same_bytes(fast, loop):
+    assert len(fast) == len(loop) == 4
+    for a, b in zip(fast, loop):
+        assert a.dtype == b.dtype
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+#: CSV fields near the boundary of what either parser accepts.
+FIELD = st.one_of(
+    st.sampled_from(["1.0", "1e0", "1_0", "nan", "inf", "1e400", "", " ", "0x1", "1,"]),
+    st.text(alphabet="0123456789.-+eE naifINF_x\t", max_size=5),
+)
+VALID_ROW = st.tuples(
+    *[st.integers(-(10**6), 10**6).map(str)] * 3,
+    *[st.floats(allow_nan=False, allow_infinity=False).map(repr)] * 2,
+).map(list)
+
+
+def _mutate(row, edit):
+    """Apply one edit to a valid row: None, ("set", i, text), ("add", text) or ("drop",)."""
+    if edit is None:
+        return row
+    if edit[0] == "set":
+        return row[: edit[1]] + [edit[2]] + row[edit[1] + 1 :]
+    if edit[0] == "add":
+        return row + [edit[1]]
+    return row[:-1]
+
+
+ROW = st.builds(
+    _mutate,
+    VALID_ROW,
+    st.one_of(
+        st.none(),
+        st.tuples(st.just("set"), st.integers(0, 4), FIELD),
+        st.tuples(st.just("add"), FIELD),
+        st.just(("drop",)),
+    ),
+)
+
+
+class TestVectorisedParse:
+    """The one-call parse gives the line loop's bytes and defers whatever the loop rejects."""
+
+    def test_generated_split_matches_loop(self, tmp_path):
+        path = save_split(generate(small_spec(samples_per_class=6))["train"], tmp_path / "train.csv")
+        fast, loop = _parse_both(path)
+        assert fast is not None
+        _assert_same_bytes(fast, loop)
+
+    def test_shortest_repr_doubles_match_float(self, tmp_path):
+        rng = np.random.default_rng(3)
+        values = np.exp(rng.uniform(np.log(1e-300), np.log(1e300), size=(400, 100)))
+        values *= rng.choice([-1.0, 1.0], size=values.shape)
+        split = DatasetSplit(
+            kind="train",
+            x=values.reshape(400, 4, 25),
+            labels=np.arange(400, dtype=np.int64) % 5,
+            scenes=np.zeros(400, dtype=np.int64),
+            ids=np.arange(400, dtype=np.int64),
+        )
+        path = save_split(split, tmp_path / "wide.csv")
+        fast, loop = _parse_both(path)
+        assert fast is not None
+        _assert_same_bytes(fast, loop)
+        assert load_split(path).x.tobytes() == values.tobytes()
+
+    def test_well_formed_split_skips_the_line_loop(self, tmp_path, monkeypatch):
+        split = generate(small_spec(samples_per_class=3))["train"]
+        path = save_split(split, tmp_path / "train.csv")
+
+        def fail(*args):
+            raise AssertionError("line loop ran on a well-formed split")
+
+        monkeypatch.setattr(data_mod, "_parse_rows", fail)
+        np.testing.assert_array_equal(load_split(path).x, split.x)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("2,1.0,0,0.5,0.5", "value class='1.0' is not an integer"),
+            ("2,1e0,0,0.5,0.5", "value class='1e0' is not an integer"),
+            ("2.0,0,0,0.5,0.5", "value id='2.0' is not an integer"),
+            ("2,0,1.5,0.5,0.5", "value scene='1.5' is not an integer"),
+            ("2,0,0,0.5", "expected 5 fields, found 4"),
+            ("2,0,0,0.5,0.5,0.5", "expected 5 fields, found 6"),
+            ("2,0,0,0.5,", "could not convert"),
+            ("2,0,0,nan,0.5", "value c0_t0=nan is not finite"),
+            ("2,0,0,0.5,-inf", "value c0_t1=-inf is not finite"),
+            ("2,0,0,0.5,1e400", "value c0_t1=inf is not finite"),
+        ],
+    )
+    def test_fast_path_defers_every_rejected_row(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"id,class,scene,c0_t0,c0_t1\n1,0,0,0.5,0.5\n{row}\n")
+        fast, loop = _parse_both(path)
+        assert fast is None
+        assert isinstance(loop, ValueError)
+        with pytest.raises(ValueError, match=message):
+            load_split(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(ROW, min_size=1, max_size=4))
+    def test_whatever_the_fast_path_accepts_the_loop_accepts_identically(self, rows):
+        lines = [",".join(fields) + "\n" for fields in rows]
+        header = ["id", "class", "scene", "c0_t0", "c0_t1"]
+        fast = data_mod._parse_rows_fast(lines, 2)
+        if fast is not None:
+            _assert_same_bytes(fast, data_mod._parse_rows(Path("fuzz.csv"), header, lines))
