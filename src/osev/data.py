@@ -226,6 +226,9 @@ def _parse_rows_fast(lines: list[str], num_values: int):
     )
 
 
+_INT64 = np.iinfo(np.int64)
+
+
 def _parse_rows(p: Path, header: list[str], lines: list[str]):
     """Parse the rows after the header line by line; errors name file:line and column."""
     dims = header[3:]
@@ -239,9 +242,12 @@ def _parse_rows(p: Path, header: list[str], lines: list[str]):
             raise ValueError(f"{p}:{line_no}: expected {3 + len(dims)} fields, found {len(parts)}")
         for column, text, out in zip(header, parts, (ids, labels, scenes)):
             try:
-                out.append(int(text))
+                value = int(text)
             except ValueError:
                 raise ValueError(f"{p}:{line_no}: value {column}={text!r} is not an integer") from None
+            if not _INT64.min <= value <= _INT64.max:
+                raise ValueError(f"{p}:{line_no}: value {column}={text!r} is outside the int64 range")
+            out.append(value)
         values.append([float(v) for v in parts[3:]])
         line_nos.append(line_no)
     x = np.asarray(values, dtype=np.float64).reshape(len(values), len(dims))

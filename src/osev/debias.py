@@ -39,10 +39,10 @@ from .nn import (
     Dense,
     EvidenceHead,
     EvidentialNet,
+    Parameter,
     apply_time_permutations,
     build_feature_net,
     draw_time_permutations,
-    sgd_step,
 )
 
 __all__ = [
@@ -102,14 +102,17 @@ class CedBranches:
     h_static: EvidentialNet
     num_classes: int
 
-    def f_parameters(self):
-        return self.f_branch.parameters()
+    def parameters(self, side: str = "joint") -> list[Parameter]:
+        """The parameters one side updates: "f", "h" or "joint" for both.
 
-    def h_parameters(self):
-        return self.h_shuffled.parameters() + self.h_static.parameters()
-
-    def all_parameters(self):
-        return self.f_parameters() + self.h_parameters()
+        Always in the order f, h_shuffled, h_static, so a rejected step names
+        the same first bad parameter whichever side is stepped.
+        """
+        if side not in ("joint", "f", "h"):
+            raise ValueError(f"side must be joint, f or h, got {side!r}")
+        f = self.f_branch.parameters() if side != "h" else []
+        h = self.h_shuffled.parameters() + self.h_static.parameters() if side != "f" else []
+        return f + h
 
 
 def build_branches(
@@ -315,12 +318,11 @@ class StepRecord:
 
     edl: float
     euc: float
-    ced: float
-    hsic_shuffled: float
-    hsic_static: float
     total: float
-    lambda_t: float
     side: str
+    ced: float = 0.0
+    hsic_shuffled: float = 0.0
+    hsic_static: float = 0.0
 
 
 def _f_losses_and_grad_e(
@@ -379,17 +381,17 @@ def accumulate_gradients(
     apply_h = side in ("joint", "h")
 
     if debug and apply_f:
-        _assert_zero_grads(branches.h_parameters(), "start of f-side accumulation")
+        _assert_zero_grads(branches.parameters("h"), "start of f-side accumulation")
     main = debias_objective(
         branches, fwd, labels, weights, kernel, lambda_t=lambda_t, use_euc=use_euc, apply_grads=apply_f
     )
     if debug and apply_f:
-        _assert_zero_grads(branches.h_parameters(), "f-side objective")
+        _assert_zero_grads(branches.parameters("h"), "f-side objective")
 
-    f_snapshot = [p.grad.copy() for p in branches.f_parameters()] if debug and apply_h else None
+    f_snapshot = [p.grad.copy() for p in branches.parameters("f")] if debug and apply_h else None
     biased = bias_objective(branches, fwd, labels, weights, kernel, apply_grads=apply_h)
     if f_snapshot is not None:
-        for p, before in zip(branches.f_parameters(), f_snapshot):
+        for p, before in zip(branches.parameters("f"), f_snapshot):
             if np.any(p.grad != before):
                 raise AssertionError(f"stop-gradient violated: {p.name} changed during h-side objective")
 
@@ -403,7 +405,6 @@ def accumulate_gradients(
         hsic_shuffled=hs_sh,
         hsic_static=hs_st,
         total=total_loss(main.edl, main.euc, ced, weights),
-        lambda_t=lambda_t,
         side=side,
     )
 
@@ -417,21 +418,17 @@ def train_step(
     mode: TrainingMode,
     lambda_t: float,
     use_euc: bool,
-    lr: float,
-    momentum: float = 0.9,
-    weight_decay: float = 1e-4,
-    nesterov: bool = False,
     kernel: KernelParams = KernelParams(),
     shuffle_rng: np.random.Generator,
     step_index: int = 0,
     debug: bool = False,
-) -> StepRecord:
-    """One optimizer step of the full three-branch objective.
+) -> tuple[StepRecord, list[Parameter]]:
+    """Accumulate one batch's gradients of the full three-branch objective.
 
-    Joint mode updates all parameters in a single step, each side computed
-    under its own stop-gradient convention; alternating mode steps only the
-    active side's parameters so the frozen side (momentum and weight decay
-    included) is untouched on its off-steps.
+    Returns the record and the parameters of the side this step updates:
+    all of them in joint mode, each side computed under its own stop-gradient
+    convention; only the active side's in alternating mode, so the frozen
+    side (momentum and weight decay included) is untouched on its off-steps.
     """
     side = mode.side(step_index)
     record = accumulate_gradients(
@@ -446,14 +443,7 @@ def train_step(
         side=side,
         debug=debug,
     )
-    if side == "joint":
-        params = branches.all_parameters()
-    elif side == "f":
-        params = branches.f_parameters()
-    else:
-        params = branches.h_parameters()
-    sgd_step(params, lr, momentum=momentum, weight_decay=weight_decay, nesterov=nesterov)
-    return record
+    return record, branches.parameters(side)
 
 
 def vanilla_train_step(
@@ -464,17 +454,9 @@ def vanilla_train_step(
     lambda_t: float,
     use_euc: bool,
     weights: LossWeights,
-    lr: float,
-    momentum: float = 0.9,
-    weight_decay: float = 1e-4,
-    nesterov: bool = False,
-) -> StepRecord:
-    """One step without the debiasing branches."""
+) -> tuple[StepRecord, list[Parameter]]:
+    """Accumulate one batch's gradients without the debiasing branches."""
     _, e = net.forward(np.asarray(x, dtype=np.float64))
     edl, euc, grad_e = _f_losses_and_grad_e(labels, e, lambda_t, use_euc, weights.w_euc)
-    total = total_loss(edl, euc, 0.0, weights)
     net.backward(grad_e)
-    sgd_step(net.parameters(), lr, momentum=momentum, weight_decay=weight_decay, nesterov=nesterov)
-    return StepRecord(
-        edl=edl, euc=euc, ced=0.0, hsic_shuffled=0.0, hsic_static=0.0, total=total, lambda_t=lambda_t, side="f"
-    )
+    return StepRecord(edl=edl, euc=euc, total=total_loss(edl, euc, 0.0, weights), side="f"), net.parameters()

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import rankdata
 
 __all__ = [
     "OpennessPoint",
@@ -174,8 +173,8 @@ def open_maf1_curve(
 def roc_auc(scores_known, scores_unknown) -> float:
     """Probability an unknown sample outscores a known one, ties counting half.
 
-    Computed with midranks, which agrees exactly with brute-force pair
-    counting.
+    Counts the pairs exactly: for each unknown score, binary search in the
+    sorted known scores gives how many it beats and how many it ties.
     """
     k = np.asarray(scores_known, dtype=np.float64)
     u = np.asarray(scores_unknown, dtype=np.float64)
@@ -183,9 +182,10 @@ def roc_auc(scores_known, scores_unknown) -> float:
         raise ValueError("both score sets must be non-empty")
     if not (np.all(np.isfinite(k)) and np.all(np.isfinite(u))):
         raise ValueError("scores must be finite")
-    ranks = rankdata(np.concatenate([u, k]))
-    rank_sum = ranks[: u.size].sum()
-    return float((rank_sum - u.size * (u.size + 1) / 2.0) / (u.size * k.size))
+    known = np.sort(k)
+    lo = np.searchsorted(known, u, "left")
+    hi = np.searchsorted(known, u, "right")
+    return float((lo.sum() + 0.5 * (hi - lo).sum()) / (u.size * k.size))
 
 
 def ece(confidences, correct, num_bins: int = 15) -> float:

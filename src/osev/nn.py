@@ -34,7 +34,6 @@ __all__ = [
     "Sequential",
     "TemporalConv",
     "TemporalMeanPool",
-    "TensorValue",
     "apply_time_permutations",
     "build_feature_net",
     "draw_time_permutations",
@@ -48,14 +47,17 @@ class NonFiniteGradientError(RuntimeError):
     """A gradient buffer contains NaN or infinity; the step was rejected."""
 
 
-class TensorValue:
-    """Shape-frozen float64 array paired with a gradient accumulator."""
+class Parameter:
+    """Named, shape-frozen float64 array with a gradient accumulator and a
+    momentum buffer for SGD."""
 
-    __slots__ = ("value", "grad")
+    __slots__ = ("name", "value", "grad", "momentum")
 
-    def __init__(self, value) -> None:
+    def __init__(self, name: str, value) -> None:
+        self.name = name
         self.value = np.array(value, dtype=np.float64)
         self.grad = np.zeros_like(self.value)
+        self.momentum = np.zeros_like(self.value)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -69,17 +71,6 @@ class TensorValue:
         if arr.shape != self.value.shape:
             raise ValueError(f"shape mismatch: have {self.value.shape}, got {arr.shape}")
         self.value[...] = arr
-
-
-class Parameter(TensorValue):
-    """Named tensor with a momentum buffer for SGD."""
-
-    __slots__ = ("name", "momentum")
-
-    def __init__(self, name: str, value) -> None:
-        super().__init__(value)
-        self.name = name
-        self.momentum = np.zeros_like(self.value)
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.value.shape})"

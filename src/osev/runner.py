@@ -160,24 +160,11 @@ def _batch_slices(perm: np.ndarray, batch_size: int) -> list[np.ndarray]:
     return chunks
 
 
-def _kernel_params(config: RunConfig) -> KernelParams:
-    return KernelParams(sigma=config.hsic_sigma if config.hsic_sigma > 0.0 else None)
-
-
-def _softmax_step(net: EvidentialNet, x, labels, *, config: RunConfig, lr: float, lambda_t: float) -> StepRecord:
+def _softmax_step(net: EvidentialNet, x, labels) -> tuple[StepRecord, list[Parameter]]:
     _, logits = net.forward(x)
     loss, grad = softmax_ce_loss(labels, logits)
     net.backward(grad)
-    sgd_step(
-        net.parameters(),
-        lr,
-        momentum=config.momentum,
-        weight_decay=config.weight_decay,
-        nesterov=config.nesterov,
-    )
-    return StepRecord(
-        edl=loss, euc=0.0, ced=0.0, hsic_shuffled=0.0, hsic_static=0.0, total=loss, lambda_t=lambda_t, side="f"
-    )
+    return StepRecord(edl=loss, euc=0.0, total=loss, side="f"), net.parameters()
 
 
 def _epoch_lr(config: RunConfig, epoch: int) -> float:
@@ -186,49 +173,33 @@ def _epoch_lr(config: RunConfig, epoch: int) -> float:
     return config.lr
 
 
-def _run_one_step(
-    model,
-    x: np.ndarray,
-    y: np.ndarray,
-    config: RunConfig,
-    weights: LossWeights,
-    mode: TrainingMode,
-    kernel: KernelParams,
-    lambda_t: float,
-    lr: float,
-    shuffle_rng: np.random.Generator,
-    step_index: int,
-) -> StepRecord:
+def _step_function(config: RunConfig, model, shuffle_rng: np.random.Generator):
+    """The step that accumulates one batch's gradients for the model :func:`build_model` builds.
+
+    Returns ``step(x, labels, lambda_t, step_index) -> (record, params)``.
+    Each call looks the step function up among this module's globals, so a
+    rebound name (``benchmarks/spans.py`` traces them that way) takes effect.
+    """
     if config.loss_type == "softmax":
-        return _softmax_step(model, x, y, config=config, lr=lr, lambda_t=lambda_t)
-    if isinstance(model, CedBranches):
-        return train_step(
+        return lambda x, labels, lambda_t, step_index: _softmax_step(model, x, labels)
+    weights = LossWeights(w_euc=config.w_euc, w_ced=config.w_ced, lambda_hsic=config.lambda_hsic)
+    if config.use_ced:
+        mode = TrainingMode(joint=config.ced_mode == "joint", period=config.ced_period)
+        kernel = KernelParams(sigma=config.hsic_sigma if config.hsic_sigma > 0.0 else None)
+        return lambda x, labels, lambda_t, step_index: train_step(
             model,
             x,
-            y,
+            labels,
             weights=weights,
             mode=mode,
             lambda_t=lambda_t,
             use_euc=config.use_euc,
-            lr=lr,
-            momentum=config.momentum,
-            weight_decay=config.weight_decay,
-            nesterov=config.nesterov,
             kernel=kernel,
             shuffle_rng=shuffle_rng,
             step_index=step_index,
         )
-    return vanilla_train_step(
-        model,
-        x,
-        y,
-        lambda_t=lambda_t,
-        use_euc=config.use_euc,
-        weights=weights,
-        lr=lr,
-        momentum=config.momentum,
-        weight_decay=config.weight_decay,
-        nesterov=config.nesterov,
+    return lambda x, labels, lambda_t, step_index: vanilla_train_step(
+        model, x, labels, lambda_t=lambda_t, use_euc=config.use_euc, weights=weights
     )
 
 
@@ -248,13 +219,10 @@ def run_training(config: RunConfig, out_dir) -> dict:
             f"train split contains label {train.labels.max()} outside the {num_classes} known classes"
         )
 
-    weights = LossWeights(w_euc=config.w_euc, w_ced=config.w_ced, lambda_hsic=config.lambda_hsic)
-    kernel = _kernel_params(config)
-    mode = TrainingMode(joint=config.ced_mode == "joint", period=config.ced_period)
     model = build_model(config, spec.channels, num_classes)
     schedule = AnnealingSchedule(config.lambda0, max(1, config.epochs - 1))
     order_rng = derived_rng(config.seed, STREAM_ORDER)
-    shuffle_rng = derived_rng(config.seed, STREAM_SHUFFLE)
+    step = _step_function(config, model, derived_rng(config.seed, STREAM_SHUFFLE))
 
     header = ["epoch", "lambda_t", "edl", "euc", "ced", "hsic_shuffled", "hsic_static", "total"]
     rows = []
@@ -268,8 +236,13 @@ def run_training(config: RunConfig, out_dir) -> dict:
             for idx in _batch_slices(order_rng.permutation(len(train)), config.batch_size):
                 x, y = train.x[idx], train.labels[idx]
                 try:
-                    rec = _run_one_step(
-                        model, x, y, config, weights, mode, kernel, lambda_t, lr, shuffle_rng, step_index
+                    rec, params = step(x, y, lambda_t, step_index)
+                    sgd_step(
+                        params,
+                        lr,
+                        momentum=config.momentum,
+                        weight_decay=config.weight_decay,
+                        nesterov=config.nesterov,
                     )
                 except (NonFiniteLossError, NonFiniteGradientError) as exc:
                     _log(log, f"non-finite loss at epoch {epoch} step {step_index}: {exc}")
@@ -301,16 +274,14 @@ def run_training(config: RunConfig, out_dir) -> dict:
         "config": config.to_dict(),
         "dataset_spec": asdict(spec),
     }
-    stripped = strip_for_inference(model) if isinstance(model, CedBranches) else model
-    full_arrays = (
-        [(p.name, p.value) for p in model.all_parameters()]
-        if isinstance(model, CedBranches)
-        else [(p.name, p.value) for p in model.parameters()]
+    save_checkpoint(
+        out / "model_full.ckpt",
+        [(p.name, p.value) for p in model.parameters()],
+        meta={**base_meta, "stripped": False},
     )
-    save_checkpoint(out / "model_full.ckpt", full_arrays, meta={**base_meta, "stripped": False})
     save_checkpoint(
         out / "model.ckpt",
-        [(p.name, p.value) for p in stripped.parameters()],
+        [(p.name, p.value) for p in strip_for_inference(model).parameters()],
         meta={**base_meta, "stripped": True},
     )
     return {
@@ -734,7 +705,7 @@ def run_gradcheck(
         ``composed``, from the training step restricted to that side.
         """
         branches, x, labels, perms = fresh_instance()
-        _zero_grads(branches.all_parameters())
+        _zero_grads(branches.parameters())
         fwd = ced_forward(branches, x, perms=perms)
         if composed:
             accumulate_gradients(

@@ -372,7 +372,7 @@ def test_criterion_10_ablation_decoupling(tmp_path, acceptance_dataset):
     x = rng.standard_normal((10, 6, 24))
     perms = draw_time_permutations(np.random.default_rng([55, 4]), 10, 24)
     before = strip_for_inference(branches).forward(x)[1]
-    for p in branches.h_parameters():
+    for p in branches.parameters("h"):
         p.value += rng.standard_normal(p.value.shape)
     fwd = ced_forward(branches, x, perms=perms)
     after = strip_for_inference(branches).forward(x)[1]

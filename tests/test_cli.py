@@ -302,6 +302,17 @@ class TestExitCodes:
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert "train.csv:3:" in capsys.readouterr().err
 
+    def test_csv_id_outside_int64_is_2(self, tmp_path, dataset_dir, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        lines = (data / "train.csv").read_text().splitlines()
+        lines[2] = "99999999999999999999" + lines[2][lines[2].index(",") :]
+        (data / "train.csv").write_text("\n".join(lines) + "\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG_TEMPLATE.format(dataset=data))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "train.csv:3: value id='99999999999999999999' is outside the int64 range" in capsys.readouterr().err
+
     def test_manifest_missing_a_split_is_2(self, tmp_path, dataset_dir, run_dir, capsys):
         data = tmp_path / "data"
         shutil.copytree(dataset_dir, data)

@@ -220,10 +220,15 @@ class TestSerialization:
             pytest.param("x,0,0,0.5,0.5", "value id='x' is not an integer", id="id"),
             pytest.param("2,1.5,0,0.5,0.5", "value class='1.5' is not an integer", id="class"),
             pytest.param("2,0,,0.5,0.5", "value scene='' is not an integer", id="scene"),
+            pytest.param(
+                "99999999999999999999,0,0,0.5,0.5",
+                "value id='99999999999999999999' is outside the int64 range",
+                id="id_overflow",
+            ),
         ],
     )
     def test_non_finite_value_reports_line_and_column(self, tmp_path, row, message):
-        """A non-finite value or a non-integer id, class or scene names file:line and the column."""
+        """A non-finite value, or an id, class or scene that is not an int64 integer, names file:line and the column."""
         path = tmp_path / "bad.csv"
         path.write_text(f"id,class,scene,c0_t0,c0_t1\n1,0,0,0.5,0.5\n\n{row}\n")
         with pytest.raises(ValueError, match=rf"bad\.csv:4: {message}"):

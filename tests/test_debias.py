@@ -19,6 +19,7 @@ from osev.debias import (
 )
 from osev.hsic import KernelParams, hsic_value_and_grad
 from osev.losses import LossWeights
+from osev.nn import sgd_step
 
 CHANNELS, WIDTH, KERNEL, CLASSES = 3, 6, 3, 4
 
@@ -48,18 +49,18 @@ class TestStopGradients:
         x, labels = make_batch()
         fwd = ced_forward(branches, x, rng=np.random.default_rng(1))
         debias_objective(branches, fwd, labels, LossWeights(w_ced=1.0, lambda_hsic=1.0), KernelParams())
-        for p in branches.h_parameters():
+        for p in branches.parameters("h"):
             assert not p.grad.any(), p.name
-        assert any(p.grad.any() for p in branches.f_parameters())
+        assert any(p.grad.any() for p in branches.parameters("f"))
 
     def test_bias_objective_leaves_main_branch_untouched(self):
         branches = make_branches()
         x, labels = make_batch()
         fwd = ced_forward(branches, x, rng=np.random.default_rng(1))
         bias_objective(branches, fwd, labels, LossWeights(w_ced=1.0, lambda_hsic=1.0), KernelParams())
-        for p in branches.f_parameters():
+        for p in branches.parameters("f"):
             assert not p.grad.any(), p.name
-        assert any(p.grad.any() for p in branches.h_parameters())
+        assert any(p.grad.any() for p in branches.parameters("h"))
 
     def test_debug_mode_passes_on_clean_accumulation(self):
         branches = make_branches()
@@ -79,7 +80,7 @@ class TestStopGradients:
     def test_debug_mode_flags_poisoned_gradient(self):
         branches = make_branches()
         x, labels = make_batch()
-        branches.h_parameters()[0].grad[...] = 1.0
+        branches.parameters("h")[0].grad[...] = 1.0
         with pytest.raises(AssertionError, match="stop-gradient"):
             accumulate_gradients(
                 branches,
@@ -103,7 +104,7 @@ class TestStopGradients:
                 accumulate_gradients(
                     branches, x, labels, weights=weights, lambda_t=0.5, use_euc=True, perms=perms, side=side
                 )
-            grads[sides] = [p.grad.copy() for p in branches.all_parameters()]
+            grads[sides] = [p.grad.copy() for p in branches.parameters()]
         assert all(g.any() for g in grads[("joint",)])
         for split, joint in zip(grads[("f", "h")], grads[("joint",)]):
             assert np.array_equal(split, joint)
@@ -188,7 +189,7 @@ class TestZeroPenaltyEquivalence:
             mode = TrainingMode(joint=True)
             for step in range(5):
                 x, labels = make_batch(seed=200 + step)
-                record = train_step(
+                record, params = train_step(
                     branches,
                     x,
                     labels,
@@ -196,13 +197,14 @@ class TestZeroPenaltyEquivalence:
                     mode=mode,
                     lambda_t=0.3,
                     use_euc=True,
-                    lr=0.05,
                     shuffle_rng=shuffle_rng,
                     step_index=step,
                 )
-                vanilla_train_step(solo, x, labels, lambda_t=0.3, use_euc=True, weights=weights, lr=0.05)
+                sgd_step(params, 0.05)
+                _, solo_params = vanilla_train_step(solo, x, labels, lambda_t=0.3, use_euc=True, weights=weights)
+                sgd_step(solo_params, 0.05)
                 assert record.hsic_shuffled > 0.0 and record.hsic_static > 0.0
-            for p_ced, p_solo in zip(branches.f_parameters(), solo.parameters()):
+            for p_ced, p_solo in zip(branches.parameters("f"), solo.parameters()):
                 assert p_ced.name == p_solo.name
                 assert np.array_equal(p_ced.value, p_solo.value), (weights, p_ced.name)
 
@@ -224,8 +226,8 @@ class TestAlternatingSchedule:
         x, labels = make_batch(seed=300)
         weights = LossWeights(lambda_hsic=1.0)
         mode = TrainingMode(joint=False, period=1)
-        h_before = [(p.value.copy(), p.momentum.copy()) for p in branches.h_parameters()]
-        rec = train_step(
+        h_before = [(p.value.copy(), p.momentum.copy()) for p in branches.parameters("h")]
+        rec, params = train_step(
             branches,
             x,
             labels,
@@ -233,17 +235,17 @@ class TestAlternatingSchedule:
             mode=mode,
             lambda_t=0.5,
             use_euc=False,
-            lr=0.05,
             shuffle_rng=np.random.default_rng(5),
             step_index=0,
         )
+        sgd_step(params, 0.05)
         assert rec.side == "f"
-        for p, (val, mom) in zip(branches.h_parameters(), h_before):
+        for p, (val, mom) in zip(branches.parameters("h"), h_before):
             assert np.array_equal(p.value, val), p.name
             assert np.array_equal(p.momentum, mom), p.name
 
-        f_before = [(p.value.copy(), p.momentum.copy()) for p in branches.f_parameters()]
-        rec = train_step(
+        f_before = [(p.value.copy(), p.momentum.copy()) for p in branches.parameters("f")]
+        rec, params = train_step(
             branches,
             x,
             labels,
@@ -251,12 +253,12 @@ class TestAlternatingSchedule:
             mode=mode,
             lambda_t=0.5,
             use_euc=False,
-            lr=0.05,
             shuffle_rng=np.random.default_rng(6),
             step_index=1,
         )
+        sgd_step(params, 0.05)
         assert rec.side == "h"
-        for p, (val, mom) in zip(branches.f_parameters(), f_before):
+        for p, (val, mom) in zip(branches.parameters("f"), f_before):
             assert np.array_equal(p.value, val), p.name
             assert np.array_equal(p.momentum, mom), p.name
 
@@ -273,7 +275,7 @@ class TestStripForInference:
         x, _ = make_batch(seed=400)
         stripped = strip_for_inference(branches)
         _, before = stripped.forward(x)
-        for p in branches.h_parameters():
+        for p in branches.parameters("h"):
             p.value[...] = 123.0
         _, after = stripped.forward(x)
         np.testing.assert_array_equal(before, after)
@@ -282,7 +284,7 @@ class TestStripForInference:
         branches = make_branches()
         full = tmp_path / "full.ckpt"
         lean = tmp_path / "lean.ckpt"
-        save_checkpoint(full, {p.name: p.value for p in branches.all_parameters()})
+        save_checkpoint(full, {p.name: p.value for p in branches.parameters()})
         save_checkpoint(
             lean, {p.name: p.value for p in strip_for_inference(branches).parameters()}
         )
@@ -338,8 +340,6 @@ def test_penalty_drives_dependence_down_against_frozen_branches():
     # run must end with lower feature dependence than both its own start and
     # the unpenalized run (the joint adversarial game has no such guarantee,
     # since the biased side pushes dependence back up)
-    from osev.nn import sgd_step
-
     x, labels = make_batch(seed=500, batch=16, timesteps=12)
     perms = np.tile(np.arange(x.shape[2])[::-1], (x.shape[0], 1))
     first = {}
@@ -349,7 +349,7 @@ def test_penalty_drives_dependence_down_against_frozen_branches():
         for _ in range(200):
             fwd = ced_forward(branches, x, perms=perms)
             res = debias_objective(branches, fwd, labels, LossWeights(w_ced=1.0, lambda_hsic=lam), KernelParams())
-            sgd_step(branches.f_parameters(), 0.05)
+            sgd_step(branches.parameters("f"), 0.05)
             dep = res.hsic_shuffled + res.hsic_static
             first.setdefault(lam, dep)
             last[lam] = dep
@@ -376,12 +376,17 @@ def test_out_of_range_labels_rejected():
 class TestCedBranchesApi:
     def test_parameter_partition(self):
         branches = make_branches()
-        f_names = {p.name for p in branches.f_parameters()}
-        h_names = {p.name for p in branches.h_parameters()}
-        assert not f_names & h_names
-        assert {p.name for p in branches.all_parameters()} == f_names | h_names
+        f_names = [p.name for p in branches.parameters("f")]
+        h_names = [p.name for p in branches.parameters("h")]
+        assert not set(f_names) & set(h_names)
+        # f, then h_shuffled, then h_static: a rejected step names the same first bad parameter
+        assert [p.name for p in branches.parameters()] == f_names + h_names
+        assert [p.name for p in branches.parameters("joint")] == f_names + h_names
         assert all(n.startswith("f.") for n in f_names)
         assert all(n.startswith(("h_shuffled.", "h_static.")) for n in h_names)
+        assert h_names.index("h_shuffled.head.weight") < h_names.index("h_static.head.weight")
+        with pytest.raises(ValueError, match="side"):
+            branches.parameters("both")
 
     def test_bad_head_kind_rejected(self):
         with pytest.raises(ValueError, match="head"):

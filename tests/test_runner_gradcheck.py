@@ -28,7 +28,7 @@ def acceptance_config(dataset_dir, seed):
 def oracle_gradchecks(objective, branches, fwd, labels, weights, kernel, side, eps, **options):
     """Reference differencing: all three branches re-run per quotient, and one
     gradcheck covers all of the side's parameters."""
-    params = branches.f_parameters() if side == "f" else branches.h_parameters()
+    params = branches.parameters(side)
 
     def loss():
         full = runner.ced_forward(branches, fwd.x, perms=fwd.perms)

@@ -2,10 +2,13 @@
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from osev import runner
 from osev.config import RunConfig
-from osev.data import SyntheticSpec, generate, save_dataset
+from osev.data import SyntheticSpec, generate, load_dataset, save_dataset
+from osev.nn import sgd_step
 from osev.runner import run_training
 
 ARTIFACTS = ("losses.csv", "model.ckpt")
@@ -50,3 +53,36 @@ def test_knob_changes_every_training_artifact(dataset_dir, tmp_path, base, knob)
 
 def test_lr_step_beyond_the_last_epoch_changes_nothing(dataset_dir, tmp_path):
     assert train_bytes(dataset_dir, tmp_path / "a") == train_bytes(dataset_dir, tmp_path / "b", lr_step_epochs=3)
+
+
+@pytest.mark.parametrize(
+    "overrides, sides",
+    [
+        pytest.param({"loss_type": "softmax"}, [("f",)], id="softmax"),
+        pytest.param({"use_euc": True}, [("f",)], id="edl_euc"),
+        pytest.param({"use_ced": True}, [("f", "h_shuffled", "h_static")], id="ced_joint"),
+        pytest.param(
+            {"use_ced": True, "ced_mode": "alternating", "ced_period": 2},
+            [("f",), ("f",), ("h_shuffled", "h_static"), ("h_shuffled", "h_static")],
+            id="ced_alternating",
+        ),
+    ],
+)
+def test_one_sgd_step_per_batch_on_the_stepped_side(dataset_dir, tmp_path, monkeypatch, overrides, sides):
+    """run_training makes every optimizer step itself, one per batch, on the
+    branches the step chose; ``sides`` repeats over the step index."""
+    stepped = []
+
+    def counted(params, *args, **kwargs):
+        params = list(params)
+        stepped.append(tuple(dict.fromkeys(p.name.split(".")[0] for p in params)))
+        return sgd_step(params, *args, **kwargs)
+
+    monkeypatch.setattr(runner, "sgd_step", counted)
+    train_bytes(dataset_dir, tmp_path, **overrides)
+
+    train_size = len(load_dataset(dataset_dir)[1]["train"])
+    batches = len(runner._batch_slices(np.arange(train_size), 6))
+    assert batches >= 4
+    assert len(stepped) == 3 * batches
+    assert stepped == [sides[i % len(sides)] for i in range(len(stepped))]
