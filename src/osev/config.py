@@ -100,6 +100,8 @@ class RunConfig:
             raise ConfigError("use_euc/use_ced require loss_type = edl")
         if self.ced_mode not in ("joint", "alternating"):
             raise ConfigError(f"ced_mode: expected 'joint' or 'alternating', got {self.ced_mode!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         positive_ints = [
             ("feature_width", self.feature_width),
             ("epochs", self.epochs),

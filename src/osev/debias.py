@@ -13,20 +13,23 @@ trained to stay good at exploiting them:
     bias side:    L(theta_h, phi_h) = w_ced * sum_h [ L_cls(y, e_h) - lam * HSIC(h, f) ]
 
 Each side differentiates only its own parameters; the other side's features
-are treated as constants (stop-gradient).  ``debias_objective`` and
-``bias_objective`` are the only code computing these losses and gradients;
-the training step calls both.  At inference the biased branches are dropped
-entirely.
+are treated as constants (stop-gradient).  Each loss is written once, as one
+formula over per-branch terms.  ``debias_objective`` and ``bias_objective``
+compose those terms with their gradients, and the training step calls both;
+``branch_losses`` composes the same terms for the finite-difference audit,
+with the held branches' parts computed once.  At inference the biased
+branches are dropped entirely.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .evidential import EvidenceFunction
-from .hsic import KernelParams, hsic_value, hsic_value_and_grad
+from .hsic import KernelParams, centered_gram, hsic_value, hsic_value_and_grad, hsic_values
 from .losses import (
     BatchPrediction,
     LossWeights,
@@ -52,6 +55,7 @@ __all__ = [
     "TrainingMode",
     "accumulate_gradients",
     "bias_objective",
+    "branch_losses",
     "build_branch",
     "build_branches",
     "ced_forward",
@@ -233,7 +237,7 @@ def debias_objective(
         extra = coeff * (g_sh + g_st) if with_grad else None
         branches.f_branch.backward(grad_e, extra_feature_grad=extra)
     return DebiasResult(
-        loss=edl + weights.w_euc * euc + coeff * (hs_sh + hs_st),
+        loss=_debias_loss(edl, euc, hs_sh, hs_st, weights),
         edl=edl,
         euc=euc,
         hsic_shuffled=hs_sh,
@@ -259,29 +263,90 @@ def bias_objective(
     gradient is skipped when it is not applied or w_ced * lam = 0.
     """
     b = fwd.x.shape[0]
-    lam = weights.lambda_hsic
-    coeff = weights.w_ced * lam
+    coeff = weights.w_ced * weights.lambda_hsic
     with_grad = apply_grads and coeff != 0.0
-    parts = {}
-    for key, branch, feats, ev in (
-        ("shuffled", branches.h_shuffled, fwd.h_shuffled, fwd.e_shuffled),
-        ("static", branches.h_static, fwd.h_static, fwd.e_static),
+    terms = []
+    for branch, feats, ev in (
+        (branches.h_shuffled, fwd.h_shuffled, fwd.e_shuffled),
+        (branches.h_static, fwd.h_static, fwd.e_static),
     ):
-        losses, grads_e = edl_loss_batch(labels, ev)
+        edl, grads_e = _edl_term(labels, ev)
         hs, g_h = _hsic(feats, fwd.f, kernel, with_grad)
         if apply_grads:
             extra = -coeff * g_h if with_grad else None
             branch.backward(weights.w_ced * grads_e / b, extra_feature_grad=extra)
-        parts[key] = (float(losses.mean()), hs)
-    edl_sh, hs_sh = parts["shuffled"]
-    edl_st, hs_st = parts["static"]
+        terms.append((edl, hs))
+    (edl_sh, hs_sh), (edl_st, hs_st) = terms
     return BiasResult(
-        loss=weights.w_ced * ((edl_sh - lam * hs_sh) + (edl_st - lam * hs_st)),
+        loss=_bias_loss(*terms, weights),
         edl_shuffled=edl_sh,
         edl_static=edl_st,
         hsic_shuffled=hs_sh,
         hsic_static=hs_st,
     )
+
+
+def _debias_loss(edl: float, euc: float, hsic_shuffled: float, hsic_static: float, weights: LossWeights) -> float:
+    """The main side's loss from its terms: L_cls + w_euc * L_cal + w_ced * lam * sum_h HSIC(f, h)."""
+    return edl + weights.w_euc * euc + weights.w_ced * weights.lambda_hsic * (hsic_shuffled + hsic_static)
+
+
+def _bias_loss(shuffled: tuple[float, float], static: tuple[float, float], weights: LossWeights) -> float:
+    """The biased side's loss from each branch's (L_cls, HSIC) term: w_ced * sum_h [L_cls - lam * HSIC(h, f)]."""
+    lam = weights.lambda_hsic
+    return weights.w_ced * ((shuffled[0] - lam * shuffled[1]) + (static[0] - lam * static[1]))
+
+
+def _edl_term(labels: np.ndarray, evidence: np.ndarray) -> tuple[float, np.ndarray]:
+    """A branch's mean classification loss and its per-sample evidence gradients."""
+    losses, grads_e = edl_loss_batch(labels, evidence)
+    return float(losses.mean()), grads_e
+
+
+def branch_losses(
+    side: str,
+    fwd: CedForward,
+    labels: np.ndarray,
+    weights: LossWeights,
+    kernel: KernelParams,
+    *,
+    lambda_t: float = 0.0,
+    use_euc: bool = False,
+) -> dict[str, Callable[[np.ndarray, np.ndarray], float]]:
+    """One side's objective loss as a function of one branch's (features, evidence).
+
+    Side "f" maps "f" to the loss of :func:`debias_objective`; side "h" maps
+    "h_shuffled" and "h_static" to that of :func:`bias_objective` (which takes
+    no ``lambda_t`` or ``use_euc``).  Every other branch is held at ``fwd``, and
+    what the held branches contribute is computed here once: their centred
+    Grams (M(h_shuffled) and M(h_static) for "f", M(f) for "h") and, for "h",
+    the held biased branch's (L_cls, HSIC) term.  A call computes only the
+    given branch's own term and returns the objective's loss bit for bit.
+    """
+    if side == "f":
+        held = [centered_gram(fwd.h_shuffled, kernel), centered_gram(fwd.h_static, kernel)]
+
+        def main_loss(feats: np.ndarray, evidence: np.ndarray) -> float:
+            edl, euc, _ = _f_losses_and_grad_e(labels, evidence, lambda_t, use_euc, weights.w_euc)
+            hs_sh, hs_st = hsic_values(feats, held, kernel)
+            return _debias_loss(edl, euc, hs_sh, hs_st, weights)
+
+        return {"f": main_loss}
+    if side != "h":
+        raise ValueError(f"side must be f or h, got {side!r}")
+    held_f = [centered_gram(fwd.f, kernel)]
+
+    def term(feats: np.ndarray, evidence: np.ndarray) -> tuple[float, float]:
+        edl, _ = _edl_term(labels, evidence)
+        (hs,) = hsic_values(feats, held_f, kernel)
+        return edl, hs
+
+    shuffled = term(fwd.h_shuffled, fwd.e_shuffled)
+    static = term(fwd.h_static, fwd.e_static)
+    return {
+        "h_shuffled": lambda feats, evidence: _bias_loss(term(feats, evidence), static, weights),
+        "h_static": lambda feats, evidence: _bias_loss(shuffled, term(feats, evidence), weights),
+    }
 
 
 def strip_for_inference(model) -> EvidentialNet:
@@ -333,9 +398,8 @@ def _f_losses_and_grad_e(
     w_euc: float,
 ) -> tuple[float, float, np.ndarray]:
     """Mean classification loss, calibration loss, and d(total)/d(evidence)."""
-    losses, grads = edl_loss_batch(labels, evidence)
-    edl = float(losses.mean())
-    grad_e = grads / losses.shape[0]
+    edl, grads = _edl_term(labels, evidence)
+    grad_e = grads / grads.shape[0]
     euc = 0.0
     if use_euc:
         batch = BatchPrediction.from_evidence(labels, evidence)

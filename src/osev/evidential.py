@@ -19,7 +19,6 @@ import enum
 import math
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = [
     "DEFAULT_EXP_BOUND",
@@ -100,6 +99,10 @@ def evidence_grad_wrt_logits(
         inside = np.abs(x) < exp_bound
         return np.where(inside, np.exp(np.clip(x, -exp_bound, exp_bound)), 0.0)
     if kind is EvidenceFunction.SOFTPLUS:
+        # scipy costs more import time and memory than all of osev besides,
+        # and only softplus evidence needs it
+        from scipy.special import expit
+
         return expit(x)
     return np.where(x > 0.0, 1.0, 0.0)
 

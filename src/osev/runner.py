@@ -26,6 +26,7 @@ from .debias import (
     TrainingMode,
     accumulate_gradients,
     bias_objective,
+    branch_losses,
     build_branch,
     build_branches,
     ced_forward,
@@ -359,10 +360,23 @@ def run_evaluation(
 
     Writes report.json, curve.csv, scores.jsonl (biased known test plus the
     unknown pool) and scores_unbiased.jsonl into ``out_dir``; returns the
-    report dict.  Raises :class:`CheckpointDataMismatch` when the checkpoint
-    and dataset disagree.
+    report dict.  An override left None keeps the checkpoint config's value;
+    one that breaks that key's rule raises :class:`ConfigError`.  Raises
+    :class:`CheckpointDataMismatch` when the checkpoint and dataset disagree.
     """
     net, config, meta = load_model(checkpoint_path)
+    overrides = {
+        "coverage": coverage,
+        "ece_bins": ece_bins,
+        "num_selections": num_selections,
+        "seed": seed,
+        "avu_threshold": avu_threshold,
+    }
+    # overrides obey the config keys' rules; the report keeps the checkpoint's config
+    chosen = replace(config, **{key: value for key, value in overrides.items() if value is not None})
+    chosen.validate()
+    coverage, ece_bins, num_selections = chosen.coverage, chosen.ece_bins, chosen.num_selections
+    seed, avu_threshold = chosen.seed, chosen.avu_threshold
     spec, splits = data_mod.load_dataset(data_dir)
     if net.num_classes != spec.known_classes:
         raise CheckpointDataMismatch(
@@ -372,11 +386,6 @@ def run_evaluation(
         raise CheckpointDataMismatch(
             f"checkpoint expects {meta['channels']} channels, dataset has {spec.channels}"
         )
-    coverage = config.coverage if coverage is None else coverage
-    ece_bins = config.ece_bins if ece_bins is None else ece_bins
-    num_selections = config.num_selections if num_selections is None else num_selections
-    seed = config.seed if seed is None else seed
-    avu_threshold = config.avu_threshold if avu_threshold is None else avu_threshold
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -532,33 +541,34 @@ def _branch_gradchecks(
     eps: float,
     **options,
 ) -> list[GradcheckReport]:
-    """Difference one side's objective one branch at a time.
+    """Difference one side's ``objective`` one branch at a time.
 
     Perturbing a branch's parameter can only change that branch's output, so
     each branch's closure re-forwards that branch alone, on the input it
-    already has, and hands the objective ``fwd`` with only that branch's
-    features and evidence replaced; the other branches' cached arrays are
-    bit-identical to recomputed ones.  One coordinate generator runs through
-    the side's branches in parameter order (f; or h_shuffled, then h_static),
-    so the coordinates sampled are exactly those of one gradcheck over all of
-    the side's parameters.  Returns one report per branch.
+    already has, and evaluates the side's loss through
+    :func:`~osev.debias.branch_losses`, which builds the held branches' parts
+    from ``fwd`` once.  Each quotient thus computes only the perturbed
+    branch's term and equals ``objective(...).loss`` of a full forward bit for
+    bit.  ``objective`` itself is not called; it is taken so that a
+    differencing that calls it whole can take this function's place.  One
+    coordinate generator runs through the side's branches in parameter order
+    (f; or h_shuffled, then h_static), so the coordinates sampled are exactly
+    those of one gradcheck over all of the side's parameters.  Returns one
+    report per branch.
     """
     if side == "f":
-        parts = [(branches.f_branch, fwd.x, "f", "e_f")]
+        parts = [("f", branches.f_branch, fwd.x)]
     else:
         x_shuffled = apply_time_permutations(fwd.x, fwd.perms)
-        parts = [
-            (branches.h_shuffled, x_shuffled, "h_shuffled", "e_shuffled"),
-            (branches.h_static, fwd.x, "h_static", "e_static"),
-        ]
+        parts = [("h_shuffled", branches.h_shuffled, x_shuffled), ("h_static", branches.h_static, fwd.x)]
+    losses = branch_losses(side, fwd, labels, weights, kernel, **options)
     coords = np.random.default_rng(0)
     reports = []
-    for branch, inp, feats_field, evidence_field in parts:
+    for name, branch, inp in parts:
+        branch_loss = losses[name]
 
         def loss() -> float:
-            feats, evidence = branch.forward(inp)
-            perturbed = replace(fwd, **{feats_field: feats, evidence_field: evidence})
-            return objective(branches, perturbed, labels, weights, kernel, apply_grads=False, **options).loss
+            return branch_loss(*branch.forward(inp))
 
         reports.append(gradcheck(loss, branch.parameters(), eps=eps, rng=coords))
     return reports
@@ -580,8 +590,8 @@ def run_gradcheck(
     is exactly how the training step treats them.  Each side's branches are
     differenced separately: all three branches are forwarded once per
     instance, and each difference quotient re-forwards only the perturbed
-    branch while the others' features stay cached (see
-    :func:`_branch_gradchecks`).  Returns (entries, ok).
+    branch and recomputes only its term, while the others' contributions
+    stay cached (see :func:`_branch_gradchecks`).  Returns (entries, ok).
     """
     config.validate()
     spec, _ = data_mod.load_dataset(config.dataset)

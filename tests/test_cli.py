@@ -386,6 +386,47 @@ class TestExitCodes:
         assert main(["gradcheck", "--config", str(cfg), "--instances", "1", "--tol", "1e-16"]) == 5
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--instances", "0"), ("--instances", "-3"), ("--tol", "inf"), ("--tol", "nan"), ("--tol", "0"),
+         ("--tol", "-1e-4")],
+    )
+    def test_gradcheck_that_checks_nothing_is_2(self, tmp_path, dataset_dir, flag, value, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG_TEMPLATE.format(dataset=dataset_dir))
+        assert main(["gradcheck", "--config", str(cfg), f"{flag}={value}"]) == 2
+        captured = capsys.readouterr()
+        assert f"{flag} must be" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize(
+        "flag, value, key",
+        [("--avu-threshold", "nan", "avu_threshold"), ("--avu-threshold", "-1", "avu_threshold"),
+         ("--seed", "-1", "seed")],
+    )
+    def test_eval_override_breaking_its_key_rule_is_2(self, tmp_path, dataset_dir, run_dir, flag, value, key, capsys):
+        out = tmp_path / "eval" / "report.json"
+        argv = ["eval", "--checkpoint", str(run_dir / "model.ckpt"), "--data", str(dataset_dir), "--out", str(out)]
+        assert main(argv + [f"{flag}={value}"]) == 2
+        assert f"error: {key}: must be" in capsys.readouterr().err
+        assert not out.parent.exists()
+
+    def test_negative_config_seed_is_2(self, tmp_path, dataset_dir, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG_TEMPLATE.format(dataset=dataset_dir).replace("seed = 0", "seed = -1"))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "seed: must be >= 0, got -1" in capsys.readouterr().err
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    """scipy is imported only where softplus evidence needs its gradient."""
+    src = str(Path(osev.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, osev.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
 
 def test_module_entry_point(tmp_path):
     spec = tmp_path / "spec.cfg"

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from osev.checkpoint import save_checkpoint
 from osev.debias import (
@@ -9,6 +11,7 @@ from osev.debias import (
     TrainingMode,
     accumulate_gradients,
     bias_objective,
+    branch_losses,
     build_branch,
     build_branches,
     ced_forward,
@@ -19,7 +22,7 @@ from osev.debias import (
 )
 from osev.hsic import KernelParams, hsic_value_and_grad
 from osev.losses import LossWeights
-from osev.nn import sgd_step
+from osev.nn import apply_time_permutations, draw_time_permutations, sgd_step
 
 CHANNELS, WIDTH, KERNEL, CLASSES = 3, 6, 3, 4
 
@@ -140,6 +143,48 @@ class TestStopGradients:
                 make_branches(), x, labels, weights=LossWeights(), lambda_t=0.5, use_euc=False,
                 shuffle_rng=np.random.default_rng(0),
             )
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    branch=st.sampled_from(["f", "h_shuffled", "h_static"]),
+    batch=st.integers(2, 9),
+    use_euc=st.booleans(),
+    lambda_hsic=st.sampled_from([0.0, 0.7]),
+    sigma=st.sampled_from([None, 1.3]),
+    delta=st.floats(-0.5, 0.5),
+)
+def test_branch_losses_equal_the_objective_on_a_fresh_forward(seed, branch, batch, use_euc, lambda_hsic, sigma, delta):
+    """Held pieces built before one coordinate of one branch moves still give
+    objective(...).loss of a full forward after the move, bit for bit."""
+    branches = make_branches(seed)
+    rng = np.random.default_rng([seed, 4])
+    x, labels = rng.normal(size=(batch, CHANNELS, 10)), rng.integers(0, CLASSES, size=batch)
+    perms = draw_time_permutations(rng, batch, 10)
+    weights = LossWeights(w_euc=0.8, w_ced=0.3, lambda_hsic=lambda_hsic)
+    kernel = KernelParams(sigma=sigma)
+    if branch == "f":
+        objective, side, options, net = debias_objective, "f", {"lambda_t": 0.4, "use_euc": use_euc}, branches.f_branch
+    else:
+        objective, side, options, net = bias_objective, "h", {}, getattr(branches, branch)
+    losses = branch_losses(side, ced_forward(branches, x, perms=perms), labels, weights, kernel, **options)
+
+    params = net.parameters()
+    param = params[rng.integers(len(params))]
+    param.value.flat[rng.integers(param.value.size)] += delta
+    inp = apply_time_permutations(x, perms) if branch == "h_shuffled" else x
+    full = ced_forward(branches, x, perms=perms)
+    expected = objective(branches, full, labels, weights, kernel, apply_grads=False, **options).loss
+    assert losses[branch](*net.forward(inp)) == expected
+
+
+def test_branch_losses_rejects_an_unknown_side():
+    branches = make_branches()
+    x, labels = make_batch()
+    fwd = ced_forward(branches, x, rng=np.random.default_rng(1))
+    with pytest.raises(ValueError, match="side"):
+        branch_losses("joint", fwd, labels, LossWeights(), KernelParams())
 
 
 class TestRecordOnlyDependence:

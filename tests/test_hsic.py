@@ -12,9 +12,11 @@ from osev.hsic import (
     _center,
     _gram,
     _sq_dists,
+    centered_gram,
     hsic_biased,
     hsic_value,
     hsic_value_and_grad,
+    hsic_values,
     median_bandwidth,
     rbf_gram,
 )
@@ -230,6 +232,9 @@ def test_value_only_path_is_the_value_bit_for_bit(params):
         y = rng.normal(size=(n, 12))
         assert hsic_value(x, y, params) == hsic_value_and_grad(x, y, params)[0]
         assert hsic_value(y, x, params) == hsic_value_and_grad(y, x, params)[0]
+        # a precomputed centred Gram gives the same bits, one x Gram for many y
+        held = [centered_gram(y, params), centered_gram(x, params)]
+        assert hsic_values(x, held, params) == [hsic_value(x, y, params), hsic_value(x, x, params)]
 
 
 def test_gradient_matches_central_differences():
@@ -280,6 +285,8 @@ class TestValidation:
     def test_mismatched_sample_counts_rejected(self):
         with pytest.raises(ValueError, match="same samples"):
             hsic_value_and_grad(np.ones((3, 2)), np.ones((4, 2)))
+        with pytest.raises(ValueError, match="pair with x"):
+            hsic_values(np.ones((3, 2)), [centered_gram(np.ones((4, 2)))])
 
     def test_one_dimensional_input_rejected(self):
         with pytest.raises(ValueError, match="2-D"):

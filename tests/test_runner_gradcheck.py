@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from osev import runner
+from osev import debias, runner
 from osev.config import RunConfig
 from osev.data import SyntheticSpec, generate, save_dataset
 from osev.nn import EvidentialNet
@@ -98,32 +98,60 @@ def _coords(params, max_coords=64):
 
 
 def test_quotients_forward_only_the_perturbed_branch(dataset_dir, monkeypatch):
-    """No CED forward or time permutation inside a difference quotient; two objective
-    evaluations and two forwards of the perturbed branch per sampled coordinate."""
-    counts = {"ced_forward": 0, "apply_time_permutations": 0, "_branch_kink_distance": 0, "objective": 0}
+    """Per sampled coordinate: two forwards of the perturbed branch and two evaluations
+    of its term, on what that forward returned.  No CED forward, time permutation,
+    objective, centred Gram or held branch's EDL loss inside a difference quotient;
+    the held pieces are built once per side instance."""
+    counts = dict.fromkeys(
+        ("ced_forward", "apply_time_permutations", "_branch_kink_distance", "objective", "centered_gram",
+         "hsic_values", "edl_loss_batch"),
+        0,
+    )
     counts["forward"] = {}
+    latest = {}  # each branch's last (features, evidence)
     phase = []  # the branch being differenced, while its gradcheck runs
 
-    def counting(name, fn):
+    def counting(module, name, key=None, perturbed_arg=None):
+        """Count calls; inside a quotient, fail unless ``perturbed_arg`` = (position,
+        output index) says which argument must be the perturbed branch's latest output."""
+        fn = getattr(module, name)
+
         def wrapped(*args, **kwargs):
-            counts[name] += 1
-            if phase and name != "objective":
-                raise AssertionError(f"{name} called during differencing")
+            counts[key or name] += 1
+            if phase:
+                if perturbed_arg is None:
+                    raise AssertionError(f"{name} called during differencing")
+                position, output = perturbed_arg
+                assert args[position] is latest[phase[-1]][output], f"{name} evaluated a held branch"
             return fn(*args, **kwargs)
 
-        return wrapped
+        monkeypatch.setattr(module, name, wrapped)
 
     for name in ("ced_forward", "apply_time_permutations", "_branch_kink_distance"):
-        monkeypatch.setattr(runner, name, counting(name, getattr(runner, name)))
+        counting(runner, name)
     for name in ("debias_objective", "bias_objective"):
-        monkeypatch.setattr(runner, name, counting("objective", getattr(runner, name)))
+        counting(runner, name, key="objective")
+    counting(debias, "centered_gram")
+    counting(debias, "hsic_values", perturbed_arg=(0, 0))  # the perturbed branch's features
+    counting(debias, "edl_loss_batch", perturbed_arg=(1, 1))  # ... and its evidence
 
+    builds = []  # per side instance: (centred Grams, held terms) built by branch_losses
+    inner_branch_losses = runner.branch_losses
+
+    def branch_losses(*args, **kwargs):
+        before = counts["centered_gram"], counts["hsic_values"]
+        losses = inner_branch_losses(*args, **kwargs)
+        builds.append((counts["centered_gram"] - before[0], counts["hsic_values"] - before[1]))
+        return losses
+
+    monkeypatch.setattr(runner, "branch_losses", branch_losses)
     branch_forward = EvidentialNet.forward
 
     def forward(self, x):
         branch = self.head.parameters()[0].name.split(".")[0]
         counts["forward"][branch] = counts["forward"].get(branch, 0) + 1
-        return branch_forward(self, x)
+        latest[branch] = branch_forward(self, x)
+        return latest[branch]
 
     monkeypatch.setattr(EvidentialNet, "forward", forward)
     inner_gradcheck = runner.gradcheck
@@ -134,25 +162,30 @@ def test_quotients_forward_only_the_perturbed_branch(dataset_dir, monkeypatch):
         if not branches <= {"f", "h_shuffled", "h_static"}:
             return inner_gradcheck(loss_fn, params, **kwargs)
         (branch,) = branches
-        before = (counts["objective"], dict(counts["forward"]))
+        before = (counts["hsic_values"], counts["edl_loss_batch"], dict(counts["forward"]))
         phase.append(branch)
         try:
             report = inner_gradcheck(loss_fn, params, **kwargs)
         finally:
             phase.pop()
-        coords = _coords(params)
-        forwards = {b: counts["forward"].get(b, 0) - before[1].get(b, 0) for b in counts["forward"]}
-        calls.append((branch, coords, counts["objective"] - before[0], forwards))
+        terms = (counts["hsic_values"] - before[0], counts["edl_loss_batch"] - before[1])
+        forwards = {b: counts["forward"].get(b, 0) - before[2].get(b, 0) for b in counts["forward"]}
+        calls.append((branch, _coords(params), terms, forwards))
         return report
 
     monkeypatch.setattr(runner, "gradcheck", tracked_gradcheck)
     runner.run_gradcheck(acceptance_config(dataset_dir, 0), instances=1)
 
     assert [branch for branch, *_ in calls] == ["f", "h_shuffled", "h_static", "f", "h_shuffled", "h_static"]
-    for branch, coords, objectives, forwards in calls:
+    for branch, coords, terms, forwards in calls:
         assert coords > 0
-        assert objectives == 2 * coords, branch
+        assert terms == (2 * coords, 2 * coords), branch
         assert {b: n for b, n in forwards.items() if n} == {branch: 2 * coords}
+    # one build per side instance: the f side holds M(h_shuffled) and M(h_static);
+    # the h side holds M(f) and each biased branch's term for the other's quotients
+    assert builds == [(2, 0), (1, 2), (2, 0), (1, 2)]
+    assert counts["centered_gram"] == 6
+    assert counts["objective"] == 2  # the objective checks' analytic gradients
     # one CED forward per side instance; besides each kink test's shuffle,
     # one permuted input per h-side instance
     assert counts["ced_forward"] == len(SIDE_CHECKS)
