@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -100,11 +100,21 @@ class SyntheticSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SyntheticSpec":
-        known = {f: raw[f] for f in raw if f in cls.__dataclass_fields__}
-        extra = set(raw) - set(known)
+        """Build and validate a spec from parsed JSON; an int field takes no bool or float."""
+        if not isinstance(raw, dict):
+            raise ValueError(f"'spec' must be a JSON object, got {raw!r}")
+        extra = set(raw) - set(cls.__dataclass_fields__)
         if extra:
             raise ValueError(f"unknown dataset spec fields: {sorted(extra)}")
-        spec = cls(**known)
+        for f in fields(cls):
+            if f.name not in raw:
+                continue
+            value = raw[f.name]
+            allowed = int if f.type == "int" else (int, float)
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                kind = "an integer" if f.type == "int" else "a number"
+                raise ValueError(f"spec field {f.name!r} must be {kind}, got {value!r}")
+        spec = cls(**raw)
         spec.validate()
         return spec
 
@@ -317,30 +327,51 @@ def save_dataset(spec: SyntheticSpec, splits: dict[str, DatasetSplit], out_dir) 
     return out
 
 
-def load_dataset(directory) -> tuple[SyntheticSpec, dict[str, DatasetSplit]]:
+def _read_manifest(directory) -> tuple[SyntheticSpec, dict[str, Path]]:
+    """Check ``manifest.json`` and return its spec and the path of each split, in listed order.
+
+    Every load runs these checks, whichever splits it then parses: the format,
+    a ``spec`` whose fields have their JSON types and valid values, and a file
+    name for each of the four splits.  Entries for other split names are ignored.
+    """
     d = Path(directory)
     manifest_path = d / "manifest.json"
     if not manifest_path.exists():
         raise FileNotFoundError(f"no dataset manifest at {manifest_path}")
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    if manifest.get("format") != "osev-dataset-v1":
-        raise ValueError(f"unrecognized dataset format: {manifest.get('format')!r}")
+    fmt = manifest.get("format") if isinstance(manifest, dict) else None
+    if fmt != "osev-dataset-v1":
+        raise ValueError(f"{manifest_path}: unrecognized dataset format: {fmt!r}")
     if "spec" not in manifest:
         raise ValueError(f"{manifest_path}: manifest has no 'spec'")
-    spec = SyntheticSpec.from_dict(manifest["spec"])
+    try:
+        spec = SyntheticSpec.from_dict(manifest["spec"])
+    except ValueError as exc:
+        raise ValueError(f"{manifest_path}: {exc}") from None
     listed = manifest.get("splits")
     if not isinstance(listed, dict):
         listed = {}
     missing = [name for name in SPLIT_NAMES if name not in listed]
     if missing:
         raise ValueError(f"{manifest_path}: manifest lists no file for split(s) {', '.join(missing)}")
+    for name in SPLIT_NAMES:
+        if not isinstance(listed[name], str):
+            raise ValueError(f"{manifest_path}: split {name!r} must name a file, got {listed[name]!r}")
+    return spec, {name: d / fname for name, fname in listed.items() if name in SPLIT_NAMES}
+
+
+def load_dataset(directory, names=SPLIT_NAMES) -> tuple[SyntheticSpec, dict[str, DatasetSplit]]:
+    """Check the manifest, then parse the splits in ``names``; no other split's CSV is opened."""
+    spec, files = _read_manifest(directory)
     splits = {}
-    for name, fname in listed.items():
-        split = load_split(d / fname, kind=name)
+    for name, path in files.items():
+        if name not in names:
+            continue
+        split = load_split(path, kind=name)
         if split.x.shape[1:] != (spec.channels, spec.timesteps):
             raise ValueError(
-                f"{d / fname}: {split.x.shape[1]} channels x {split.x.shape[2]} timesteps, "
+                f"{path}: {split.x.shape[1]} channels x {split.x.shape[2]} timesteps, "
                 f"manifest spec says {spec.channels} x {spec.timesteps}"
             )
         splits[name] = split

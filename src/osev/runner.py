@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import math
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -212,7 +213,7 @@ def run_training(config: RunConfig, out_dir) -> dict:
     config.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    spec, splits = data_mod.load_dataset(config.dataset)
+    spec, splits = data_mod.load_dataset(config.dataset, names=("train",))
     train = splits["train"]
     num_classes = spec.known_classes
     if train.labels.max() >= num_classes:
@@ -592,9 +593,19 @@ def run_gradcheck(
     instance, and each difference quotient re-forwards only the perturbed
     branch and recomputes only its term, while the others' contributions
     stay cached (see :func:`_branch_gradchecks`).  Returns (entries, ok).
+
+    Raises :class:`ConfigError` for fewer than one instance or a ``tol`` that
+    is not positive and finite: such an audit would pass without checking
+    anything.  The dataset is loaded as :func:`run_training` loads it (the
+    manifest and the train split), so a manifest or train split that
+    ``osev train`` cannot read fails here too.
     """
+    if instances < 1:
+        raise ConfigError(f"--instances must be >= 1, got {instances}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ConfigError(f"--tol must be positive and finite, got {tol}")
     config.validate()
-    spec, _ = data_mod.load_dataset(config.dataset)
+    spec, _ = data_mod.load_dataset(config.dataset, names=("train",))
     rng = derived_rng(config.seed, STREAM_GRADCHECK)
     channels, timesteps, k = spec.channels, spec.timesteps, spec.known_classes
     batch = 8

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import osev
+from osev import data as data_mod
 from osev.cli import main
 from osev.metrics import ece, open_predictions, read_score_dump, roc_auc
 
@@ -415,6 +416,106 @@ class TestExitCodes:
         cfg.write_text(CONFIG_TEMPLATE.format(dataset=dataset_dir).replace("seed = 0", "seed = -1"))
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert "seed: must be >= 0, got -1" in capsys.readouterr().err
+
+
+def _copy_with_manifest(dataset_dir, dest, edit):
+    """Copy the dataset to ``dest`` and apply ``edit`` to its parsed manifest."""
+    shutil.copytree(dataset_dir, dest)
+    manifest = json.loads((dest / "manifest.json").read_text())
+    edit(manifest)
+    (dest / "manifest.json").write_text(json.dumps(manifest))
+    return dest
+
+
+class TestSplitsParsed:
+    """Each command parses only the split CSVs it reads; every one checks the whole manifest."""
+
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        names = []
+        inner = data_mod.load_split
+
+        def spy(path, kind=None):
+            names.append(Path(path).name)
+            return inner(path, kind)
+
+        monkeypatch.setattr(data_mod, "load_split", spy)
+        return names
+
+    def test_train_parses_the_train_split_only(self, tmp_path, dataset_dir, parsed):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG_TEMPLATE.format(dataset=dataset_dir))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert parsed == ["train.csv"]
+
+    def test_gradcheck_parses_the_train_split_only(self, tmp_path, dataset_dir, parsed):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG_TEMPLATE.format(dataset=dataset_dir))
+        assert main(["gradcheck", "--config", str(cfg), "--instances", "1"]) == 0
+        assert parsed == ["train.csv"]
+
+    def test_eval_parses_all_four_splits(self, tmp_path, dataset_dir, run_dir, parsed):
+        argv = ["eval", "--checkpoint", str(run_dir / "model.ckpt"), "--data", str(dataset_dir)]
+        assert main(argv + ["--out", str(tmp_path / "report.json")]) == 0
+        assert sorted(parsed) == sorted(f"{name}.csv" for name in data_mod.SPLIT_NAMES)
+
+    @pytest.fixture(scope="class")
+    def unknown_nan_dir(self, tmp_path_factory, dataset_dir):
+        data = tmp_path_factory.mktemp("unknown_nan") / "data"
+        shutil.copytree(dataset_dir, data)
+        lines = (data / "test_unknown.csv").read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[5] = "nan"
+        lines[2] = ",".join(fields)
+        (data / "test_unknown.csv").write_text("\n".join(lines) + "\n")
+        return data
+
+    def test_eval_names_a_bad_value_in_a_test_split(self, tmp_path, run_dir, unknown_nan_dir, capsys):
+        argv = ["eval", "--checkpoint", str(run_dir / "model.ckpt"), "--data", str(unknown_nan_dir)]
+        assert main(argv + ["--out", str(tmp_path / "report.json")]) == 2
+        assert "test_unknown.csv:3: value c0_t2=nan is not finite" in capsys.readouterr().err
+
+    def test_train_ignores_a_bad_value_in_a_test_split(self, tmp_path, dataset_dir, run_dir, unknown_nan_dir):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG_TEMPLATE.format(dataset=unknown_nan_dir))
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        for name in ("losses.csv", "model.ckpt", "model_full.ckpt"):
+            assert (out / name).read_bytes() == (run_dir / name).read_bytes(), name
+        sidecar = (out / "model.ckpt.json").read_text().replace(str(unknown_nan_dir), str(dataset_dir))
+        assert sidecar == (run_dir / "model.ckpt.json").read_text()
+
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("splits", "train", 5, "split 'train' must name a file, got 5"),
+            ("splits", "test_unknown", None, "split 'test_unknown' must name a file, got None"),
+            ("spec", "timesteps", "x", "spec field 'timesteps' must be an integer, got 'x'"),
+            ("spec", "seed", True, "spec field 'seed' must be an integer, got True"),
+            ("spec", "known_classes", 3.0, "spec field 'known_classes' must be an integer, got 3.0"),
+            ("spec", "noise_sigma", "0.1", "spec field 'noise_sigma' must be a number, got '0.1'"),
+            ("spec", "timesteps", 2, "invalid dataset spec: timesteps must be >= 4, got 2"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["train", "gradcheck"])
+    def test_mistyped_manifest_entry_is_2(self, tmp_path, dataset_dir, section, key, value, message, command, capsys):
+        data = _copy_with_manifest(dataset_dir, tmp_path / "data", lambda m: m[section].__setitem__(key, value))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG_TEMPLATE.format(dataset=data))
+        argv = ["--out", str(tmp_path / "out")] if command == "train" else ["--instances", "1"]
+        assert main([command, "--config", str(cfg), *argv]) == 2
+        assert f"manifest.json: {message}" in capsys.readouterr().err
+
+    def test_split_names_outside_the_four_are_ignored(self, tmp_path, dataset_dir, run_dir, parsed):
+        data = _copy_with_manifest(
+            dataset_dir, tmp_path / "data", lambda m: m["splits"].__setitem__("extra", "nope.csv")
+        )
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG_TEMPLATE.format(dataset=data))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        argv = ["eval", "--checkpoint", str(run_dir / "model.ckpt"), "--data", str(data)]
+        assert main(argv + ["--out", str(tmp_path / "eval" / "report.json")]) == 0
+        assert "nope.csv" not in parsed
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():

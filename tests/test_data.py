@@ -60,6 +60,18 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="unknown dataset spec fields"):
             SyntheticSpec.from_dict({"known_classes": 3, "bogus": 1})
 
+    @pytest.mark.parametrize(
+        "raw, message",
+        [([], "'spec' must be a JSON object"), ({"seed": False}, "'seed' must be an integer, got False"),
+         ({"bias_strength": "0.9"}, "'bias_strength' must be a number")],
+    )
+    def test_from_dict_rejects_mistyped_json(self, raw, message):
+        with pytest.raises(ValueError, match=message):
+            SyntheticSpec.from_dict(raw)
+
+    def test_from_dict_takes_an_integer_for_a_float_field(self):
+        assert SyntheticSpec.from_dict({"bias_strength": 1}).bias_strength == 1.0
+
     def test_frequency_sets_are_disjoint(self):
         spec = small_spec()
         known = set(spec.known_frequencies)
@@ -243,6 +255,16 @@ class TestSerialization:
         assert spec_back == spec
         for name in SPLIT_NAMES:
             np.testing.assert_array_equal(splits_back[name].x, splits[name].x)
+
+    def test_load_dataset_parses_the_named_splits(self, tmp_path):
+        spec = small_spec(samples_per_class=2)
+        save_dataset(spec, generate(spec), tmp_path)
+        assert sorted(load_dataset(tmp_path)[1]) == sorted(SPLIT_NAMES)
+        (tmp_path / "test_unknown.csv").unlink()  # never opened unless asked for
+        assert list(load_dataset(tmp_path, names=("train",))[1]) == ["train"]
+        assert load_dataset(tmp_path, names=())[1] == {}
+        with pytest.raises(FileNotFoundError, match="test_unknown.csv"):
+            load_dataset(tmp_path)
 
     def test_saved_files_are_byte_identical_across_regeneration(self, tmp_path):
         spec = small_spec(samples_per_class=4)

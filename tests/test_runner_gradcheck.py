@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from osev import debias, runner
-from osev.config import RunConfig
+from osev.config import ConfigError, RunConfig
 from osev.data import SyntheticSpec, generate, save_dataset
 from osev.nn import EvidentialNet
 
@@ -190,3 +190,13 @@ def test_quotients_forward_only_the_perturbed_branch(dataset_dir, monkeypatch):
     # one permuted input per h-side instance
     assert counts["ced_forward"] == len(SIDE_CHECKS)
     assert counts["apply_time_permutations"] == counts["_branch_kink_distance"] + 2
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [({"instances": 0}, "--instances must be >= 1, got 0"), ({"tol": float("nan")}, "--tol must be positive"),
+     ({"tol": 0.0}, "--tol must be positive"), ({"tol": float("inf")}, "--tol must be positive")],
+)
+def test_an_audit_that_checks_nothing_is_a_config_error(dataset_dir, options, message):
+    with pytest.raises(ConfigError, match=message):
+        runner.run_gradcheck(acceptance_config(dataset_dir, 0), **options)
