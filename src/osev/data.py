@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -273,6 +274,32 @@ def _parse_rows(p: Path, header: list[str], lines: list[str]):
     )
 
 
+_VALUE_COLUMN = re.compile(r"c(\d+)_t(\d+)")
+
+
+def _header_shape(p: Path, header: list[str]) -> tuple[int, int]:
+    """(channels, timesteps) of a header as :func:`save_split` writes it.
+
+    That is ``id,class,scene`` then ``c{ci}_t{ti}`` in channel-major order;
+    the last column gives the shape.  Any other header is rejected, naming
+    ``file:1`` and its first bad column.
+    """
+    last = _VALUE_COLUMN.fullmatch(header[-1]) if len(header) > 3 else None
+    timesteps = int(last.group(2)) + 1 if last else 0
+    for col, name in enumerate(header, start=1):
+        if col <= 3:
+            want = ("id", "class", "scene")[col - 1]
+        elif timesteps:
+            want = f"c{(col - 4) // timesteps}_t{(col - 4) % timesteps}"
+        else:  # the last column names no channel and timestep, so no order is known
+            want = name if _VALUE_COLUMN.fullmatch(name) else "c{channel}_t{timestep}"
+        if name != want:
+            raise ValueError(f"{p}:1: CSV header column {col} is {name!r}, expected {want!r}")
+    if not last:
+        raise ValueError(f"{p}:1: CSV header has no value columns")
+    return int(last.group(1)) + 1, timesteps
+
+
 def load_split(path, kind: str | None = None) -> DatasetSplit:
     """Read a split CSV written by :func:`save_split`.
 
@@ -282,17 +309,9 @@ def load_split(path, kind: str | None = None) -> DatasetSplit:
     p = Path(path)
     with open(p, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
-        if header[:3] != ["id", "class", "scene"]:
-            raise ValueError(f"{p}: unexpected CSV header {header[:3]}")
-        dims = header[3:]
-        if not dims:
-            raise ValueError(f"{p}: no value columns")
-        channels = int(dims[-1].split("_")[0][1:]) + 1
-        timesteps = int(dims[-1].split("_t")[1]) + 1
-        if len(dims) != channels * timesteps:
-            raise ValueError(f"{p}: expected {channels * timesteps} value columns, found {len(dims)}")
+        channels, timesteps = _header_shape(p, header)
         lines = fh.readlines()
-    parsed = _parse_rows_fast(lines, len(dims))
+    parsed = _parse_rows_fast(lines, channels * timesteps)
     ids, labels, scenes, x = parsed if parsed is not None else _parse_rows(p, header, lines)
     return DatasetSplit(
         kind=kind or p.stem,

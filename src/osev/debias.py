@@ -28,11 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evidential import EvidenceFunction
+from .evidential import EvidenceFunction, _probs_and_uncertainty
 from .hsic import KernelParams, centered_gram, hsic_value, hsic_value_and_grad, hsic_values
 from .losses import (
+    CLAMP_EPS,
     BatchPrediction,
     LossWeights,
+    _edl_loss,
+    _euc_loss,
     _validate_labels,
     edl_loss_batch,
     euc_loss_grad_evidence,
@@ -320,26 +323,36 @@ def branch_losses(
     no ``lambda_t`` or ``use_euc``).  Every other branch is held at ``fwd``, and
     what the held branches contribute is computed here once: their centred
     Grams (M(h_shuffled) and M(h_static) for "f", M(f) for "h") and, for "h",
-    the held biased branch's (L_cls, HSIC) term.  A call computes only the
-    given branch's own term and returns the objective's loss bit for bit.
+    the held biased branch's (L_cls, HSIC) term.  The labels are checked once,
+    here, with :func:`~osev.losses.edl_loss_batch`'s messages; a call takes the
+    evidence of a branch forward as valid, computes only the given branch's
+    own term, values only, through the formulas the objectives differentiate,
+    and returns the objective's loss bit for bit.
     """
+    if side not in ("f", "h"):
+        raise ValueError(f"side must be f or h, got {side!r}")
+    y = _validate_labels(labels, *fwd.e_f.shape)
+
+    def edl(evidence: np.ndarray) -> float:
+        return float(_edl_loss(y, evidence, with_grad=False)[0].mean())
+
     if side == "f":
         held = [centered_gram(fwd.h_shuffled, kernel), centered_gram(fwd.h_static, kernel)]
 
         def main_loss(feats: np.ndarray, evidence: np.ndarray) -> float:
-            edl, euc, _ = _f_losses_and_grad_e(labels, evidence, lambda_t, use_euc, weights.w_euc)
+            euc = 0.0
+            if use_euc:
+                batch = BatchPrediction._from_valid(y, evidence, *_probs_and_uncertainty(evidence))
+                euc = _euc_loss(batch, lambda_t, CLAMP_EPS, with_grad=False)[0]
             hs_sh, hs_st = hsic_values(feats, held, kernel)
-            return _debias_loss(edl, euc, hs_sh, hs_st, weights)
+            return _debias_loss(edl(evidence), euc, hs_sh, hs_st, weights)
 
         return {"f": main_loss}
-    if side != "h":
-        raise ValueError(f"side must be f or h, got {side!r}")
     held_f = [centered_gram(fwd.f, kernel)]
 
     def term(feats: np.ndarray, evidence: np.ndarray) -> tuple[float, float]:
-        edl, _ = _edl_term(labels, evidence)
         (hs,) = hsic_values(feats, held_f, kernel)
-        return edl, hs
+        return edl(evidence), hs
 
     shuffled = term(fwd.h_shuffled, fwd.e_shuffled)
     static = term(fwd.h_static, fwd.e_static)

@@ -121,7 +121,11 @@ def validate_evidence(e) -> np.ndarray:
 
 def batch_probs_and_uncertainty(e) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (..., K) -> (probs (..., K), uncertainty (...))."""
-    arr = validate_evidence(e)
+    return _probs_and_uncertainty(validate_evidence(e))
+
+
+def _probs_and_uncertainty(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`batch_probs_and_uncertainty` of validated evidence."""
     alpha = arr + 1.0
     strength = alpha.sum(axis=-1)
     return alpha / strength[..., None], arr.shape[-1] / strength

@@ -90,6 +90,20 @@ def _validate_labels(labels, batch_size: int, num_classes: int) -> np.ndarray:
     return lab.astype(np.int64, copy=False)
 
 
+def _edl_loss(y: np.ndarray, ev: np.ndarray, with_grad: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """:func:`edl_loss_batch` on validated arrays; the gradients are None without ``with_grad``."""
+    rows = np.arange(y.size)
+    alpha = ev + 1.0
+    alpha_y = alpha[rows, y]
+    strength = alpha.sum(axis=1)
+    losses = np.log(strength) - np.log(alpha_y)
+    if not with_grad:
+        return losses, None
+    grads = np.repeat(1.0 / strength[:, None], ev.shape[1], axis=1)
+    grads[rows, y] -= 1.0 / alpha_y
+    return losses, grads
+
+
 def edl_loss_batch(labels, e) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample evidential losses (B,) and their evidence gradients (B, K).
 
@@ -98,15 +112,7 @@ def edl_loss_batch(labels, e) -> tuple[np.ndarray, np.ndarray]:
     ev = validate_evidence(e)
     if ev.ndim != 2:
         raise ValueError(f"expected (batch, classes) evidence, got shape {ev.shape}")
-    y = _validate_labels(labels, *ev.shape)
-    rows = np.arange(y.size)
-    alpha = ev + 1.0
-    alpha_y = alpha[rows, y]
-    strength = alpha.sum(axis=1)
-    losses = np.log(strength) - np.log(alpha_y)
-    grads = np.repeat(1.0 / strength[:, None], ev.shape[1], axis=1)
-    grads[rows, y] -= 1.0 / alpha_y
-    return losses, grads
+    return _edl_loss(_validate_labels(labels, *ev.shape), ev, with_grad=True)
 
 
 @dataclass(frozen=True)
@@ -123,20 +129,24 @@ class BatchPrediction:
 
     @classmethod
     def from_evidence(cls, labels, evidence) -> "BatchPrediction":
-        ev = validate_evidence(evidence)
+        probs, u = batch_probs_and_uncertainty(evidence)  # validates the evidence
+        ev = np.asarray(evidence, dtype=np.float64)
         if ev.ndim != 2:
             raise ValueError(f"expected (batch, classes) evidence, got shape {ev.shape}")
-        lab = _validate_labels(labels, *ev.shape)
-        probs, u = batch_probs_and_uncertainty(ev)
+        return cls._from_valid(_validate_labels(labels, *ev.shape), ev, probs, u)
+
+    @classmethod
+    def _from_valid(cls, labels, evidence, probs, uncertainty) -> "BatchPrediction":
+        """The prediction of validated labels and evidence, given their probabilities and uncertainty."""
         predicted = np.argmax(probs, axis=1)
         return cls(
-            labels=lab,
-            evidence=ev,
+            labels=labels,
+            evidence=evidence,
             probs=probs,
-            uncertainty=u,
+            uncertainty=uncertainty,
             predicted=predicted,
-            max_prob=probs[np.arange(lab.size), predicted],
-            accurate=predicted == lab,
+            max_prob=probs[np.arange(labels.size), predicted],
+            accurate=predicted == labels,
         )
 
     @property
@@ -162,34 +172,41 @@ def euc_loss(
     contributes zero.  Returns (loss, dL/dp (B,), dL/du (B,)); the clamp has
     zero derivative where it is active.
     """
+    return _euc_loss(batch, lambda_t, clamp_eps, with_grad=True)
+
+
+def _euc_loss(
+    batch: BatchPrediction, lambda_t: float, clamp_eps: float, with_grad: bool
+) -> tuple[float, np.ndarray | None, np.ndarray | None]:
+    """:func:`euc_loss`; the gradients are None without ``with_grad``."""
     if not 0.0 <= lambda_t <= 1.0:
         raise ValueError(f"lambda_t must be in [0, 1], got {lambda_t}")
     p_raw = batch.max_prob
     u_raw = batch.uncertainty
     p = np.clip(p_raw, clamp_eps, 1.0 - clamp_eps)
     u = np.clip(u_raw, clamp_eps, 1.0 - clamp_eps)
-    p_live = (p_raw > clamp_eps) & (p_raw < 1.0 - clamp_eps)
-    u_live = (u_raw > clamp_eps) & (u_raw < 1.0 - clamp_eps)
-
     acc = batch.accurate
     inacc = ~acc
-    grad_p = np.zeros_like(p)
-    grad_u = np.zeros_like(u)
+    grad_p = np.zeros_like(p) if with_grad else None
+    grad_u = np.zeros_like(u) if with_grad else None
     loss = 0.0
     if acc.any():
-        n = float(acc.sum())
         log_one_minus_u = np.log1p(-u[acc])
         loss -= lambda_t * float((p[acc] * log_one_minus_u).mean())
-        grad_p[acc] = -lambda_t * log_one_minus_u / n
-        grad_u[acc] = lambda_t * p[acc] / ((1.0 - u[acc]) * n)
+        if with_grad:
+            n = float(acc.sum())
+            grad_p[acc] = -lambda_t * log_one_minus_u / n
+            grad_u[acc] = lambda_t * p[acc] / ((1.0 - u[acc]) * n)
     if inacc.any():
-        m = float(inacc.sum())
         log_u = np.log(u[inacc])
         loss -= (1.0 - lambda_t) * float(((1.0 - p[inacc]) * log_u).mean())
-        grad_p[inacc] = (1.0 - lambda_t) * log_u / m
-        grad_u[inacc] = -(1.0 - lambda_t) * (1.0 - p[inacc]) / (u[inacc] * m)
-    grad_p[~p_live] = 0.0
-    grad_u[~u_live] = 0.0
+        if with_grad:
+            m = float(inacc.sum())
+            grad_p[inacc] = (1.0 - lambda_t) * log_u / m
+            grad_u[inacc] = -(1.0 - lambda_t) * (1.0 - p[inacc]) / (u[inacc] * m)
+    if with_grad:
+        grad_p[~((p_raw > clamp_eps) & (p_raw < 1.0 - clamp_eps))] = 0.0
+        grad_u[~((u_raw > clamp_eps) & (u_raw < 1.0 - clamp_eps))] = 0.0
     return float(loss), grad_p, grad_u
 
 

@@ -542,36 +542,45 @@ def _branch_gradchecks(
     eps: float,
     **options,
 ) -> list[GradcheckReport]:
-    """Difference one side's ``objective`` one branch at a time.
+    """Difference one side's ``objective`` one branch at a time, backbone and head apart.
 
-    Perturbing a branch's parameter can only change that branch's output, so
-    each branch's closure re-forwards that branch alone, on the input it
-    already has, and evaluates the side's loss through
-    :func:`~osev.debias.branch_losses`, which builds the held branches' parts
-    from ``fwd`` once.  Each quotient thus computes only the perturbed
-    branch's term and equals ``objective(...).loss`` of a full forward bit for
-    bit.  ``objective`` itself is not called; it is taken so that a
-    differencing that calls it whole can take this function's place.  One
-    coordinate generator runs through the side's branches in parameter order
-    (f; or h_shuffled, then h_static), so the coordinates sampled are exactly
-    those of one gradcheck over all of the side's parameters.  Returns one
-    report per branch.
+    Perturbing a branch's parameter can only change that branch's output, and
+    the side's loss is evaluated through :func:`~osev.debias.branch_losses`,
+    which builds the held branches' parts from ``fwd`` once and computes
+    values only.  A backbone coordinate's quotient re-forwards the branch
+    alone, on the input it already has.  A head parameter cannot change the
+    features, so a head coordinate's quotient re-forwards only the head, on
+    the branch's features in ``fwd``.  Each quotient thus computes only the
+    perturbed branch's term and equals ``objective(...).loss`` of a full
+    forward bit for bit.  ``objective`` itself is not called; it is taken so
+    that a differencing that calls it whole can take this function's place.
+    One coordinate generator runs through the side's branches in parameter
+    order (f; or h_shuffled, then h_static; backbone before head), so the
+    coordinates sampled are exactly those of one gradcheck over all of the
+    side's parameters.  Returns two reports per branch, backbone then head.
     """
     if side == "f":
-        parts = [("f", branches.f_branch, fwd.x)]
+        parts = [("f", branches.f_branch, fwd.x, fwd.f)]
     else:
         x_shuffled = apply_time_permutations(fwd.x, fwd.perms)
-        parts = [("h_shuffled", branches.h_shuffled, x_shuffled), ("h_static", branches.h_static, fwd.x)]
+        parts = [
+            ("h_shuffled", branches.h_shuffled, x_shuffled, fwd.h_shuffled),
+            ("h_static", branches.h_static, fwd.x, fwd.h_static),
+        ]
     losses = branch_losses(side, fwd, labels, weights, kernel, **options)
     coords = np.random.default_rng(0)
     reports = []
-    for name, branch, inp in parts:
+    for name, branch, inp, feats in parts:
         branch_loss = losses[name]
 
-        def loss() -> float:
+        def backbone_loss() -> float:
             return branch_loss(*branch.forward(inp))
 
-        reports.append(gradcheck(loss, branch.parameters(), eps=eps, rng=coords))
+        def head_loss() -> float:
+            return branch_loss(feats, branch.head.forward(feats))
+
+        reports.append(gradcheck(backbone_loss, branch.backbone.parameters(), eps=eps, rng=coords))
+        reports.append(gradcheck(head_loss, branch.head.parameters(), eps=eps, rng=coords))
     return reports
 
 
@@ -591,8 +600,10 @@ def run_gradcheck(
     is exactly how the training step treats them.  Each side's branches are
     differenced separately: all three branches are forwarded once per
     instance, and each difference quotient re-forwards only the perturbed
-    branch and recomputes only its term, while the others' contributions
-    stay cached (see :func:`_branch_gradchecks`).  Returns (entries, ok).
+    branch (only its head, for a head parameter) and recomputes only the
+    value of its term, while the others' contributions stay cached and the
+    labels are checked once (see :func:`_branch_gradchecks`).  Returns
+    (entries, ok).
 
     Raises :class:`ConfigError` for fewer than one instance or a ``tol`` that
     is not positive and finite: such an audit would pass without checking

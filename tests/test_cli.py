@@ -346,6 +346,25 @@ class TestExitCodes:
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert ".csv: 5 channels x 16 timesteps, manifest spec says" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit, bad",
+        [
+            (lambda names: names[:-1] + ["value"], "column 83 is 'value', expected 'c{channel}_t{timestep}'"),
+            (lambda names: names[:3] + [names[4], names[3]] + names[5:], "column 4 is 'c0_t1', expected 'c0_t0'"),
+        ],
+        ids=["last_column_value", "swapped_columns"],
+    )
+    def test_csv_header_other_than_save_splits_is_2(self, tmp_path, dataset_dir, edit, bad, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        train = data / "train.csv"
+        header, rows = train.read_text().split("\n", 1)
+        train.write_text(",".join(edit(header.split(","))) + "\n" + rows)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG_TEMPLATE.format(dataset=data))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert f"train.csv:1: CSV header {bad}" in capsys.readouterr().err
+
     def test_checkpoint_dataset_mismatch_is_4(self, tmp_path, run_dir):
         spec = tmp_path / "spec.cfg"
         spec.write_text(SPEC_TEXT.replace("known_classes = 3", "known_classes = 4"))

@@ -219,6 +219,24 @@ class TestSerialization:
         with pytest.raises(ValueError, match="header"):
             load_split(path)
 
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("id,class,scene,c0_t0,value", "column 5 is 'value', expected 'c{channel}_t{timestep}'"),
+            ("id,class,scene,c1_t0,c0_t1", "column 4 is 'c1_t0', expected 'c0_t0'"),
+            ("id,class,scene,c0_t0,c0_t1,c1_t1", "column 6 is 'c1_t1', expected 'c1_t0'"),
+            ("id,class,scene,c0_t0,c0_t01", "column 5 is 'c0_t01', expected 'c0_t1'"),
+            ("id,label,scene,c0_t0", "column 2 is 'label', expected 'class'"),
+            ("id,class,scene", "CSV header has no value columns"),
+        ],
+    )
+    def test_header_other_than_save_splits_names_its_first_bad_column(self, tmp_path, header, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(header + "\n")
+        with pytest.raises(ValueError) as err:
+            load_split(path)
+        assert str(err.value) == f"{path}:1: " + (message if "no value" in message else f"CSV header {message}")
+
     def test_short_row_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("id,class,scene,c0_t0,c0_t1\n1,0,0,0.5,0.5\n2,0,0,0.5\n")

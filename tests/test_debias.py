@@ -21,7 +21,7 @@ from osev.debias import (
     vanilla_train_step,
 )
 from osev.hsic import KernelParams, hsic_value_and_grad
-from osev.losses import LossWeights
+from osev.losses import LossWeights, edl_loss_batch
 from osev.nn import apply_time_permutations, draw_time_permutations, sgd_step
 
 CHANNELS, WIDTH, KERNEL, CLASSES = 3, 6, 3, 4
@@ -185,6 +185,28 @@ def test_branch_losses_rejects_an_unknown_side():
     fwd = ced_forward(branches, x, rng=np.random.default_rng(1))
     with pytest.raises(ValueError, match="side"):
         branch_losses("joint", fwd, labels, LossWeights(), KernelParams())
+
+
+BAD_LABELS = [
+    pytest.param(lambda y: y.astype(np.float64), "labels must be integer class indices, got dtype float64", id="float"),
+    pytest.param(lambda y: np.where(np.arange(y.size) == 3, CLASSES, y), "label index out of range for 4 classes",
+                 id="out_of_range"),
+    pytest.param(lambda y: y[:-1], "labels shape (11,) does not match batch size 12", id="wrong_length"),
+]
+
+
+@pytest.mark.parametrize("side, options", [("f", {"lambda_t": 0.4, "use_euc": True}), ("h", {})])
+@pytest.mark.parametrize("bad, message", BAD_LABELS)
+def test_branch_losses_rejects_bad_labels_as_edl_loss_batch_does(side, options, bad, message):
+    """Labels are checked once, when the losses are built, with the training loss's messages."""
+    branches = make_branches()
+    x, labels = make_batch()
+    fwd = ced_forward(branches, x, rng=np.random.default_rng(1))
+    with pytest.raises(ValueError) as training:
+        edl_loss_batch(bad(labels), fwd.e_f)
+    with pytest.raises(ValueError) as audit:
+        branch_losses(side, fwd, bad(labels), LossWeights(), KernelParams(), **options)
+    assert str(audit.value) == str(training.value) == message
 
 
 class TestRecordOnlyDependence:

@@ -12,11 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from osev.evidential import _probs_and_uncertainty
 from osev.losses import (
+    CLAMP_EPS,
     AnnealingSchedule,
     BatchPrediction,
     LossWeights,
     NonFiniteLossError,
+    _edl_loss,
+    _euc_loss,
     annealing_lambda,
     edl_loss_batch,
     euc_loss,
@@ -226,6 +230,30 @@ def test_euc_gradients_match_finite_differences():
                 - euc_loss_grad_evidence(BatchPrediction.from_evidence(labels, down), lam_t)[0]
             ) / (2 * eps)
             assert abs(fd - grad[i, j]) < 1e-6, f"evidence grad mismatch at ({i},{j})"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    batch=st.integers(1, 12),
+    classes=st.integers(2, 6),
+    scale=st.sampled_from([1e-9, 1.0, 30.0, 1e9]),
+    lambda_t=st.floats(0.0, 1.0),
+)
+def test_value_only_terms_equal_the_gradient_carrying_ones(seed, batch, classes, scale, lambda_t):
+    """The audit's value-only EDL and EUC terms are the same floats as the training entries'."""
+    rng = np.random.default_rng(seed)
+    e = rng.exponential(scale, size=(batch, classes)) * (rng.random((batch, classes)) < 0.8)
+    labels = rng.integers(0, classes, size=batch)
+
+    values, no_grads = _edl_loss(labels, e, with_grad=False)
+    assert no_grads is None
+    assert values.tolist() == edl_loss_batch(labels, e)[0].tolist()
+
+    value_only = BatchPrediction._from_valid(labels, e, *_probs_and_uncertainty(e))
+    loss, grad_p, grad_u = _euc_loss(value_only, lambda_t, CLAMP_EPS, with_grad=False)
+    assert grad_p is None and grad_u is None
+    assert loss == euc_loss_grad_evidence(BatchPrediction.from_evidence(labels, e), lambda_t)[0]
 
 
 def test_avu_counts():

@@ -5,10 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from osev import debias, runner
+from osev import debias, losses, runner
 from osev.config import ConfigError, RunConfig
 from osev.data import SyntheticSpec, generate, save_dataset
-from osev.nn import EvidentialNet
+from osev.nn import EvidenceHead, EvidentialNet
 
 SIDE_CHECKS = ("objective.debias", "objective.bias", "composed.main_side", "composed.biased_side")
 
@@ -98,31 +98,37 @@ def _coords(params, max_coords=64):
 
 
 def test_quotients_forward_only_the_perturbed_branch(dataset_dir, monkeypatch):
-    """Per sampled coordinate: two forwards of the perturbed branch and two evaluations
-    of its term, on what that forward returned.  No CED forward, time permutation,
-    objective, centred Gram or held branch's EDL loss inside a difference quotient;
-    the held pieces are built once per side instance."""
+    """Per sampled backbone coordinate: two forwards of the perturbed branch; per head
+    coordinate: two forwards of its head alone, on the branch's held features.  Each
+    quotient evaluates the perturbed branch's term, values only, on what that forward
+    returned: no CED forward, time permutation, objective, centred Gram, validation,
+    gradient-carrying loss or held branch's term inside a difference quotient; the
+    held pieces are built, and the labels checked, once per side instance."""
     counts = dict.fromkeys(
         ("ced_forward", "apply_time_permutations", "_branch_kink_distance", "objective", "centered_gram",
-         "hsic_values", "edl_loss_batch"),
+         "hsic_values", "_edl_loss", "_euc_loss", "_probs_and_uncertainty", "_validate_labels",
+         "edl_loss_batch", "euc_loss_grad_evidence", "validate_evidence", "batch_probs_and_uncertainty"),
         0,
     )
     counts["forward"] = {}
-    latest = {}  # each branch's last (features, evidence)
+    counts["head"] = {}
+    latest = {}  # each branch's last head (input features, output evidence)
     phase = []  # the branch being differenced, while its gradcheck runs
 
-    def counting(module, name, key=None, perturbed_arg=None):
-        """Count calls; inside a quotient, fail unless ``perturbed_arg`` = (position,
-        output index) says which argument must be the perturbed branch's latest output."""
+    def counting(module, name, key=None, perturbed=None):
+        """Count calls; inside a quotient, fail unless ``perturbed`` = (argument getter,
+        output index) says which argument must be the perturbed branch's latest output,
+        and unless a ``with_grad`` flag passed is off."""
         fn = getattr(module, name)
 
         def wrapped(*args, **kwargs):
             counts[key or name] += 1
             if phase:
-                if perturbed_arg is None:
+                if perturbed is None:
                     raise AssertionError(f"{name} called during differencing")
-                position, output = perturbed_arg
-                assert args[position] is latest[phase[-1]][output], f"{name} evaluated a held branch"
+                argument, output = perturbed
+                assert argument(args) is latest[phase[-1]][output], f"{name} evaluated a held branch"
+                assert kwargs.get("with_grad", False) is False, f"{name} computed a gradient"
             return fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapped)
@@ -131,59 +137,83 @@ def test_quotients_forward_only_the_perturbed_branch(dataset_dir, monkeypatch):
         counting(runner, name)
     for name in ("debias_objective", "bias_objective"):
         counting(runner, name, key="objective")
-    counting(debias, "centered_gram")
-    counting(debias, "hsic_values", perturbed_arg=(0, 0))  # the perturbed branch's features
-    counting(debias, "edl_loss_batch", perturbed_arg=(1, 1))  # ... and its evidence
+    for name in ("centered_gram", "_validate_labels", "edl_loss_batch", "euc_loss_grad_evidence"):
+        counting(debias, name)
+    for name in ("validate_evidence", "batch_probs_and_uncertainty"):
+        counting(losses, name)
+    counting(debias, "hsic_values", perturbed=(lambda args: args[0], 0))  # the perturbed branch's features
+    counting(debias, "_edl_loss", perturbed=(lambda args: args[1], 1))  # ... and its evidence
+    counting(debias, "_probs_and_uncertainty", perturbed=(lambda args: args[0], 1))
+    counting(debias, "_euc_loss", perturbed=(lambda args: args[0].evidence, 1))
 
-    builds = []  # per side instance: (centred Grams, held terms) built by branch_losses
+    builds = []  # per side instance: (centred Grams, held terms' HSIC and EDL, label checks) by branch_losses
     inner_branch_losses = runner.branch_losses
+    built = ("centered_gram", "hsic_values", "_edl_loss", "_validate_labels")
 
     def branch_losses(*args, **kwargs):
-        before = counts["centered_gram"], counts["hsic_values"]
+        before = [counts[key] for key in built]
         losses = inner_branch_losses(*args, **kwargs)
-        builds.append((counts["centered_gram"] - before[0], counts["hsic_values"] - before[1]))
+        builds.append(tuple(counts[key] - n for key, n in zip(built, before)))
         return losses
 
     monkeypatch.setattr(runner, "branch_losses", branch_losses)
     branch_forward = EvidentialNet.forward
+    head_forward = EvidenceHead.forward
+
+    def owner(net) -> str:
+        return net.parameters()[0].name.split(".")[0]
 
     def forward(self, x):
-        branch = self.head.parameters()[0].name.split(".")[0]
+        branch = owner(self.head)
         counts["forward"][branch] = counts["forward"].get(branch, 0) + 1
-        latest[branch] = branch_forward(self, x)
-        return latest[branch]
+        return branch_forward(self, x)
+
+    def head(self, features):
+        branch = owner(self)
+        counts["head"][branch] = counts["head"].get(branch, 0) + 1
+        latest[branch] = (features, head_forward(self, features))
+        return latest[branch][1]
 
     monkeypatch.setattr(EvidentialNet, "forward", forward)
+    monkeypatch.setattr(EvidenceHead, "forward", head)
     inner_gradcheck = runner.gradcheck
     calls = []
+    terms = ("hsic_values", "_edl_loss", "_euc_loss")
 
     def tracked_gradcheck(loss_fn, params, **kwargs):
         branches = {p.name.split(".")[0] for p in params}
         if not branches <= {"f", "h_shuffled", "h_static"}:
             return inner_gradcheck(loss_fn, params, **kwargs)
         (branch,) = branches
-        before = (counts["hsic_values"], counts["edl_loss_batch"], dict(counts["forward"]))
+        (part,) = {p.name.split(".")[1] for p in params}
+        before = ([counts[key] for key in terms], dict(counts["forward"]), dict(counts["head"]))
         phase.append(branch)
         try:
             report = inner_gradcheck(loss_fn, params, **kwargs)
         finally:
             phase.pop()
-        terms = (counts["hsic_values"] - before[0], counts["edl_loss_batch"] - before[1])
-        forwards = {b: counts["forward"].get(b, 0) - before[2].get(b, 0) for b in counts["forward"]}
-        calls.append((branch, _coords(params), terms, forwards))
+        evaluated = tuple(counts[key] - n for key, n in zip(terms, before[0]))
+        forwards, heads = ({b: n - was.get(b, 0) for b, n in counts[k].items() if n != was.get(b, 0)}
+                           for k, was in (("forward", before[1]), ("head", before[2])))
+        calls.append((branch, part, _coords(params), evaluated, forwards, heads))
         return report
 
     monkeypatch.setattr(runner, "gradcheck", tracked_gradcheck)
     runner.run_gradcheck(acceptance_config(dataset_dir, 0), instances=1)
 
-    assert [branch for branch, *_ in calls] == ["f", "h_shuffled", "h_static", "f", "h_shuffled", "h_static"]
-    for branch, coords, terms, forwards in calls:
+    f_side, h_side = [("f", "conv"), ("f", "head")], [(b, part) for b in ("h_shuffled", "h_static")
+                                                       for part in ("conv", "head")]
+    assert [call[:2] for call in calls] == f_side + h_side + f_side + h_side
+    for index, (branch, part, coords, evaluated, forwards, heads) in enumerate(calls):
         assert coords > 0
-        assert terms == (2 * coords, 2 * coords), branch
-        assert {b: n for b, n in forwards.items() if n} == {branch: 2 * coords}
+        with_euc = branch == "f" and index >= len(f_side + h_side)  # composed.main_side runs EUC
+        assert evaluated == (2 * coords, 2 * coords, 2 * coords if with_euc else 0), (branch, part)
+        assert forwards == ({branch: 2 * coords} if part == "conv" else {}), (branch, part)
+        assert heads == {branch: 2 * coords}, (branch, part)
     # one build per side instance: the f side holds M(h_shuffled) and M(h_static);
-    # the h side holds M(f) and each biased branch's term for the other's quotients
-    assert builds == [(2, 0), (1, 2), (2, 0), (1, 2)]
+    # the h side holds M(f) and each biased branch's term for the other's quotients;
+    # each checks the labels once
+    assert builds == [(2, 0, 0, 1), (1, 2, 2, 1), (2, 0, 0, 1), (1, 2, 2, 1)]
     assert counts["centered_gram"] == 6
     assert counts["objective"] == 2  # the objective checks' analytic gradients
     # one CED forward per side instance; besides each kink test's shuffle,
