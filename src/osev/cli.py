@@ -19,12 +19,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, parse_kv_file
+from .config import ConfigError, RunConfig, _from_kv_file
 from .data import SyntheticSpec, generate, save_dataset
 from .losses import NonFiniteLossError
 from .nn import NonFiniteGradientError
@@ -39,24 +39,8 @@ EXIT_MISMATCH = 4
 EXIT_GRADCHECK = 5
 
 
-def _spec_from_file(path) -> SyntheticSpec:
-    raw = parse_kv_file(path)
-    types = {f.name: f.type for f in fields(SyntheticSpec)}
-    kwargs: dict[str, object] = {}
-    for key, text in raw.items():
-        if key not in types:
-            raise ConfigError(f"unknown dataset spec key {key!r} in {path}")
-        try:
-            kwargs[key] = int(text) if types[key] == "int" else float(text)
-        except ValueError:
-            raise ConfigError(f"dataset spec key {key!r} has non-numeric value {text!r}") from None
-    spec = SyntheticSpec(**kwargs)
-    spec.validate()
-    return spec
-
-
 def _cmd_generate_data(args) -> int:
-    spec = _spec_from_file(args.spec)
+    spec = _from_kv_file(SyntheticSpec, args.spec)
     out = save_dataset(spec, generate(spec), args.out)
     print(f"wrote dataset manifest {out}")
     return EXIT_OK

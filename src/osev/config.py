@@ -1,8 +1,13 @@
-"""Flat key = value run configuration.
+"""Flat key = value run configuration, and how outside values become typed fields.
 
 One assignment per line; blank lines and lines starting with ``#`` are
 ignored.  Values keep everything after the first ``=`` (trimmed), so paths
 may contain spaces but not inline comments.
+
+Run configs and dataset specs are dataclasses read from two sources: parsed
+JSON (checkpoint sidecars, dataset manifests) under one typing rule, and
+``key = value`` files, whose strings are converted by field type and then
+held to the same rule.
 """
 
 from __future__ import annotations
@@ -41,13 +46,66 @@ def parse_kv_file(path) -> dict[str, str]:
     return parse_kv_text(p.read_text(encoding="utf-8"), source=str(p))
 
 
-def _parse_bool(key: str, value: str) -> bool:
-    low = value.lower()
+def _parse_bool(text: str) -> bool:
+    low = text.lower()
     if low in ("true", "1", "yes"):
         return True
     if low in ("false", "0", "no"):
         return False
-    raise ConfigError(f"{key}: expected a boolean, got {value!r}")
+    raise ValueError(text)
+
+
+#: The JSON types each annotated field type takes, and how a rejection names them.
+_JSON_RULE = {
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+    "bool": (bool, "a boolean"),
+    "str": (str, "a string"),
+}
+#: How a ``key = value`` string becomes each field type.
+_FROM_TEXT = {"int": int, "float": float, "bool": _parse_bool, "str": str}
+
+
+def _from_json(cls, raw, label: str):
+    """Build and validate a ``cls`` from parsed JSON, field by field.
+
+    An int field takes an int (no bool, no ``3.0``), a float field an int or
+    a float (no bool), a bool field a bool and a str field a str.  A value
+    of another type, or an unknown key, raises :class:`ConfigError` naming
+    ``label`` and the key; ``cls.validate`` then checks the values.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{label} must be a JSON object, got {raw!r}")
+    types = {f.name: f.type for f in fields(cls)}
+    for key, value in raw.items():
+        if key not in types:
+            raise ConfigError(f"unknown {label} key {key!r}")
+        allowed, kind = _JSON_RULE[types[key]]
+        if not isinstance(value, allowed) or (isinstance(value, bool) and allowed is not bool):
+            raise ConfigError(f"{label} field {key!r} must be {kind}, got {value!r}")
+    obj = cls(**raw)
+    obj.validate()
+    return obj
+
+
+def _from_kv_file(cls, path):
+    """Build and validate a ``cls`` from a ``key = value`` file via ``cls.from_dict``.
+
+    Each value converts by its field's type; a value that does not convert,
+    or an unknown key, is passed on as text for the JSON rule to reject.
+    Every rejection is a :class:`ConfigError` naming the file and the key.
+    """
+    types = {f.name: f.type for f in fields(cls)}
+    raw: dict[str, object] = {}
+    for key, text in parse_kv_file(path).items():
+        try:
+            raw[key] = _FROM_TEXT[types.get(key, "str")](text)
+        except ValueError:
+            raw[key] = text
+    try:
+        return cls.from_dict(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 @dataclass
@@ -115,7 +173,7 @@ class RunConfig:
                 raise ConfigError(f"{name}: must be >= 1, got {v}")
         if self.kernel_width < 2:
             raise ConfigError(f"kernel_width: must be >= 2, got {self.kernel_width}")
-        if self.exp_bound <= 0:
+        if not self.exp_bound > 0.0:
             raise ConfigError(f"exp_bound: must be positive, got {self.exp_bound}")
         if not 0.0 < self.lambda0 < 1.0:
             raise ConfigError(f"lambda0: must be in (0, 1), got {self.lambda0}")
@@ -142,33 +200,12 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        field_types = {f.name: f.type for f in fields(cls)}
-        kwargs = {}
-        for key, value in raw.items():
-            if key not in field_types:
-                raise ConfigError(f"unknown config key {key!r}")
-            ftype = field_types[key]
-            if isinstance(value, str):
-                try:
-                    if ftype == "bool":
-                        kwargs[key] = _parse_bool(key, value)
-                    elif ftype == "int":
-                        kwargs[key] = int(value)
-                    elif ftype == "float":
-                        kwargs[key] = float(value)
-                    else:
-                        kwargs[key] = value
-                except ValueError as exc:
-                    raise ConfigError(f"{key}: {exc}") from exc
-            else:
-                kwargs[key] = value
-        cfg = cls(**kwargs)
-        cfg.validate()
-        return cfg
+        """A validated config from parsed JSON (a checkpoint's ``config``)."""
+        return _from_json(cls, raw, "config")
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        return cls.from_dict(parse_kv_file(path))
+        return _from_kv_file(cls, path)
 
     def to_dict(self) -> dict:
         return asdict(self)

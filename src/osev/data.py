@@ -16,10 +16,12 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .config import _from_json
 
 __all__ = [
     "DatasetSplit",
@@ -101,23 +103,8 @@ class SyntheticSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SyntheticSpec":
-        """Build and validate a spec from parsed JSON; an int field takes no bool or float."""
-        if not isinstance(raw, dict):
-            raise ValueError(f"'spec' must be a JSON object, got {raw!r}")
-        extra = set(raw) - set(cls.__dataclass_fields__)
-        if extra:
-            raise ValueError(f"unknown dataset spec fields: {sorted(extra)}")
-        for f in fields(cls):
-            if f.name not in raw:
-                continue
-            value = raw[f.name]
-            allowed = int if f.type == "int" else (int, float)
-            if isinstance(value, bool) or not isinstance(value, allowed):
-                kind = "an integer" if f.type == "int" else "a number"
-                raise ValueError(f"spec field {f.name!r} must be {kind}, got {value!r}")
-        spec = cls(**raw)
-        spec.validate()
-        return spec
+        """A validated spec from parsed JSON (a manifest's ``spec``)."""
+        return _from_json(cls, raw, "spec")
 
 
 @dataclass

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evidential import EvidenceFunction, _probs_and_uncertainty
-from .hsic import KernelParams, centered_gram, hsic_value, hsic_value_and_grad, hsic_values
+from .hsic import KernelParams, centered_gram, hsic_value_and_grad, hsic_values
 from .losses import (
     CLAMP_EPS,
     BatchPrediction,
@@ -191,7 +191,7 @@ def _hsic(x, y, kernel: KernelParams, with_grad: bool) -> tuple[float, np.ndarra
     """HSIC(x, y) and its gradient in x; the gradient is None when nothing reads it."""
     if with_grad:
         return hsic_value_and_grad(x, y, kernel)
-    return hsic_value(x, y, kernel), None
+    return hsic_values(x, [centered_gram(y, kernel)], kernel)[0], None
 
 
 @dataclass(frozen=True)
@@ -498,7 +498,6 @@ def train_step(
     kernel: KernelParams = KernelParams(),
     shuffle_rng: np.random.Generator,
     step_index: int = 0,
-    debug: bool = False,
 ) -> tuple[StepRecord, list[Parameter]]:
     """Accumulate one batch's gradients of the full three-branch objective.
 
@@ -518,7 +517,6 @@ def train_step(
         kernel=kernel,
         shuffle_rng=shuffle_rng,
         side=side,
-        debug=debug,
     )
     return record, branches.parameters(side)
 

@@ -25,7 +25,6 @@ __all__ = [
     "KernelParams",
     "centered_gram",
     "hsic_biased",
-    "hsic_value",
     "hsic_value_and_grad",
     "hsic_values",
     "median_bandwidth",
@@ -151,24 +150,8 @@ def _y_centered(ay: np.ndarray, params: KernelParams) -> np.ndarray:
     return _center(_gram(ay, resolve_bandwidth(ay, params) ** 2))
 
 
-def _kernels(x, y, params: KernelParams) -> tuple[np.ndarray, np.ndarray, float, np.ndarray, float]:
-    """Validated x, its Gram Kx and squared bandwidth, the centred M = H Ky H, and 1 / (n - 1)^2."""
-    ax = _as_feature_matrix(x, "x")
-    ay = _as_feature_matrix(y, "y")
-    if ax.shape[0] != ay.shape[0]:
-        raise ValueError(f"x and y must pair the same samples, got {ax.shape[0]} and {ay.shape[0]}")
-    kx, sigma_x_sq = _x_kernel(ax, params)
-    return ax, kx, sigma_x_sq, _y_centered(ay, params), 1.0 / (ax.shape[0] - 1) ** 2
-
-
 def _value(kx: np.ndarray, m: np.ndarray, scale: float) -> float:
     return float((kx * m).sum() * scale)
-
-
-def hsic_value(x, y, params: KernelParams = KernelParams()) -> float:
-    """The value of :func:`hsic_value_and_grad`, bit for bit, without the gradient."""
-    _, kx, _, m, scale = _kernels(x, y, params)
-    return _value(kx, m, scale)
 
 
 def centered_gram(y, params: KernelParams = KernelParams()) -> np.ndarray:
@@ -182,7 +165,7 @@ def centered_gram(y, params: KernelParams = KernelParams()) -> np.ndarray:
 
 def hsic_values(x, centered, params: KernelParams = KernelParams()) -> list[float]:
     """[HSIC(x, y) for each M = centered_gram(y, params) in centered], bit for bit
-    equal to :func:`hsic_value`, with x's Gram built once."""
+    equal to the value of :func:`hsic_value_and_grad`, with x's Gram built once."""
     ax = _as_feature_matrix(x, "x")
     n = ax.shape[0]
     for m in centered:
@@ -205,7 +188,13 @@ def hsic_value_and_grad(
     treating both bandwidths as constants.  The gradient with respect to y
     follows by symmetry: swap the arguments.
     """
-    ax, kx, sigma_x_sq, m, scale = _kernels(x, y, params)
+    ax = _as_feature_matrix(x, "x")
+    ay = _as_feature_matrix(y, "y")
+    if ax.shape[0] != ay.shape[0]:
+        raise ValueError(f"x and y must pair the same samples, got {ax.shape[0]} and {ay.shape[0]}")
+    kx, sigma_x_sq = _x_kernel(ax, params)
+    m = _y_centered(ay, params)
+    scale = 1.0 / (ax.shape[0] - 1) ** 2
     w = m * kx
     grad = (-2.0 * scale / sigma_x_sq) * (w.sum(axis=1)[:, None] * ax - w @ ax)
     return _value(kx, m, scale), grad

@@ -37,7 +37,7 @@ from .debias import (
     vanilla_train_step,
 )
 from .evidential import NonFiniteInputError, batch_probs_and_uncertainty, threshold_from_train_scores
-from .hsic import KernelParams, hsic_value, hsic_value_and_grad, median_bandwidth
+from .hsic import KernelParams, centered_gram, hsic_value_and_grad, hsic_values, median_bandwidth
 from .losses import (
     AnnealingSchedule,
     BatchPrediction,
@@ -118,16 +118,6 @@ def _float_repr(v: float) -> str:
 def build_model(config: RunConfig, channels: int, num_classes: int):
     """Build the model a config describes, drawing from per-branch streams."""
     rng_f = derived_rng(config.seed, STREAM_INIT_F)
-    if config.loss_type == "softmax":
-        return build_branch(
-            "f",
-            channels,
-            config.feature_width,
-            config.kernel_width,
-            num_classes,
-            rng_f,
-            head="logits",
-        )
     if config.use_ced:
         return build_branches(
             channels,
@@ -149,6 +139,7 @@ def build_model(config: RunConfig, channels: int, num_classes: int):
         rng_f,
         evidence=config.evidence,
         exp_bound=config.exp_bound,
+        head="logits" if config.loss_type == "softmax" else "evidence",
     )
 
 
@@ -299,26 +290,15 @@ def load_model(checkpoint_path) -> tuple[EvidentialNet, RunConfig, dict]:
     arrays, meta = load_checkpoint(checkpoint_path)
     try:
         raw = meta["config"]
-        if not isinstance(raw, dict):
-            raise TypeError(f"config must be a JSON object, got {type(raw).__name__}")
         # older checkpoints store the removed no-op key hsic_center
-        config = RunConfig.from_dict({k: v for k, v in raw.items() if k != "hsic_center"})
+        if isinstance(raw, dict):
+            raw = {k: v for k, v in raw.items() if k != "hsic_center"}
+        config = RunConfig.from_dict(raw)
         channels = int(meta["channels"])
         num_classes = int(meta["num_classes"])
-    except (KeyError, TypeError, ConfigError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointDataMismatch(f"checkpoint metadata unusable: {exc}") from exc
-    head = "logits" if config.loss_type == "softmax" else "evidence"
-    net = build_branch(
-        "f",
-        channels,
-        config.feature_width,
-        config.kernel_width,
-        num_classes,
-        np.random.default_rng(0),
-        evidence=config.evidence,
-        exp_bound=config.exp_bound,
-        head=head,
-    )
+    net = strip_for_inference(build_model(config, channels, num_classes))
     for p in net.parameters():
         if p.name not in arrays:
             raise CheckpointDataMismatch(f"checkpoint is missing parameter {p.name}")
@@ -699,7 +679,8 @@ def run_gradcheck(
         frozen = KernelParams(sigma=median_bandwidth(x.value))
         _, grad_x = hsic_value_and_grad(x.value, y, frozen)
         x.grad += grad_x
-        rep = gradcheck(lambda: hsic_value(x.value, y, frozen), [x], eps=eps)
+        held = [centered_gram(y, frozen)]
+        rep = gradcheck(lambda: hsic_values(x.value, held, frozen)[0], [x], eps=eps)
         return rep.max_rel_err
 
     add("loss.hsic", hsic_instance)

@@ -204,6 +204,22 @@ class TestDeterminism:
         assert main(argv + ["--out", str(tmp_path / "eval" / "report.json")]) == 4
         assert "checkpoint metadata unusable: config must be a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("feature_width", 3.5), ("kernel_width", 2.0), ("feature_width", True), ("seed", 1.5), ("num_selections", 2.5)],
+    )
+    def test_checkpoint_with_mistyped_config_is_4(self, tmp_path, dataset_dir, run_dir, key, value, capsys):
+        for name in ("model.ckpt", "model.ckpt.json"):
+            shutil.copy(run_dir / name, tmp_path / name)
+        sidecar = json.loads((tmp_path / "model.ckpt.json").read_text())
+        sidecar["meta"]["config"][key] = value
+        (tmp_path / "model.ckpt.json").write_text(json.dumps(sidecar))
+        argv = ["eval", "--checkpoint", str(tmp_path / "model.ckpt"), "--data", str(dataset_dir)]
+        assert main(argv + ["--out", str(tmp_path / "eval" / "report.json")]) == 4
+        err = capsys.readouterr().err
+        assert f"checkpoint metadata unusable: config field {key!r} must be an integer, got {value!r}" in err
+        assert "Traceback" not in err
+
     def test_eval_is_byte_identical(self, tmp_path, dataset_dir, run_dir, eval_dir):
         out = tmp_path / "eval_again"
         code = main(
@@ -278,6 +294,47 @@ class TestExitCodes:
         spec = tmp_path / "spec.cfg"
         spec.write_text("known_classes = 1\n")
         assert main(["generate-data", "--spec", str(spec), "--out", str(tmp_path / "d")]) == 2
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("bogus = 1", "unknown spec key 'bogus'"),
+            ("samples_per_class = 4.0", "spec field 'samples_per_class' must be an integer, got '4.0'"),
+            ("known_classes = 1", "invalid dataset spec: known_classes must be >= 2, got 1"),
+        ],
+    )
+    def test_spec_file_rejections_name_the_file_and_key(self, tmp_path, text, message, capsys):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text(text + "\n")
+        assert main(["generate-data", "--spec", str(spec), "--out", str(tmp_path / "d")]) == 2
+        assert f"error: {spec}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("epochs = three", "config field 'epochs' must be an integer, got 'three'"),
+            ("use_euc = maybe", "config field 'use_euc' must be a boolean, got 'maybe'"),
+            ("exp_bound = nan", "exp_bound: must be positive, got nan"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["train", "gradcheck", "sweep"])
+    def test_config_file_rejections_name_the_file_and_key(
+        self, tmp_path, dataset_dir, line, message, command, capsys
+    ):
+        cfg_dir = tmp_path / "cfgs"
+        cfg_dir.mkdir()
+        cfg = cfg_dir / "run.cfg"
+        cfg.write_text(f"dataset = {dataset_dir}\n{line}\n")
+        out = str(tmp_path / "out")
+        if command == "sweep":
+            assert main(["sweep", "--configs", str(cfg_dir), "--seeds", "1", "--out", out]) == 0
+            summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+            assert summary["failures"] == [{"config": "run", "seed": None, "error": f"{cfg}: {message}"}]
+            return
+        argv = ["--out", out] if command == "train" else ["--instances", "1"]
+        assert main([command, "--config", str(cfg), *argv]) == 2
+        assert f"error: {cfg}: {message}" in capsys.readouterr().err
 
     def test_divergent_training_is_3(self, tmp_path, dataset_dir):
         cfg = tmp_path / "diverge.cfg"

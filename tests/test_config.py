@@ -1,5 +1,7 @@
 """Key = value parsing and run-config validation."""
 
+import re
+
 import pytest
 
 from osev.config import ConfigError, RunConfig, parse_kv_file, parse_kv_text
@@ -58,10 +60,53 @@ class TestDefaults:
 
 
 class TestFromDict:
-    def test_string_coercion(self):
-        cfg = RunConfig.from_dict(
-            {"epochs": "5", "lr": "0.25", "use_euc": "true", "nesterov": "0", "evidence": "relu"}
-        )
+    """Parsed JSON (a checkpoint's config): each field takes its own JSON type."""
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(ConfigError, match="unknown config key 'typo'"):
+            RunConfig.from_dict({"typo": 1})
+
+    @pytest.mark.parametrize(
+        "raw,message",
+        [
+            ({"lr": "0.25"}, "config field 'lr' must be a number, got '0.25'"),
+            ({"epochs": "5"}, "config field 'epochs' must be an integer, got '5'"),
+            ({"epochs": 3.0}, "config field 'epochs' must be an integer, got 3.0"),
+            ({"seed": 1.5}, "config field 'seed' must be an integer, got 1.5"),
+            ({"feature_width": True}, "config field 'feature_width' must be an integer, got True"),
+            ({"exp_bound": False}, "config field 'exp_bound' must be a number, got False"),
+            ({"use_euc": 1}, "config field 'use_euc' must be a boolean, got 1"),
+            ({"dataset": 5}, "config field 'dataset' must be a string, got 5"),
+            (["epochs", 5], "config must be a JSON object"),
+        ],
+    )
+    def test_mistyped_json_rejected(self, raw, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            RunConfig.from_dict(raw)
+
+    def test_an_integer_is_a_number(self):
+        assert RunConfig.from_dict({"lr": 1}).lr == 1.0
+
+    def test_round_trip(self):
+        cfg = RunConfig(epochs=7, lr=0.02, use_ced=True, dataset="/tmp/d")
+        assert RunConfig.from_dict(cfg.to_dict()) == cfg
+
+
+class TestFromFile:
+    """key = value text: each string converts by its field's type."""
+
+    @staticmethod
+    def read(tmp_path, text):
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        return RunConfig.from_file(path)
+
+    def test_from_file(self, tmp_path):
+        cfg = self.read(tmp_path, "# test config\nepochs = 3\nlr = 0.5\nuse_euc = true\n")
+        assert (cfg.epochs, cfg.lr, cfg.use_euc) == (3, 0.5, True)
+
+    def test_string_coercion(self, tmp_path):
+        cfg = self.read(tmp_path, "epochs = 5\nlr = 0.25\nuse_euc = true\nnesterov = 0\nevidence = relu\n")
         assert cfg.epochs == 5
         assert cfg.lr == 0.25
         assert cfg.use_euc is True
@@ -69,24 +114,22 @@ class TestFromDict:
         assert cfg.evidence == "relu"
 
     @pytest.mark.parametrize("text,expected", [("yes", True), ("no", False), ("1", True), ("FALSE", False)])
-    def test_bool_spellings(self, text, expected):
-        assert RunConfig.from_dict({"use_ced": text}).use_ced is expected
+    def test_bool_spellings(self, tmp_path, text, expected):
+        assert self.read(tmp_path, f"use_ced = {text}\n").use_ced is expected
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown config key 'typo'"):
-            RunConfig.from_dict({"typo": "1"})
-
-    def test_bad_bool_rejected(self):
-        with pytest.raises(ConfigError, match="use_euc"):
-            RunConfig.from_dict({"use_euc": "maybe"})
-
-    def test_bad_int_names_the_key(self):
-        with pytest.raises(ConfigError, match="epochs"):
-            RunConfig.from_dict({"epochs": "three"})
-
-    def test_round_trip(self):
-        cfg = RunConfig(epochs=7, lr=0.02, use_ced=True, dataset="/tmp/d")
-        assert RunConfig.from_dict(cfg.to_dict()) == cfg
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("typo = 1", "unknown config key 'typo'"),
+            ("use_euc = maybe", "config field 'use_euc' must be a boolean, got 'maybe'"),
+            ("epochs = three", "config field 'epochs' must be an integer, got 'three'"),
+            ("epochs = 2.0", "config field 'epochs' must be an integer, got '2.0'"),
+            ("epochs = 0", "epochs: must be >= 1, got 0"),
+        ],
+    )
+    def test_rejections_name_the_file_and_key(self, tmp_path, text, message):
+        with pytest.raises(ConfigError, match=re.escape(f"run.cfg: {message}")):
+            self.read(tmp_path, text + "\n")
 
 
 class TestValidation:
@@ -100,6 +143,7 @@ class TestValidation:
             ({"epochs": 0}, "epochs"),
             ({"kernel_width": 1}, "kernel_width"),
             ({"exp_bound": 0.0}, "exp_bound"),
+            ({"exp_bound": float("nan")}, "exp_bound"),
             ({"lambda0": 1.0}, "lambda0"),
             ({"lambda0": 0.0}, "lambda0"),
             ({"coverage": 0.0}, "coverage"),
@@ -116,8 +160,5 @@ class TestValidation:
         with pytest.raises(ConfigError, match=match):
             cfg.validate()
 
-    def test_from_file(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("# test config\nepochs = 3\nlr = 0.5\nuse_euc = true\n")
-        cfg = RunConfig.from_file(path)
-        assert (cfg.epochs, cfg.lr, cfg.use_euc) == (3, 0.5, True)
+    def test_infinite_exp_bound_is_accepted(self):
+        RunConfig(exp_bound=float("inf")).validate()

@@ -57,12 +57,12 @@ class TestSpecValidation:
             spec.validate()
 
     def test_from_dict_rejects_unknown_fields(self):
-        with pytest.raises(ValueError, match="unknown dataset spec fields"):
+        with pytest.raises(ValueError, match="unknown spec key 'bogus'"):
             SyntheticSpec.from_dict({"known_classes": 3, "bogus": 1})
 
     @pytest.mark.parametrize(
         "raw, message",
-        [([], "'spec' must be a JSON object"), ({"seed": False}, "'seed' must be an integer, got False"),
+        [([], "spec must be a JSON object"), ({"seed": False}, "'seed' must be an integer, got False"),
          ({"bias_strength": "0.9"}, "'bias_strength' must be a number")],
     )
     def test_from_dict_rejects_mistyped_json(self, raw, message):

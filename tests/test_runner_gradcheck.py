@@ -214,7 +214,9 @@ def test_quotients_forward_only_the_perturbed_branch(dataset_dir, monkeypatch):
     # the h side holds M(f) and each biased branch's term for the other's quotients;
     # each checks the labels once
     assert builds == [(2, 0, 0, 1), (1, 2, 2, 1), (2, 0, 0, 1), (1, 2, 2, 1)]
-    assert counts["centered_gram"] == 6
+    # besides those 6, each composed check's step records the other side's two
+    # HSIC values, each through one centred Gram
+    assert counts["centered_gram"] == 6 + 4
     assert counts["objective"] == 2  # the objective checks' analytic gradients
     # one CED forward per side instance; besides each kink test's shuffle,
     # one permuted input per h-side instance

@@ -86,3 +86,34 @@ def test_one_sgd_step_per_batch_on_the_stepped_side(dataset_dir, tmp_path, monke
     assert batches >= 4
     assert len(stepped) == 3 * batches
     assert stepped == [sides[i % len(sides)] for i in range(len(stepped))]
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        pytest.param({"loss_type": "softmax"}, id="softmax"),
+        pytest.param({}, id="edl"),
+        pytest.param({"use_ced": True}, id="ced"),
+    ],
+)
+def test_every_checkpoint_loads_to_the_trained_main_branch(dataset_dir, tmp_path, monkeypatch, overrides):
+    """load_model rebuilds the trained main branch, bit for bit, from the stripped and the full checkpoint."""
+    built, build_model = [], runner.build_model
+
+    def recording(*args):
+        built.append(build_model(*args))
+        return built[-1]
+
+    monkeypatch.setattr(runner, "build_model", recording)
+    config = replace(
+        RunConfig(dataset=dataset_dir, seed=3), feature_width=4, kernel_width=3, epochs=1, batch_size=6, **overrides
+    )
+    run_training(config, tmp_path)
+    trained = [(p.name, p.value) for p in runner.strip_for_inference(built[0]).parameters()]
+    for name in ("model.ckpt", "model_full.ckpt"):
+        net, loaded_config, _ = runner.load_model(tmp_path / name)
+        assert loaded_config == config
+        loaded = [(p.name, p.value) for p in net.parameters()]
+        assert [n for n, _ in loaded] == [n for n, _ in trained], name
+        for (_, got), (_, want) in zip(loaded, trained):
+            assert got.tobytes() == want.tobytes(), name
