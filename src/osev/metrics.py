@@ -57,6 +57,33 @@ def open_predictions(probs, scores, tau: float) -> np.ndarray:
     return np.where(s > tau, p.shape[1], np.argmax(p, axis=1))
 
 
+def _group_counts(preds, labels, ids, side: int) -> tuple[np.ndarray, np.ndarray]:
+    """(group, label, prediction) counts by one ``np.bincount``: the sorted non-negative ids, and
+    (1 + len(ids), side, side) tables whose group 0 holds the negative ids and group j the j-th id."""
+    if any(a.min(initial=0) < 0 or a.max(initial=0) >= side for a in (preds, labels)):
+        raise ValueError("class index out of range")
+    unknown = ids >= 0
+    classes, inverse = np.unique(ids[unknown], return_inverse=True)
+    groups = np.zeros(ids.shape, dtype=np.int64)
+    groups[unknown] = inverse + 1
+    counts = np.bincount((groups * side + labels) * side + preds, minlength=(classes.size + 1) * side * side)
+    return classes, counts.reshape(classes.size + 1, side, side)
+
+
+def _macro_f1s(counts: np.ndarray) -> list[float]:
+    """Macro-F1 of each table in ``counts`` (n, side, side): a per-class loop's elementwise steps,
+    then ``np.mean`` over each table's 1-D array of present-class F1s, as the loop does (a mean
+    over a zero-padded row of all classes would group numpy's pairwise sum differently)."""
+    tp = np.diagonal(counts, axis1=-2, axis2=-1).astype(np.float64)
+    predicted = counts.sum(axis=-2)
+    actual = counts.sum(axis=-1)
+    precision = np.divide(tp, predicted, out=np.zeros_like(tp), where=predicted > 0)
+    recall = np.divide(tp, actual, out=np.zeros_like(tp), where=actual > 0)
+    total = precision + recall
+    f1 = np.divide(2.0 * precision * recall, total, out=np.zeros_like(tp), where=total != 0.0)
+    return [float(np.mean(row[keep])) for row, keep in zip(f1, (predicted > 0) | (actual > 0))]
+
+
 def macro_f1(preds, labels, num_classes: int) -> float:
     """Unweighted mean F1 over classes present in preds or labels.
 
@@ -69,20 +96,7 @@ def macro_f1(preds, labels, num_classes: int) -> float:
         raise ValueError(f"preds and labels must be matching non-empty 1-D arrays, got {p.shape} and {y.shape}")
     if num_classes < 2:
         raise ValueError(f"num_classes must be >= 2, got {num_classes}")
-    if p.min() < 0 or p.max() >= num_classes or y.min() < 0 or y.max() >= num_classes:
-        raise ValueError("class index out of range")
-    scores = []
-    for c in range(num_classes):
-        in_pred = p == c
-        in_label = y == c
-        if not in_pred.any() and not in_label.any():
-            continue
-        tp = float(np.sum(in_pred & in_label))
-        precision = tp / in_pred.sum() if in_pred.any() else 0.0
-        recall = tp / in_label.sum() if in_label.any() else 0.0
-        f1 = 0.0 if precision + recall == 0.0 else 2.0 * precision * recall / (precision + recall)
-        scores.append(f1)
-    return float(np.mean(scores))
+    return _macro_f1s(_group_counts(p, y, np.full(p.shape, -1), num_classes)[1])[0]
 
 
 @dataclass(frozen=True)
@@ -106,11 +120,11 @@ def open_maf1_curve(
 ) -> tuple[list[OpennessPoint], float, float, str | None]:
     """Openness sweep of (K+1)-way macro-F1 with randomized unknown subsets.
 
-    ``preds`` and ``labels`` are (K+1)-way, with K for unknown; ``unknown_ids``
-    holds the original class of each unknown sample and -1 for known ones.
-    For each i in 1..U, ``num_selections`` random i-subsets of the unknown
-    classes (without replacement, seeded per (i, selection)) are kept with
-    all known samples and scored by macro-F1.  Returns the per-point curve,
+    ``preds`` and ``labels`` lie in [0, K] (checked for every sample), K for
+    unknown; ``unknown_ids`` holds each unknown sample's original class and -1
+    for known ones.  For each i in 1..U, ``num_selections`` random i-subsets of
+    the unknown classes (without replacement, seeded per (i, selection)) are
+    kept with all known samples and scored by macro-F1.  Returns the curve,
     the openness-weighted scalar over selection means, the standard deviation
     of that scalar across aligned selections, and a truncation note when
     max_unknown cut the sweep short.
@@ -119,53 +133,38 @@ def open_maf1_curve(
     y = np.asarray(labels, dtype=np.int64)
     ids = np.asarray(unknown_ids, dtype=np.int64)
     if p.ndim != 1 or p.shape != y.shape or ids.shape != y.shape:
-        raise ValueError(
-            f"preds, labels and unknown_ids must be matching 1-D arrays, got {p.shape}, {y.shape}, {ids.shape}"
-        )
-    known = ids < 0
-    if not known.any():
+        shapes = f"{p.shape}, {y.shape}, {ids.shape}"
+        raise ValueError(f"preds, labels and unknown_ids must be matching 1-D arrays, got {shapes}")
+    if not (ids < 0).any():
         raise ValueError("no known samples")
-    class_ids = sorted(set(ids[~known].tolist()))
-    if not class_ids:
+    if not (ids >= 0).any():
         raise ValueError("no unknown classes")
     if num_selections < 1:
         raise ValueError(f"num_selections must be >= 1, got {num_selections}")
     k = num_known
-    note = None
-    limit = len(class_ids)
-    if max_unknown is not None and max_unknown < limit:
-        limit = max_unknown
-        note = f"sweep truncated to {limit} of {len(class_ids)} unknown classes"
+    if k < 1:
+        raise ValueError(f"num_classes must be >= 2, got {k + 1}")
+    class_ids, counts = _group_counts(p, y, ids, k + 1)
+    limit = class_ids.size if max_unknown is None else min(max_unknown, class_ids.size)
+    note = None if limit == class_ids.size else f"sweep truncated to {limit} of {class_ids.size} unknown classes"
 
-    points: list[OpennessPoint] = []
+    # row (i - 1) * num_selections + s marks the unknown classes that selection s of point i keeps
+    kept = np.zeros((limit * num_selections, class_ids.size), dtype=np.int64)
     for i in range(1, limit + 1):
-        f1s = []
         for s in range(num_selections):
-            rng = np.random.default_rng([seed, 7001, i, s])
-            chosen = rng.choice(class_ids, size=i, replace=False)
-            mask = known | np.isin(ids, chosen)
-            f1s.append(macro_f1(p[mask], y[mask], k + 1))
-        arr = np.asarray(f1s)
-        std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-        points.append(
-            OpennessPoint(
-                num_unknown=i,
-                omega=openness(k, i),
-                f1_mean=float(arr.mean()),
-                f1_std=std,
-                f1_values=tuple(float(v) for v in arr),
-            )
-        )
-
+            chosen = np.random.default_rng([seed, 7001, i, s]).choice(class_ids, size=i, replace=False)
+            kept[(i - 1) * num_selections + s, np.searchsorted(class_ids, chosen)] = 1
+    tables = counts[0] + (kept @ counts[1:].reshape(class_ids.size, -1)).reshape(-1, k + 1, k + 1)
+    f1s = np.asarray(_macro_f1s(tables)).reshape(limit, num_selections)
+    points = [
+        OpennessPoint(i, openness(k, i), float(arr.mean()), float(arr.std(ddof=1)) if num_selections > 1 else 0.0,
+                      tuple(arr.tolist()))
+        for i, arr in enumerate(f1s, start=1)
+    ]
     omegas = np.asarray([pt.omega for pt in points])
     means = np.asarray([pt.f1_mean for pt in points])
     scalar = float((omegas * means).sum() / omegas.sum())
-    per_trial = np.asarray(
-        [
-            (omegas * np.asarray([pt.f1_values[s] for pt in points])).sum() / omegas.sum()
-            for s in range(num_selections)
-        ]
-    )
+    per_trial = np.asarray([(omegas * trial).sum() / omegas.sum() for trial in f1s.T])
     scalar_std = float(per_trial.std(ddof=1)) if num_selections > 1 else 0.0
     return points, scalar, scalar_std, note
 
@@ -226,12 +225,7 @@ def avu(correct, scores, threshold: float) -> float:
     return float(np.mean((ok & certain) | (~ok & ~certain)))
 
 
-def confusion_and_top_confusions(
-    preds,
-    labels,
-    num_known: int,
-    unknown_ids=None,
-) -> tuple[np.ndarray, list[dict]]:
+def confusion_and_top_confusions(preds, labels, num_known: int, unknown_ids=None) -> tuple[np.ndarray, list[dict]]:
     """Row-normalized (K+1)x(K+1) confusion matrix plus worst unknown leaks.
 
     Rows are true labels, columns predictions; each non-empty row sums to 1.
@@ -244,43 +238,49 @@ def confusion_and_top_confusions(
     y = np.asarray(labels, dtype=np.int64)
     if p.shape != y.shape or p.ndim != 1:
         raise ValueError(f"preds and labels must be matching 1-D arrays, got {p.shape} and {y.shape}")
-    side = num_known + 1
-    if p.min(initial=0) < 0 or p.max(initial=0) >= side or y.min(initial=0) < 0 or y.max(initial=0) >= side:
-        raise ValueError("class index out of range")
-    counts = np.zeros((side, side))
-    np.add.at(counts, (y, p), 1.0)
-    rows = counts.sum(axis=1, keepdims=True)
-    matrix = np.divide(counts, rows, out=np.zeros_like(counts), where=rows > 0)
+    ids = np.full(p.shape, -1) if unknown_ids is None else np.asarray(unknown_ids, dtype=np.int64)
+    if ids.shape != y.shape:
+        raise ValueError(f"unknown_ids shape {ids.shape} does not match labels {y.shape}")
+    class_ids, counts = _group_counts(p, y, ids, num_known + 1)
+    total = counts.sum(axis=0).astype(np.float64)
+    rows = total.sum(axis=1, keepdims=True)
+    matrix = np.divide(total, rows, out=np.zeros_like(total), where=rows > 0)
 
     top: list[dict] = []
-    if unknown_ids is not None:
-        ids = np.asarray(unknown_ids, dtype=np.int64)
-        if ids.shape != y.shape:
-            raise ValueError(f"unknown_ids shape {ids.shape} does not match labels {y.shape}")
-        for cls in np.unique(ids[ids >= 0]):
-            mask = ids == cls
-            as_known = p[mask] < num_known
-            rate = float(as_known.mean())
-            if as_known.any():
-                target_counts = np.bincount(p[mask][as_known], minlength=num_known)
-                target = int(np.argmax(target_counts))
-            else:
-                target = None
-            top.append({"unknown_class": int(cls), "rate": rate, "target": target})
-        top.sort(key=lambda d: (-d["rate"], d["unknown_class"]))
+    for cls, table in zip(class_ids.tolist(), counts[1:]):
+        predicted = table.sum(axis=0)
+        as_known = predicted[:num_known]
+        target = int(np.argmax(as_known)) if as_known.any() else None
+        top.append({"unknown_class": cls, "rate": float(as_known.sum() / predicted.sum()), "target": target})
+    top.sort(key=lambda d: (-d["rate"], d["unknown_class"]))
     return matrix, top
 
 
+def _json_items(values: list) -> list[str]:
+    """The JSON text of each number (or string without ", ") in ``values``, as ``json.dumps`` writes it."""
+    text = json.dumps(values)[1:-1]
+    return text.split(", ") if text else []
+
+
 def write_score_dump(path, probs, scores, labels) -> Path:
-    """One JSON object per line: {probs, score, label}, label K as "unknown"."""
+    """One JSON object per line: {probs, score, label}, label K as "unknown".
+
+    Each line is ``json.dumps(record, sort_keys=True)``.  Each column of a block of 128
+    records is encoded by one ``json.dumps`` and cut apart again (no JSON number contains
+    ", " or "], ["), which keeps few strings alive at once, and the file is written at once.
+    """
     p = Path(path)
-    k = np.shape(probs)[1]
-    rows = zip(np.asarray(probs).tolist(), np.asarray(scores).tolist(), np.asarray(labels).tolist())
+    probs, scores, labels = np.asarray(probs), np.asarray(scores), np.asarray(labels)
+    k = probs.shape[1]
+    blocks = []
+    for at in range(0, min(len(probs), len(scores), len(labels)), 128):
+        block = slice(at, at + 128)
+        rows = json.dumps(probs[block].tolist())[2:-2].split("], [")
+        label_text = _json_items(["unknown" if label == k else label for label in labels[block].tolist()])
+        records = zip(rows, _json_items(scores[block].tolist()), label_text)
+        blocks.append("".join([f'{{"label": {y}, "probs": [{row}], "score": {s}}}\n' for row, s, y in records]))
     with open(p, "w", encoding="utf-8") as fh:
-        for row, score, label in rows:
-            record = {"probs": row, "score": score, "label": "unknown" if label == k else label}
-            fh.write(json.dumps(record, sort_keys=True))
-            fh.write("\n")
+        fh.write("".join(blocks))
     return p
 
 

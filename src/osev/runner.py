@@ -4,7 +4,8 @@ Every run derives independent RNG streams from the config seed (model init,
 batch order, temporal shuffles, evaluation selections), so enabling or
 disabling one component never perturbs the draws another component sees, and
 re-running a config reproduces every output byte for byte.  Timestamps go to
-``run.log`` only; no other artifact embeds one.
+``run.log`` and phase durations to evaluation's ``timings.json`` only; no
+other artifact embeds either.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import datetime
 import json
 import math
+import time
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -286,7 +288,11 @@ def run_training(config: RunConfig, out_dir) -> dict:
 
 
 def load_model(checkpoint_path) -> tuple[EvidentialNet, RunConfig, dict]:
-    """Rebuild the inference branch from a checkpoint (full or stripped)."""
+    """Rebuild the inference branch from a checkpoint (full or stripped).
+
+    The metadata's ``channels`` and ``num_classes`` must be JSON integers >= 1;
+    anything else raises :class:`CheckpointDataMismatch` naming the key.
+    """
     arrays, meta = load_checkpoint(checkpoint_path)
     try:
         raw = meta["config"]
@@ -294,10 +300,12 @@ def load_model(checkpoint_path) -> tuple[EvidentialNet, RunConfig, dict]:
         if isinstance(raw, dict):
             raw = {k: v for k, v in raw.items() if k != "hsic_center"}
         config = RunConfig.from_dict(raw)
-        channels = int(meta["channels"])
-        num_classes = int(meta["num_classes"])
+        channels, num_classes = meta["channels"], meta["num_classes"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointDataMismatch(f"checkpoint metadata unusable: {exc}") from exc
+    for key, value in (("channels", channels), ("num_classes", num_classes)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise CheckpointDataMismatch(f"checkpoint metadata unusable: {key} must be an integer >= 1, got {value!r}")
     net = strip_for_inference(build_model(config, channels, num_classes))
     for p in net.parameters():
         if p.name not in arrays:
@@ -341,10 +349,14 @@ def run_evaluation(
 
     Writes report.json, curve.csv, scores.jsonl (biased known test plus the
     unknown pool) and scores_unbiased.jsonl into ``out_dir``; returns the
-    report dict.  An override left None keeps the checkpoint config's value;
-    one that breaks that key's rule raises :class:`ConfigError`.  Raises
-    :class:`CheckpointDataMismatch` when the checkpoint and dataset disagree.
+    report dict.  Also writes timings.json, the wall seconds of each phase
+    (``load_s``, ``score_s``, ``metrics_s``, ``write_s``), which is not
+    deterministic and appears in no other output.  An override left None
+    keeps the checkpoint config's value; one that breaks that key's rule
+    raises :class:`ConfigError`.  Raises :class:`CheckpointDataMismatch` when
+    the checkpoint and dataset disagree.
     """
+    start = time.perf_counter()
     net, config, meta = load_model(checkpoint_path)
     overrides = {
         "coverage": coverage,
@@ -363,7 +375,7 @@ def run_evaluation(
         raise CheckpointDataMismatch(
             f"checkpoint has {net.num_classes} classes, dataset has {spec.known_classes} known classes"
         )
-    if int(meta["channels"]) != spec.channels:
+    if meta["channels"] != spec.channels:
         raise CheckpointDataMismatch(
             f"checkpoint expects {meta['channels']} channels, dataset has {spec.channels}"
         )
@@ -371,6 +383,7 @@ def run_evaluation(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     k = spec.known_classes
+    loaded = time.perf_counter()
 
     _, train_scores = score_split(net, config, splits["train"].x)
     tau = threshold_from_train_scores(train_scores, coverage)
@@ -386,6 +399,7 @@ def run_evaluation(
     labels = np.concatenate([biased.labels, np.full(len(unknown), k)])
     unknown_ids = np.concatenate([np.full(len(biased), -1), unknown.labels])
     preds = open_predictions(probs, scores, tau)
+    scored = time.perf_counter()
 
     correct_closed = np.argmax(probs_b, axis=1) == biased.labels
     closed_biased = float(np.mean(correct_closed))
@@ -441,6 +455,7 @@ def run_evaluation(
             "top_confusions": top,
         },
     }
+    measured = time.perf_counter()
     with open(out / "report.json", "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -452,6 +467,13 @@ def run_evaluation(
     (out / "curve.csv").write_text("\n".join(curve_lines) + "\n", encoding="utf-8")
     write_score_dump(out / "scores.jsonl", probs, scores, labels)
     write_score_dump(out / "scores_unbiased.jsonl", probs_u, scores_u, unbiased.labels)
+    timings = {
+        "load_s": loaded - start,
+        "score_s": scored - loaded,
+        "metrics_s": measured - scored,
+        "write_s": time.perf_counter() - measured,
+    }
+    (out / "timings.json").write_text(json.dumps(timings, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return report
 
 

@@ -40,6 +40,14 @@ use_ced = true
 """
 
 
+def child_env(**extra: str) -> dict:
+    """Environment for a child Python process, with this checkout's ``src`` first on PYTHONPATH."""
+    src = str(Path(osev.__file__).resolve().parents[1])
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 @pytest.fixture(scope="module")
 def dataset_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
@@ -106,7 +114,7 @@ class TestArtifacts:
 
     def test_eval_files(self, eval_dir):
         names = {p.name for p in eval_dir.iterdir()}
-        assert names == {"report.json", "curve.csv", "scores.jsonl", "scores_unbiased.jsonl"}
+        assert names == {"report.json", "curve.csv", "scores.jsonl", "scores_unbiased.jsonl", "timings.json"}
 
     def test_report_structure(self, eval_dir):
         report = json.loads((eval_dir / "report.json").read_text())
@@ -220,6 +228,20 @@ class TestDeterminism:
         assert f"checkpoint metadata unusable: config field {key!r} must be an integer, got {value!r}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("key", ["channels", "num_classes"])
+    @pytest.mark.parametrize("value", [5.9, "5", True, 0, -1])
+    def test_checkpoint_with_mistyped_shape_is_4(self, tmp_path, dataset_dir, run_dir, key, value, capsys):
+        for name in ("model.ckpt", "model.ckpt.json"):
+            shutil.copy(run_dir / name, tmp_path / name)
+        sidecar = json.loads((tmp_path / "model.ckpt.json").read_text())
+        sidecar["meta"][key] = value
+        (tmp_path / "model.ckpt.json").write_text(json.dumps(sidecar))
+        argv = ["eval", "--checkpoint", str(tmp_path / "model.ckpt"), "--data", str(dataset_dir)]
+        assert main(argv + ["--out", str(tmp_path / "eval" / "report.json")]) == 4
+        err = capsys.readouterr().err
+        assert f"checkpoint metadata unusable: {key} must be an integer >= 1, got {value!r}" in err
+        assert "Traceback" not in err
+
     def test_eval_is_byte_identical(self, tmp_path, dataset_dir, run_dir, eval_dir):
         out = tmp_path / "eval_again"
         code = main(
@@ -234,8 +256,15 @@ class TestDeterminism:
             ]
         )
         assert code == 0
-        for name in ("report.json", "curve.csv", "scores.jsonl", "scores_unbiased.jsonl"):
+        # timings.json holds wall seconds: the one eval output that is not byte-identical
+        timings = json.loads((out / "timings.json").read_text())
+        assert sorted(timings) == ["load_s", "metrics_s", "score_s", "write_s"]
+        assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
+        names = {p.name for p in out.iterdir()} - {"timings.json"}
+        assert names == {p.name for p in eval_dir.iterdir()} - {"timings.json"}
+        for name in names:
             assert (out / name).read_bytes() == (eval_dir / name).read_bytes(), name
+            assert "load_s" not in (out / name).read_text(), name
 
 
 class TestSweep:
@@ -596,11 +625,8 @@ class TestSplitsParsed:
 
 def test_importing_the_cli_leaves_scipy_unloaded():
     """scipy is imported only where softplus evidence needs its gradient."""
-    src = str(Path(osev.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = "import sys, osev.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
@@ -612,6 +638,8 @@ def test_module_entry_point(tmp_path):
         [sys.executable, "-m", "osev", "generate-data", "--spec", str(spec), "--out", str(tmp_path / "d")],
         capture_output=True,
         text=True,
+        env=child_env(),
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert "manifest" in proc.stdout
@@ -636,11 +664,9 @@ def test_blas_thread_count_does_not_change_training_bytes(tmp_path):
         f"dataset = {data}\nseed = 0\nepochs = 3\nbatch_size = 32\n"
         "feature_width = 12\nkernel_width = 9\nuse_euc = true\nuse_ced = true\n"
     )
-    src = str(Path(osev.__file__).resolve().parents[1])
     outputs = {}
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env = child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         out = tmp_path / f"threads{threads}"
         proc = subprocess.run(
             [sys.executable, "-m", "osev", "train", "--config", str(cfg), "--out", str(out)],

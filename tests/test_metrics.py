@@ -1,5 +1,6 @@
 """Metric oracles: openness, macro-F1 sweep, ranking AUC, calibration, confusion."""
 
+import json
 import math
 
 import numpy as np
@@ -186,6 +187,15 @@ class TestOpenMaf1Curve:
         with pytest.raises(ValueError, match="matching"):
             open_maf1_curve([0, 3], [0, 3], [-1], 3)
 
+    @pytest.mark.parametrize("pred, label", [(7, 3), (-1, 3), (3, 4), (3, -2)])
+    def test_class_range_is_checked_for_unselected_unknown_classes(self, pred, label):
+        # with seed 0 the one selection keeps class 11 only, so class 10 is never scored
+        preds = np.array([0, 1, 2, 3, pred])
+        labels = np.array([0, 1, 2, 3, label])
+        ids = np.array([-1, -1, -1, 11, 10])
+        with pytest.raises(ValueError, match="out of range"):
+            open_maf1_curve(preds, labels, ids, 3, num_selections=1, seed=0, max_unknown=1)
+
 
 def record_open_predictions(records, tau):
     """Former per-record implementation; a record is (probs, score, label)."""
@@ -251,6 +261,114 @@ class TestArraysMatchRecordOracle:
             unknown_by_class.setdefault(int(c), []).append(rec)
         points, scalar, scalar_std, _ = open_maf1_curve(preds, labels, ids, k, num_selections=6, seed=seed)
         assert (points, scalar, scalar_std) == record_curve(records[:n_known], unknown_by_class, tau, 6, seed)
+
+
+def mask_loop_macro_f1(preds, labels, num_classes):
+    """Former macro_f1: one mask per class over the samples."""
+    scores = []
+    for c in range(num_classes):
+        in_pred = preds == c
+        in_label = labels == c
+        if not in_pred.any() and not in_label.any():
+            continue
+        tp = float(np.sum(in_pred & in_label))
+        precision = tp / in_pred.sum() if in_pred.any() else 0.0
+        recall = tp / in_label.sum() if in_label.any() else 0.0
+        scores.append(0.0 if precision + recall == 0.0 else 2.0 * precision * recall / (precision + recall))
+    return float(np.mean(scores))
+
+
+def mask_loop_curve(preds, labels, ids, k, num_selections, seed, max_unknown):
+    """Former open_maf1_curve: each selection masks the open set with np.isin and runs the mask loop."""
+    known = ids < 0
+    class_ids = sorted(set(ids[~known].tolist()))
+    limit = len(class_ids) if max_unknown is None else min(max_unknown, len(class_ids))
+    note = None if limit == len(class_ids) else f"sweep truncated to {limit} of {len(class_ids)} unknown classes"
+    points = []
+    for i in range(1, limit + 1):
+        f1s = []
+        for s in range(num_selections):
+            chosen = np.random.default_rng([seed, 7001, i, s]).choice(class_ids, size=i, replace=False)
+            mask = known | np.isin(ids, chosen)
+            f1s.append(mask_loop_macro_f1(preds[mask], labels[mask], k + 1))
+        arr = np.asarray(f1s)
+        std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
+        points.append(OpennessPoint(i, openness(k, i), float(arr.mean()), std, tuple(float(v) for v in arr)))
+    omegas = np.asarray([pt.omega for pt in points])
+    means = np.asarray([pt.f1_mean for pt in points])
+    scalar = float((omegas * means).sum() / omegas.sum())
+    per_trial = np.asarray(
+        [(omegas * np.asarray([pt.f1_values[s] for pt in points])).sum() / omegas.sum() for s in range(num_selections)]
+    )
+    return points, scalar, float(per_trial.std(ddof=1)) if num_selections > 1 else 0.0, note
+
+
+def mask_loop_confusion(preds, labels, k, ids):
+    """Former confusion report: np.add.at counts and one mask per unknown class."""
+    counts = np.zeros((k + 1, k + 1))
+    np.add.at(counts, (labels, preds), 1.0)
+    rows = counts.sum(axis=1, keepdims=True)
+    matrix = np.divide(counts, rows, out=np.zeros_like(counts), where=rows > 0)
+    top = []
+    for cls in np.unique(ids[ids >= 0]):
+        as_known = preds[ids == cls] < k
+        target = int(np.argmax(np.bincount(preds[ids == cls][as_known], minlength=k))) if as_known.any() else None
+        top.append({"unknown_class": int(cls), "rate": float(as_known.mean()), "target": target})
+    top.sort(key=lambda d: (-d["rate"], d["unknown_class"]))
+    return matrix, top
+
+
+@st.composite
+def open_sets(draw):
+    """An open set with K + 1 from 3 to 12, unknown classes interleaved with known samples."""
+    k = draw(st.integers(2, 11))
+    num_classes = draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_known, n_unknown = draw(st.integers(1, 50)), draw(st.integers(num_classes, 50))
+    class_ids = rng.choice(40, size=num_classes, replace=False)
+    ids = np.concatenate([np.full(n_known, -1), class_ids, rng.choice(class_ids, size=n_unknown - num_classes)])
+    # labels and predictions from subsets of the classes, so some classes are absent from both
+    labelled = rng.choice(k, size=draw(st.integers(1, k)), replace=False)
+    labels = np.concatenate([rng.choice(labelled, size=n_known), np.full(n_unknown, k)])
+    predicted = rng.choice(k + 1, size=draw(st.integers(1, k + 1)), replace=False)
+    preds = rng.choice(predicted, size=ids.size)
+    order = rng.permutation(ids.size)
+    return preds[order], labels[order], ids[order], k
+
+
+class TestCountTablesMatchMaskLoops:
+    """The count-table sweep and confusion report equal the former mask loops bit for bit."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        open_sets(),
+        st.integers(1, 4),
+        st.integers(0, 10**6),
+        st.one_of(st.none(), st.integers(1, 7)),
+    )
+    def test_curve_and_confusion(self, open_set, num_selections, seed, max_unknown):
+        preds, labels, ids, k = open_set
+        got = open_maf1_curve(
+            preds, labels, ids, k, num_selections=num_selections, seed=seed, max_unknown=max_unknown
+        )
+        assert got == mask_loop_curve(preds, labels, ids, k, num_selections, seed, max_unknown)
+        matrix, top = confusion_and_top_confusions(preds, labels, k, ids)
+        want_matrix, want_top = mask_loop_confusion(preds, labels, k, ids)
+        assert np.array_equal(matrix, want_matrix) and top == want_top
+        assert macro_f1(preds, labels, k + 1) == mask_loop_macro_f1(preds, labels, k + 1)
+
+    def test_absent_classes_inside_the_pairwise_block(self):
+        # from 8 present classes numpy's pairwise sum groups the first 8 apart; with classes 1
+        # and 2 absent, a mean over a zero-padded row of all K + 1 classes groups differently
+        rng = np.random.default_rng(1)
+        present = [0, 3, 4, 5, 6, 7, 8, 9, 10]
+        labels = np.concatenate([rng.choice(present, 60), np.full(24, 11)])
+        ids = np.concatenate([np.full(60, -1), 30 + np.arange(24) % 4])
+        preds = rng.choice(present + [11], size=labels.size)
+        order = rng.permutation(labels.size)
+        preds, labels, ids = preds[order], labels[order], ids[order]
+        got = open_maf1_curve(preds, labels, ids, 11, num_selections=3, seed=5)
+        assert got == mask_loop_curve(preds, labels, ids, 11, 3, 5, None)
 
 
 def brute_force_auc(known, unknown):
@@ -400,6 +518,44 @@ class TestScoreDump:
         path = tmp_path / "scores.jsonl"
         write_score_dump(path, [[0.5, 0.5]], [0.9], [2])
         assert '"label": "unknown"' in path.read_text()
+
+    @staticmethod
+    def json_dumps_oracle(probs, scores, labels):
+        k = np.shape(probs)[1]
+        records = zip(np.asarray(probs).tolist(), np.asarray(scores).tolist(), np.asarray(labels).tolist())
+        return "".join(
+            json.dumps({"probs": row, "score": score, "label": "unknown" if label == k else label}, sort_keys=True)
+            + "\n"
+            for row, score, label in records
+        )
+
+    def test_bytes_equal_json_dumps_of_each_record(self, tmp_path):
+        probs = np.array([[0.0, 5e-324, 1.0], [np.nan, np.inf, -np.inf], [1 / 3, 1e-300, 123456789.0]])
+        scores = np.array([5e-324, np.nan, -np.inf])
+        labels = np.array([3, 0, 2])
+        path = tmp_path / "scores.jsonl"
+        write_score_dump(path, probs, scores, labels)
+        text = path.read_text(encoding="utf-8")
+        assert text == self.json_dumps_oracle(probs, scores, labels)
+        assert text.splitlines()[0] == '{"label": "unknown", "probs": [0.0, 5e-324, 1.0], "score": 5e-324}'
+        assert '"probs": [NaN, Infinity, -Infinity], "score": NaN' in text
+
+    def test_empty_dump(self, tmp_path):
+        path = tmp_path / "scores.jsonl"
+        write_score_dump(path, np.zeros((0, 3)), np.zeros(0), np.zeros(0, dtype=np.int64))
+        assert path.read_bytes() == b""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 8), st.integers(2, 6), st.data())
+    def test_bytes_equal_json_dumps_for_any_floats(self, tmp_path_factory, n, k, data):
+        values = st.floats(allow_nan=True, allow_infinity=True, width=64)
+        probs = np.asarray(data.draw(st.lists(st.lists(values, min_size=k, max_size=k), min_size=n, max_size=n)))
+        probs = probs.reshape(n, k)
+        scores = np.asarray(data.draw(st.lists(values, min_size=n, max_size=n)), dtype=np.float64)
+        labels = np.asarray(data.draw(st.lists(st.integers(0, k), min_size=n, max_size=n)), dtype=np.int64)
+        path = tmp_path_factory.mktemp("dump") / "scores.jsonl"
+        write_score_dump(path, probs, scores, labels)
+        assert path.read_text(encoding="utf-8") == self.json_dumps_oracle(probs, scores, labels)
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "scores.jsonl"
