@@ -17,8 +17,9 @@ are treated as constants (stop-gradient).  Each loss is written once, as one
 formula over per-branch terms.  ``debias_objective`` and ``bias_objective``
 compose those terms with their gradients, and the training step calls both;
 ``branch_losses`` composes the same terms for the finite-difference audit,
-with the held branches' parts computed once.  At inference the biased
-branches are dropped entirely.
+with the held branches' parts, and each branch's own HSIC terms for its head
+parameters, computed once.  At inference the biased branches are dropped
+entirely.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evidential import EvidenceFunction, _probs_and_uncertainty
-from .hsic import KernelParams, centered_gram, hsic_value_and_grad, hsic_values
+from .hsic import KernelParams, _hsic_values, centered_gram, hsic_value_and_grad, hsic_values
 from .losses import (
     CLAMP_EPS,
     BatchPrediction,
@@ -315,50 +316,66 @@ def branch_losses(
     *,
     lambda_t: float = 0.0,
     use_euc: bool = False,
-) -> dict[str, Callable[[np.ndarray, np.ndarray], float]]:
-    """One side's objective loss as a function of one branch's (features, evidence).
+) -> dict[str, tuple[Callable[[np.ndarray, np.ndarray], float], Callable[[np.ndarray], float]]]:
+    """One side's objective loss as a function of one branch's output.
 
     Side "f" maps "f" to the loss of :func:`debias_objective`; side "h" maps
     "h_shuffled" and "h_static" to that of :func:`bias_objective` (which takes
-    no ``lambda_t`` or ``use_euc``).  Every other branch is held at ``fwd``, and
-    what the held branches contribute is computed here once: their centred
-    Grams (M(h_shuffled) and M(h_static) for "f", M(f) for "h") and, for "h",
-    the held biased branch's (L_cls, HSIC) term.  The labels are checked once,
-    here, with :func:`~osev.losses.edl_loss_batch`'s messages; a call takes the
-    evidence of a branch forward as valid, computes only the given branch's
-    own term, values only, through the formulas the objectives differentiate,
-    and returns the objective's loss bit for bit.
+    no ``lambda_t`` or ``use_euc``).  Each name maps to a pair: the loss as a
+    function of the branch's (features, evidence), and the loss as a function
+    of its evidence alone, with its features held at ``fwd`` (all that a head
+    parameter can change).  Every other branch is held at ``fwd``, and what is
+    held is computed here once: the held branches' centred Grams (M(h_shuffled)
+    and M(h_static) for "f", M(f) for "h"), each branch's own HSIC values at
+    its features in ``fwd``, which the evidence-only loss reads instead of
+    recomputing them, and, for "h", each biased branch's (L_cls, HSIC) term for
+    the other's loss.  The labels are checked once, here, with
+    :func:`~osev.losses.edl_loss_batch`'s messages; a call takes the features
+    and evidence of the branch's own forward as valid, computes only the given
+    branch's own term, values only, through the formulas the objectives
+    differentiate, and returns the objective's loss bit for bit.
     """
     if side not in ("f", "h"):
         raise ValueError(f"side must be f or h, got {side!r}")
     y = _validate_labels(labels, *fwd.e_f.shape)
 
     def edl(evidence: np.ndarray) -> float:
-        return float(_edl_loss(y, evidence, with_grad=False)[0].mean())
+        losses = _edl_loss(y, evidence, with_grad=False)[0]
+        return float(np.add.reduce(losses) / losses.size)
 
     if side == "f":
         held = [centered_gram(fwd.h_shuffled, kernel), centered_gram(fwd.h_static, kernel)]
 
-        def main_loss(feats: np.ndarray, evidence: np.ndarray) -> float:
+        def main_loss(hsic_pair: list[float], evidence: np.ndarray) -> float:
             euc = 0.0
             if use_euc:
                 batch = BatchPrediction._from_valid(y, evidence, *_probs_and_uncertainty(evidence))
                 euc = _euc_loss(batch, lambda_t, CLAMP_EPS, with_grad=False)[0]
-            hs_sh, hs_st = hsic_values(feats, held, kernel)
-            return _debias_loss(edl(evidence), euc, hs_sh, hs_st, weights)
+            return _debias_loss(edl(evidence), euc, *hsic_pair, weights)
 
-        return {"f": main_loss}
+        at_fwd = _hsic_values(fwd.f, held, kernel)
+        return {
+            "f": (
+                lambda feats, evidence: main_loss(_hsic_values(feats, held, kernel), evidence),
+                lambda evidence: main_loss(at_fwd, evidence),
+            )
+        }
     held_f = [centered_gram(fwd.f, kernel)]
 
-    def term(feats: np.ndarray, evidence: np.ndarray) -> tuple[float, float]:
-        (hs,) = hsic_values(feats, held_f, kernel)
-        return edl(evidence), hs
+    def hsic(feats: np.ndarray) -> float:
+        return _hsic_values(feats, held_f, kernel)[0]
 
-    shuffled = term(fwd.h_shuffled, fwd.e_shuffled)
-    static = term(fwd.h_static, fwd.e_static)
+    hs_sh, hs_st = hsic(fwd.h_shuffled), hsic(fwd.h_static)
+    shuffled, static = (edl(fwd.e_shuffled), hs_sh), (edl(fwd.e_static), hs_st)
     return {
-        "h_shuffled": lambda feats, evidence: _bias_loss(term(feats, evidence), static, weights),
-        "h_static": lambda feats, evidence: _bias_loss(shuffled, term(feats, evidence), weights),
+        "h_shuffled": (
+            lambda feats, evidence: _bias_loss((edl(evidence), hsic(feats)), static, weights),
+            lambda evidence: _bias_loss((edl(evidence), hs_sh), static, weights),
+        ),
+        "h_static": (
+            lambda feats, evidence: _bias_loss(shuffled, (edl(evidence), hsic(feats)), weights),
+            lambda evidence: _bias_loss(shuffled, (edl(evidence), hs_st), weights),
+        ),
     }
 
 

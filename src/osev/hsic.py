@@ -55,13 +55,13 @@ def _as_feature_matrix(x, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be 2-D (samples, features), got shape {arr.shape}")
     if arr.shape[0] < 2:
         raise ValueError(f"{name} needs at least 2 samples, got {arr.shape[0]}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteInputError(f"{name} contains non-finite values")
     return arr
 
 
 def _sq_dists(x: np.ndarray) -> np.ndarray:
-    sq = (x * x).sum(axis=1)
+    sq = np.add.reduce(x * x, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
     return np.maximum(d2, 0.0)
 
@@ -151,7 +151,7 @@ def _y_centered(ay: np.ndarray, params: KernelParams) -> np.ndarray:
 
 
 def _value(kx: np.ndarray, m: np.ndarray, scale: float) -> float:
-    return float((kx * m).sum() * scale)
+    return float(np.add.reduce(kx * m, axis=None) * scale)
 
 
 def centered_gram(y, params: KernelParams = KernelParams()) -> np.ndarray:
@@ -171,8 +171,13 @@ def hsic_values(x, centered, params: KernelParams = KernelParams()) -> list[floa
     for m in centered:
         if np.shape(m) != (n, n):
             raise ValueError(f"a centred Gram must be ({n}, {n}) to pair with x, got shape {np.shape(m)}")
+    return _hsic_values(ax, centered, params)
+
+
+def _hsic_values(ax: np.ndarray, centered, params: KernelParams) -> list[float]:
+    """:func:`hsic_values` of validated features and centred Grams that pair with them."""
     kx, _ = _x_kernel(ax, params)
-    scale = 1.0 / (n - 1) ** 2
+    scale = 1.0 / (ax.shape[0] - 1) ** 2
     return [_value(kx, m, scale) for m in centered]
 
 

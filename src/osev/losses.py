@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evidential import batch_probs_and_uncertainty, validate_evidence
+from .evidential import _clamp, batch_probs_and_uncertainty, validate_evidence
 
 __all__ = [
     "CLAMP_EPS",
@@ -183,8 +183,8 @@ def _euc_loss(
         raise ValueError(f"lambda_t must be in [0, 1], got {lambda_t}")
     p_raw = batch.max_prob
     u_raw = batch.uncertainty
-    p = np.clip(p_raw, clamp_eps, 1.0 - clamp_eps)
-    u = np.clip(u_raw, clamp_eps, 1.0 - clamp_eps)
+    p = _clamp(p_raw, clamp_eps, 1.0 - clamp_eps)
+    u = _clamp(u_raw, clamp_eps, 1.0 - clamp_eps)
     acc = batch.accurate
     inacc = ~acc
     grad_p = np.zeros_like(p) if with_grad else None
@@ -192,14 +192,14 @@ def _euc_loss(
     loss = 0.0
     if acc.any():
         log_one_minus_u = np.log1p(-u[acc])
-        loss -= lambda_t * float((p[acc] * log_one_minus_u).mean())
+        loss -= lambda_t * float(np.add.reduce(p[acc] * log_one_minus_u) / log_one_minus_u.size)
         if with_grad:
             n = float(acc.sum())
             grad_p[acc] = -lambda_t * log_one_minus_u / n
             grad_u[acc] = lambda_t * p[acc] / ((1.0 - u[acc]) * n)
     if inacc.any():
         log_u = np.log(u[inacc])
-        loss -= (1.0 - lambda_t) * float(((1.0 - p[inacc]) * log_u).mean())
+        loss -= (1.0 - lambda_t) * float(np.add.reduce((1.0 - p[inacc]) * log_u) / log_u.size)
         if with_grad:
             m = float(inacc.sum())
             grad_p[inacc] = (1.0 - lambda_t) * log_u / m

@@ -334,6 +334,22 @@ def score_split(net: EvidentialNet, config: RunConfig, x: np.ndarray) -> tuple[n
     return probs, u
 
 
+def _median(values: np.ndarray) -> float:
+    """np.median of a non-empty array of finite values, bit for bit.
+
+    np.median's first call in a process imports numpy.ma, which costs more
+    than the rest of an evaluation's metrics.  This takes the same steps: a
+    partition at np.median's points, its NaN probe at -1 included (other
+    points may leave a different one of two equal values, such as 0.0 and
+    -0.0, in the middle), then the mean of the middle one or two values as
+    ndarray.mean computes it (its sum turns -0.0 into 0.0).
+    """
+    half, odd = divmod(values.size, 2)
+    kth = (half, -1) if odd else (half - 1, half, -1)
+    middle = np.partition(values, kth)[half - 1 + odd : half + 1]
+    return float(np.add.reduce(middle) / middle.size)
+
+
 def run_evaluation(
     checkpoint_path,
     data_dir,
@@ -420,7 +436,7 @@ def run_evaluation(
     conf_k1 = np.where(pred_unknown, scores, prob_pred * (1.0 - scores))
     ece_open_k1 = ece(conf_k1, (preds == labels).astype(float), ece_bins)
 
-    thr = float(avu_threshold) if avu_threshold > 0.0 else float(np.median(scores_b))
+    thr = float(avu_threshold) if avu_threshold > 0.0 else _median(scores_b)
     avu_value = avu(correct_closed, scores_b, thr)
 
     report = {
@@ -552,10 +568,12 @@ def _branch_gradchecks(
     values only.  A backbone coordinate's quotient re-forwards the branch
     alone, on the input it already has.  A head parameter cannot change the
     features, so a head coordinate's quotient re-forwards only the head, on
-    the branch's features in ``fwd``.  Each quotient thus computes only the
-    perturbed branch's term and equals ``objective(...).loss`` of a full
-    forward bit for bit.  ``objective`` itself is not called; it is taken so
-    that a differencing that calls it whole can take this function's place.
+    the branch's features in ``fwd``, and reads the branch's HSIC term at
+    those features from ``branch_losses`` instead of recomputing it.  Each
+    quotient thus computes only what the perturbed parameter can change and
+    equals ``objective(...).loss`` of a full forward bit for bit.
+    ``objective`` itself is not called; it is taken so that a differencing
+    that calls it whole can take this function's place.
     One coordinate generator runs through the side's branches in parameter
     order (f; or h_shuffled, then h_static; backbone before head), so the
     coordinates sampled are exactly those of one gradcheck over all of the
@@ -573,13 +591,13 @@ def _branch_gradchecks(
     coords = np.random.default_rng(0)
     reports = []
     for name, branch, inp, feats in parts:
-        branch_loss = losses[name]
+        branch_loss, evidence_loss = losses[name]
 
         def backbone_loss() -> float:
             return branch_loss(*branch.forward(inp))
 
         def head_loss() -> float:
-            return branch_loss(feats, branch.head.forward(feats))
+            return evidence_loss(branch.head.forward(feats))
 
         reports.append(gradcheck(backbone_loss, branch.backbone.parameters(), eps=eps, rng=coords))
         reports.append(gradcheck(head_loss, branch.head.parameters(), eps=eps, rng=coords))
@@ -602,10 +620,12 @@ def run_gradcheck(
     is exactly how the training step treats them.  Each side's branches are
     differenced separately: all three branches are forwarded once per
     instance, and each difference quotient re-forwards only the perturbed
-    branch (only its head, for a head parameter) and recomputes only the
-    value of its term, while the others' contributions stay cached and the
-    labels are checked once (see :func:`_branch_gradchecks`).  Returns
-    (entries, ok).
+    branch (only its head, for a head parameter, which also holds the
+    branch's HSIC term) and recomputes only the value of its term, while the
+    others' contributions stay cached and the labels are checked once (see
+    :func:`_branch_gradchecks`).  A coordinate whose relative error is NaN
+    (a NaN gradient or loss) counts as infinitely wrong (see
+    :func:`~osev.nn.gradcheck`), so its check fails.  Returns (entries, ok).
 
     Raises :class:`ConfigError` for fewer than one instance or a ``tol`` that
     is not positive and finite: such an audit would pass without checking

@@ -157,7 +157,8 @@ class TestStopGradients:
 )
 def test_branch_losses_equal_the_objective_on_a_fresh_forward(seed, branch, batch, use_euc, lambda_hsic, sigma, delta):
     """Held pieces built before one coordinate of one branch moves still give
-    objective(...).loss of a full forward after the move, bit for bit."""
+    objective(...).loss of a full forward after the move, bit for bit; so does the
+    evidence-only loss on the held features when the coordinate is in the head."""
     branches = make_branches(seed)
     rng = np.random.default_rng([seed, 4])
     x, labels = rng.normal(size=(batch, CHANNELS, 10)), rng.integers(0, CLASSES, size=batch)
@@ -168,7 +169,8 @@ def test_branch_losses_equal_the_objective_on_a_fresh_forward(seed, branch, batc
         objective, side, options, net = debias_objective, "f", {"lambda_t": 0.4, "use_euc": use_euc}, branches.f_branch
     else:
         objective, side, options, net = bias_objective, "h", {}, getattr(branches, branch)
-    losses = branch_losses(side, ced_forward(branches, x, perms=perms), labels, weights, kernel, **options)
+    fwd = ced_forward(branches, x, perms=perms)
+    branch_loss, evidence_loss = branch_losses(side, fwd, labels, weights, kernel, **options)[branch]
 
     params = net.parameters()
     param = params[rng.integers(len(params))]
@@ -176,7 +178,9 @@ def test_branch_losses_equal_the_objective_on_a_fresh_forward(seed, branch, batc
     inp = apply_time_permutations(x, perms) if branch == "h_shuffled" else x
     full = ced_forward(branches, x, perms=perms)
     expected = objective(branches, full, labels, weights, kernel, apply_grads=False, **options).loss
-    assert losses[branch](*net.forward(inp)) == expected
+    assert branch_loss(*net.forward(inp)) == expected
+    if any(param is p for p in net.head.parameters()):
+        assert evidence_loss(net.head.forward(getattr(fwd, branch))) == expected
 
 
 def test_branch_losses_rejects_an_unknown_side():

@@ -9,6 +9,7 @@ from osev.evidential import (
     DEFAULT_EXP_BOUND,
     EvidenceFunction,
     NonFiniteInputError,
+    _clamp,
     batch_probs_and_uncertainty,
     evidence_from_logits,
     evidence_grad_wrt_logits,
@@ -166,3 +167,66 @@ def test_threshold_guarantees_coverage():
         for coverage in (0.5, 0.8, 0.95, 1.0):
             tau = threshold_from_train_scores(scores, coverage)
             assert np.mean(scores <= tau) >= coverage
+
+
+def bits(a) -> bytes:
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+nonzero_bounds = st.floats(allow_nan=False, allow_infinity=True).filter(lambda v: v != 0.0)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    x=st.lists(st.floats(allow_nan=False), min_size=1, max_size=12),
+    bounds=st.tuples(nonzero_bounds, nonzero_bounds).filter(lambda b: b[0] != b[1]),
+)
+def test_clamp_is_np_clip_bit_for_bit(x, bounds):
+    lo, hi = sorted(bounds)
+    assert bits(_clamp(np.array(x), lo, hi)) == bits(np.clip(np.array(x), lo, hi))
+
+
+def clamp_edges(bound: float) -> list[float]:
+    """Finite logits exactly at, just inside and beyond +-bound, signed zeros and subnormals."""
+    near = [np.nextafter(bound, 0.0), np.nextafter(bound, np.inf), 2.0 * bound, 1e308]
+    values = [bound, *near, 0.0, 5e-324, 1e-310, 2.2250738585072014e-308]
+    return [v for s in (1.0, -1.0) for v in (s * np.float64(u) for u in values) if np.isfinite(v)]
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    bound=st.one_of(st.just(np.inf), st.just(DEFAULT_EXP_BOUND), st.floats(min_value=5e-324, max_value=1e308)),
+    data=st.data(),
+)
+def test_exp_evidence_is_exp_of_np_clip_bit_for_bit(bound, data):
+    edges = st.sampled_from(clamp_edges(bound))
+    logits = data.draw(st.lists(edges | st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=16))
+    x = np.array(logits)
+    with np.errstate(over="ignore"):
+        assert bits(evidence_from_logits(x, "exp", bound)) == bits(np.exp(np.clip(x, -bound, bound)))
+        for d in (-1.0, 1.0):  # the gradient's clamp too, a step either side of each logit
+            moved = np.nextafter(x, d * np.inf)
+            expected = np.where(np.abs(moved) < bound, np.exp(np.clip(moved, -bound, bound)), 0.0)
+            assert bits(evidence_grad_wrt_logits(moved, "exp", bound)) == bits(expected)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    shape=st.tuples(st.integers(1, 4), st.integers(2, 5)),
+    data=st.data(),
+)
+def test_non_finite_values_are_reported_at_their_first_index(shape, data):
+    """The first non-finite value in C order is named, for logits and evidence alike."""
+    size = shape[0] * shape[1]
+    bad = data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=3, unique=True))
+    values = np.arange(size, dtype=np.float64)
+    values[bad] = data.draw(st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), min_size=len(bad),
+                                     max_size=len(bad)))
+    x = values.reshape(shape)
+    first = tuple(int(i) for i in np.unravel_index(min(bad), shape))
+    with pytest.raises(NonFiniteInputError) as logit:
+        evidence_from_logits(x)
+    assert str(logit.value) == f"non-finite logit at index {first}"
+    with pytest.raises(NonFiniteInputError) as evidence:
+        validate_evidence(x)
+    assert str(evidence.value) == f"non-finite evidence at index {first}"

@@ -12,6 +12,7 @@ from osev.hsic import (
     _center,
     _gram,
     _sq_dists,
+    _value,
     centered_gram,
     hsic_biased,
     hsic_value_and_grad,
@@ -307,3 +308,22 @@ class TestValidation:
             KernelParams(sigma=0.0)
         with pytest.raises(ValueError, match="sigma"):
             KernelParams(sigma=-1.0)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e150, max_value=1e150)
+
+
+def matrices(rows, cols):
+    return st.lists(st.lists(finite, min_size=cols, max_size=cols), min_size=rows, max_size=rows).map(np.array)
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data(), n=st.integers(2, 9), d=st.integers(1, 5), scale=st.floats(0.01, 10.0))
+def test_sums_equal_ndarray_sum_bit_for_bit(data, n, d, scale):
+    """_sq_dists and _value against the ndarray.sum expressions they replace."""
+    x = data.draw(matrices(n, d))
+    sq = (x * x).sum(axis=1)
+    expected = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)
+    assert _sq_dists(x).tobytes() == expected.tobytes()
+    kx, m = data.draw(matrices(n, n)), data.draw(matrices(n, n))
+    assert repr(_value(kx, m, scale)) == repr(float((kx * m).sum() * scale))

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from osev import losses as losses_module
 from osev.evidential import _probs_and_uncertainty
 from osev.losses import (
     CLAMP_EPS,
@@ -316,3 +317,37 @@ def test_softmax_ce_matches_one_hot_form():
     loss, grad = softmax_ce_loss(labels, logits)
     assert loss == pytest.approx(float(-(y * log_probs).sum() / 9), rel=1e-15)
     assert (grad == (np.exp(log_probs) - y) / 9).all()
+
+
+def euc_edges() -> list[float]:
+    """Probabilities and uncertainties exactly at, just inside and beyond each clamp bound."""
+    lo, hi = CLAMP_EPS, 1.0 - CLAMP_EPS
+    return [0.0, 5e-324, lo, np.nextafter(lo, 0.0), np.nextafter(lo, 1.0), 0.5,
+            hi, np.nextafter(hi, 0.0), np.nextafter(hi, 1.0), 1.0]
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data(), n=st.integers(1, 8), lambda_t=st.floats(0.0, 1.0), with_grad=st.booleans())
+def test_euc_clamps_are_np_clip_bit_for_bit(data, n, lambda_t, with_grad):
+    """_euc_loss against itself with np.clip as its clamp, and its value against the
+    np.clip and ndarray.mean expression it replaces."""
+    unit = st.sampled_from(euc_edges()) | st.floats(0.0, 1.0)
+    p = np.array(data.draw(st.lists(unit, min_size=n, max_size=n)))
+    u = np.array(data.draw(st.lists(unit, min_size=n, max_size=n)))
+    acc = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    batch = BatchPrediction(labels=np.zeros(n, dtype=np.int64), evidence=np.ones((n, 2)), probs=np.full((n, 2), 0.5),
+                            uncertainty=u, predicted=np.zeros(n, dtype=np.int64), max_prob=p, accurate=acc)
+    got = _euc_loss(batch, lambda_t, CLAMP_EPS, with_grad)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(losses_module, "_clamp", np.clip)
+        clipped = _euc_loss(batch, lambda_t, CLAMP_EPS, with_grad)
+    assert repr(got[0]) == repr(clipped[0])
+    for ours, reference in zip(got[1:], clipped[1:]):
+        assert (ours is None and reference is None) or ours.tobytes() == reference.tobytes()
+    pc, uc = np.clip(p, CLAMP_EPS, 1.0 - CLAMP_EPS), np.clip(u, CLAMP_EPS, 1.0 - CLAMP_EPS)
+    expected = 0.0
+    if acc.any():
+        expected -= lambda_t * float((pc[acc] * np.log1p(-uc[acc])).mean())
+    if (~acc).any():
+        expected -= (1.0 - lambda_t) * float(((1.0 - pc[~acc]) * np.log(uc[~acc])).mean())
+    assert repr(got[0]) == repr(expected)

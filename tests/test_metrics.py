@@ -20,6 +20,7 @@ from osev.metrics import (
     roc_auc,
     write_score_dump,
 )
+from osev.runner import _median
 
 
 class TestOpenness:
@@ -591,3 +592,16 @@ class TestScoreDump:
         path.write_text('{"probs": [0.5, 0.5], "score": 0.1, "label": "unknown"}\n' + line + "\n")
         with pytest.raises(ValueError, match=rf"scores\.jsonl:2: .*{message}"):
             read_score_dump(path)
+
+
+@settings(deadline=None, max_examples=200)
+@given(half=st.integers(1, 20), odd=st.booleans(), data=st.data())
+def test_avu_median_is_np_median_bit_for_bit(half, odd, data):
+    """The AVU threshold's median, on odd and even lengths with ties, leaves its input alone."""
+    size = 2 * half - odd
+    values = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]) | st.floats(allow_nan=False, allow_infinity=False)
+    x = np.array(data.draw(st.lists(values, min_size=size, max_size=size)))
+    before = x.tobytes()
+    with np.errstate(over="ignore"):
+        assert repr(_median(x)) == repr(float(np.median(x)))
+    assert x.tobytes() == before

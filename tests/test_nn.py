@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from osev.checkpoint import load_checkpoint, save_checkpoint, sidecar_path
 from osev.nn import (
@@ -60,6 +62,36 @@ class TestGradcheckHarness:
         report = gradcheck(loss, [p])
         assert not report.ok(1e-4)
         assert [e.name for e in report.failures(1e-4)] == ["theta"]
+
+    def test_nan_gradient_is_caught(self):
+        w = Parameter("w", np.array([1.0, -2.0, 0.5]))
+        w.grad[...] = 2.0 * w.value
+        w.grad[1] = np.nan
+        report = gradcheck(lambda: float((w.value**2).sum()), [w])
+        assert not report.ok(1e-4)
+        assert report.max_rel_err == math.inf
+        assert report.entries[0].worst_coord == 1
+
+    def test_nan_loss_is_caught(self):
+        w = Parameter("w", np.array([1.0, -2.0, 0.5]))
+        w.grad[...] = 2.0 * w.value
+        report = gradcheck(lambda: float("nan"), [w])
+        assert not report.ok(1e-4)
+        assert report.max_rel_err == math.inf
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 300)),
+    seed=st.integers(0, 2**32 - 1),
+    specials=st.lists(st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 1e150, -1e150]), max_size=8),
+)
+def test_mean_pool_is_ndarray_mean_bit_for_bit(shape, seed, specials):
+    """Time axes shorter and longer than numpy's pairwise-sum blocks, magnitudes from 1e-150 to 1e150."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-150, 151, size=shape)
+    x.flat[rng.integers(x.size, size=len(specials))] = specials
+    assert TemporalMeanPool().forward(x).tobytes() == x.mean(axis=2).tobytes()
 
 
 class TestLayerGradients:

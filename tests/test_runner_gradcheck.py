@@ -1,11 +1,13 @@
 """osev gradcheck differences each CED branch alone and checks what one full-forward call would."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from osev import debias, losses, runner
+from osev.cli import main
 from osev.config import ConfigError, RunConfig
 from osev.data import SyntheticSpec, generate, save_dataset
 from osev.nn import EvidenceHead, EvidentialNet
@@ -99,14 +101,15 @@ def _coords(params, max_coords=64):
 
 def test_quotients_forward_only_the_perturbed_branch(dataset_dir, monkeypatch):
     """Per sampled backbone coordinate: two forwards of the perturbed branch; per head
-    coordinate: two forwards of its head alone, on the branch's held features.  Each
-    quotient evaluates the perturbed branch's term, values only, on what that forward
-    returned: no CED forward, time permutation, objective, centred Gram, validation,
-    gradient-carrying loss or held branch's term inside a difference quotient; the
-    held pieces are built, and the labels checked, once per side instance."""
+    coordinate: two forwards of its head alone, on the branch's held features, and no
+    HSIC value.  Each quotient evaluates the perturbed branch's terms, values only, on
+    what that forward returned: no CED forward, time permutation, objective, centred
+    Gram, validation, gradient-carrying loss or held branch's term inside a difference
+    quotient; the held pieces, each branch's own HSIC terms among them, are built, and
+    the labels checked, once per side instance."""
     counts = dict.fromkeys(
         ("ced_forward", "apply_time_permutations", "_branch_kink_distance", "objective", "centered_gram",
-         "hsic_values", "_edl_loss", "_euc_loss", "_probs_and_uncertainty", "_validate_labels",
+         "hsic_values", "_hsic_values", "_edl_loss", "_euc_loss", "_probs_and_uncertainty", "_validate_labels",
          "edl_loss_batch", "euc_loss_grad_evidence", "validate_evidence", "batch_probs_and_uncertainty"),
         0,
     )
@@ -137,18 +140,18 @@ def test_quotients_forward_only_the_perturbed_branch(dataset_dir, monkeypatch):
         counting(runner, name)
     for name in ("debias_objective", "bias_objective"):
         counting(runner, name, key="objective")
-    for name in ("centered_gram", "_validate_labels", "edl_loss_batch", "euc_loss_grad_evidence"):
+    for name in ("centered_gram", "hsic_values", "_validate_labels", "edl_loss_batch", "euc_loss_grad_evidence"):
         counting(debias, name)
     for name in ("validate_evidence", "batch_probs_and_uncertainty"):
         counting(losses, name)
-    counting(debias, "hsic_values", perturbed=(lambda args: args[0], 0))  # the perturbed branch's features
+    counting(debias, "_hsic_values", perturbed=(lambda args: args[0], 0))  # the perturbed branch's features
     counting(debias, "_edl_loss", perturbed=(lambda args: args[1], 1))  # ... and its evidence
     counting(debias, "_probs_and_uncertainty", perturbed=(lambda args: args[0], 1))
     counting(debias, "_euc_loss", perturbed=(lambda args: args[0].evidence, 1))
 
-    builds = []  # per side instance: (centred Grams, held terms' HSIC and EDL, label checks) by branch_losses
+    builds = []  # per side instance: (centred Grams, own HSIC terms, held EDL terms, label checks) by branch_losses
     inner_branch_losses = runner.branch_losses
-    built = ("centered_gram", "hsic_values", "_edl_loss", "_validate_labels")
+    built = ("centered_gram", "_hsic_values", "_edl_loss", "_validate_labels")
 
     def branch_losses(*args, **kwargs):
         before = [counts[key] for key in built]
@@ -178,7 +181,7 @@ def test_quotients_forward_only_the_perturbed_branch(dataset_dir, monkeypatch):
     monkeypatch.setattr(EvidenceHead, "forward", head)
     inner_gradcheck = runner.gradcheck
     calls = []
-    terms = ("hsic_values", "_edl_loss", "_euc_loss")
+    terms = ("_hsic_values", "_edl_loss", "_euc_loss")
 
     def tracked_gradcheck(loss_fn, params, **kwargs):
         branches = {p.name.split(".")[0] for p in params}
@@ -207,16 +210,19 @@ def test_quotients_forward_only_the_perturbed_branch(dataset_dir, monkeypatch):
     for index, (branch, part, coords, evaluated, forwards, heads) in enumerate(calls):
         assert coords > 0
         with_euc = branch == "f" and index >= len(f_side + h_side)  # composed.main_side runs EUC
-        assert evaluated == (2 * coords, 2 * coords, 2 * coords if with_euc else 0), (branch, part)
+        hsic = 2 * coords if part == "conv" else 0  # a head quotient reads its branch's HSIC term
+        assert evaluated == (hsic, 2 * coords, 2 * coords if with_euc else 0), (branch, part)
         assert forwards == ({branch: 2 * coords} if part == "conv" else {}), (branch, part)
         assert heads == {branch: 2 * coords}, (branch, part)
-    # one build per side instance: the f side holds M(h_shuffled) and M(h_static);
-    # the h side holds M(f) and each biased branch's term for the other's quotients;
+    # one build per side instance: the f side holds M(h_shuffled) and M(h_static)
+    # and f's own HSIC pair against them; the h side holds M(f) and each biased
+    # branch's (EDL, HSIC) term, for its head quotients and the other's quotients;
     # each checks the labels once
-    assert builds == [(2, 0, 0, 1), (1, 2, 2, 1), (2, 0, 0, 1), (1, 2, 2, 1)]
+    assert builds == [(2, 1, 0, 1), (1, 2, 2, 1), (2, 1, 0, 1), (1, 2, 2, 1)]
     # besides those 6, each composed check's step records the other side's two
-    # HSIC values, each through one centred Gram
+    # HSIC values, each through one centred Gram and the checked hsic_values
     assert counts["centered_gram"] == 6 + 4
+    assert counts["hsic_values"] == 4
     assert counts["objective"] == 2  # the objective checks' analytic gradients
     # one CED forward per side instance; besides each kink test's shuffle,
     # one permuted input per h-side instance
@@ -232,3 +238,32 @@ def test_quotients_forward_only_the_perturbed_branch(dataset_dir, monkeypatch):
 def test_an_audit_that_checks_nothing_is_a_config_error(dataset_dir, options, message):
     with pytest.raises(ConfigError, match=message):
         runner.run_gradcheck(acceptance_config(dataset_dir, 0), **options)
+
+
+def nan_gradient(edl_loss_batch):
+    def wrapped(labels, e):
+        losses, grads = edl_loss_batch(labels, e)
+        grads = grads.copy()
+        grads[0, 1] = np.nan
+        return losses, grads
+
+    return wrapped
+
+
+@pytest.mark.parametrize(
+    "name, fake, check",
+    [("edl_loss_batch", nan_gradient(runner.edl_loss_batch), "loss.edl"),  # NaN analytic gradient
+     ("hsic_values", lambda *args: [math.nan], "loss.hsic")],  # NaN loss, so NaN quotients
+)
+def test_a_nan_error_fails_its_check(dataset_dir, tmp_path, monkeypatch, capsys, name, fake, check):
+    """A NaN relative error counts as infinite: the check fails and osev gradcheck exits 5."""
+    monkeypatch.setattr(runner, name, fake)
+    entries, ok = runner.run_gradcheck(acceptance_config(dataset_dir, 0), instances=2)
+    assert not ok
+    assert [e["check"] for e in entries if e["max_rel_err"] == math.inf] == [check]
+    assert all(e["max_rel_err"] < 1e-4 for e in entries if e["check"] != check)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"dataset = {dataset_dir}\nseed = 0\nfeature_width = 12\nkernel_width = 9\n")
+    assert main(["gradcheck", "--config", str(cfg), "--instances", "1"]) == 5
+    out, err = capsys.readouterr()
+    assert f"FAIL {check}" in out and f"gradient check failed: {check}" in err
