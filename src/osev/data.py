@@ -15,7 +15,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
 import re
+import threading
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -367,14 +370,83 @@ def _read_manifest(directory) -> tuple[SyntheticSpec, dict[str, Path]]:
     return spec, {name: d / fname for name, fname in listed.items() if name in SPLIT_NAMES}
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _parse_each(files) -> dict[str, DatasetSplit]:
+    """The splits of ``files`` that parse; one that raises is left out, for the caller to parse again."""
+    parsed = {}
+    for name, path in files:
+        try:
+            parsed[name] = load_split(path, kind=name)
+        except (ValueError, OSError):
+            pass
+    return parsed
+
+
+def _parse_in_two_processes(files) -> dict[str, DatasetSplit]:
+    """Parse ``(name, path)`` pairs in this process and one forked child; {} when that cannot help.
+
+    Parsing is correctly rounded float conversion, which holds the GIL, so
+    threads would not overlap it.  It takes two or more files, two usable CPUs,
+    and no other thread, since forking a threaded process is unsafe.  The files
+    go largest first to whichever process has fewer bytes so far.  The child
+    pickles what it parsed into a pipe and leaves by ``os._exit`` on every
+    path; it is reaped before this returns, whatever is raised.  A split that
+    failed in either process is missing from the result.
+    """
+    if len(files) < 2 or not hasattr(os, "fork") or _usable_cpus() < 2 or threading.active_count() > 1:
+        return {}
+    try:
+        sizes = {path: os.path.getsize(path) for _, path in files}
+    except OSError:  # the serial loop names the file
+        return {}
+    shares, loads = ([], []), [0, 0]
+    for name, path in sorted(files, key=lambda item: sizes[item[1]], reverse=True):
+        side = 0 if loads[0] <= loads[1] else 1
+        shares[side].append((name, path))
+        loads[side] += sizes[path]
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            payload = pickle.dumps(_parse_each(shares[1]))
+            with open(write_fd, "wb") as pipe:
+                pipe.write(payload)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    try:
+        # Closed before the wait on every path: if this process raises, the
+        # child's write then fails instead of blocking, and it exits.
+        with open(read_fd, "rb") as pipe:
+            parsed = _parse_each(shares[0])
+            payload = pipe.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if payload and os.waitstatus_to_exitcode(status) == 0:
+        parsed.update(pickle.loads(payload))
+    return parsed
+
+
 def load_dataset(directory, names=SPLIT_NAMES) -> tuple[SyntheticSpec, dict[str, DatasetSplit]]:
-    """Check the manifest, then parse the splits in ``names``; no other split's CSV is opened."""
+    """Check the manifest, then parse the splits in ``names``; no other split's CSV is opened.
+
+    The files are parsed in two processes where that helps (see
+    :func:`_parse_in_two_processes`).  Any split not parsed there is parsed
+    here, in manifest order, so the first error raised is the serial one.
+    """
     spec, files = _read_manifest(directory)
+    wanted = [(name, path) for name, path in files.items() if name in names]
+    parsed = _parse_in_two_processes(wanted)
     splits = {}
-    for name, path in files.items():
-        if name not in names:
-            continue
-        split = load_split(path, kind=name)
+    for name, path in wanted:
+        split = parsed[name] if name in parsed else load_split(path, kind=name)
         if split.x.shape[1:] != (spec.channels, spec.timesteps):
             raise ValueError(
                 f"{path}: {split.x.shape[1]} channels x {split.x.shape[2]} timesteps, "

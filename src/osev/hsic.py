@@ -55,7 +55,7 @@ def _as_feature_matrix(x, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be 2-D (samples, features), got shape {arr.shape}")
     if arr.shape[0] < 2:
         raise ValueError(f"{name} needs at least 2 samples, got {arr.shape[0]}")
-    if not np.isfinite(arr).all():
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise NonFiniteInputError(f"{name} contains non-finite values")
     return arr
 

@@ -95,7 +95,7 @@ def _edl_loss(y: np.ndarray, ev: np.ndarray, with_grad: bool) -> tuple[np.ndarra
     rows = np.arange(y.size)
     alpha = ev + 1.0
     alpha_y = alpha[rows, y]
-    strength = alpha.sum(axis=1)
+    strength = np.add.reduce(alpha, axis=1)
     losses = np.log(strength) - np.log(alpha_y)
     if not with_grad:
         return losses, None
@@ -168,7 +168,8 @@ def euc_loss(
 
     where p_i is the maximum expected class probability and u_i the
     uncertainty mass, both clamped into [clamp_eps, 1 - clamp_eps] before the
-    logarithms.  Each subset term is a mean over that subset; an empty subset
+    logarithms; ``clamp_eps`` must lie in (0, 0.5), so the interval is not
+    empty.  Each subset term is a mean over that subset; an empty subset
     contributes zero.  Returns (loss, dL/dp (B,), dL/du (B,)); the clamp has
     zero derivative where it is active.
     """
@@ -181,6 +182,8 @@ def _euc_loss(
     """:func:`euc_loss`; the gradients are None without ``with_grad``."""
     if not 0.0 <= lambda_t <= 1.0:
         raise ValueError(f"lambda_t must be in [0, 1], got {lambda_t}")
+    if not 0.0 < clamp_eps < 0.5:  # also rejects NaN
+        raise ValueError(f"clamp_eps must be in (0, 0.5), got {clamp_eps}")
     p_raw = batch.max_prob
     u_raw = batch.uncertainty
     p = _clamp(p_raw, clamp_eps, 1.0 - clamp_eps)
@@ -222,7 +225,7 @@ def euc_loss_grad_evidence(
     """
     loss, grad_p, grad_u = euc_loss(batch, lambda_t, clamp_eps)
     alpha = batch.evidence + 1.0
-    strength = alpha.sum(axis=1)
+    strength = np.add.reduce(alpha, axis=1)
     k = batch.num_classes
     rows = np.arange(batch.batch_size)
     alpha_star = alpha[rows, batch.predicted]

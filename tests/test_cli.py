@@ -536,33 +536,35 @@ class TestSplitsParsed:
     """Each command parses only the split CSVs it reads; every one checks the whole manifest."""
 
     @pytest.fixture
-    def parsed(self, monkeypatch):
-        names = []
+    def parsed(self, monkeypatch, tmp_path):
+        """A function giving the file names parsed so far, in this process or a forked child."""
+        log = tmp_path / "parsed.txt"
         inner = data_mod.load_split
 
         def spy(path, kind=None):
-            names.append(Path(path).name)
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(Path(path).name + "\n")
             return inner(path, kind)
 
         monkeypatch.setattr(data_mod, "load_split", spy)
-        return names
+        return lambda: log.read_text(encoding="utf-8").splitlines() if log.exists() else []
 
     def test_train_parses_the_train_split_only(self, tmp_path, dataset_dir, parsed):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(CONFIG_TEMPLATE.format(dataset=dataset_dir))
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-        assert parsed == ["train.csv"]
+        assert parsed() == ["train.csv"]
 
     def test_gradcheck_parses_the_train_split_only(self, tmp_path, dataset_dir, parsed):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(CONFIG_TEMPLATE.format(dataset=dataset_dir))
         assert main(["gradcheck", "--config", str(cfg), "--instances", "1"]) == 0
-        assert parsed == ["train.csv"]
+        assert parsed() == ["train.csv"]
 
     def test_eval_parses_all_four_splits(self, tmp_path, dataset_dir, run_dir, parsed):
         argv = ["eval", "--checkpoint", str(run_dir / "model.ckpt"), "--data", str(dataset_dir)]
         assert main(argv + ["--out", str(tmp_path / "report.json")]) == 0
-        assert sorted(parsed) == sorted(f"{name}.csv" for name in data_mod.SPLIT_NAMES)
+        assert sorted(parsed()) == sorted(f"{name}.csv" for name in data_mod.SPLIT_NAMES)
 
     @pytest.fixture(scope="class")
     def unknown_nan_dir(self, tmp_path_factory, dataset_dir):
@@ -620,7 +622,7 @@ class TestSplitsParsed:
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         argv = ["eval", "--checkpoint", str(run_dir / "model.ckpt"), "--data", str(data)]
         assert main(argv + ["--out", str(tmp_path / "eval" / "report.json")]) == 0
-        assert "nope.csv" not in parsed
+        assert "nope.csv" not in parsed()
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():

@@ -1,5 +1,8 @@
 """Synthetic dataset: spectral identity, bias wiring, serialization."""
 
+import os
+import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osev import data as data_mod
+from osev.cli import main
 from osev.data import (
     SPLIT_NAMES,
     DatasetSplit,
@@ -432,3 +436,125 @@ class TestVectorisedParse:
         fast = data_mod._parse_rows_fast(lines, 2)
         if fast is not None:
             _assert_same_bytes(fast, data_mod._parse_rows(Path("fuzz.csv"), header, lines))
+
+
+#: Known splits of 12 rows and an unknown pool of 40: the pool goes to this
+#: process and the three known splits to the forked child.
+PARALLEL_SPEC = dict(known_classes=3, unknown_classes=10, samples_per_class=4, timesteps=32)
+PARENT_FILE, CHILD_FILE = "test_unknown", "test_biased"
+
+
+@pytest.fixture(scope="module")
+def open_set_run(tmp_path_factory):
+    """(dataset dir, checkpoint) for ``osev eval``: a tiny model trained for one epoch."""
+    root = tmp_path_factory.mktemp("parallel")
+    spec = small_spec(**PARALLEL_SPEC)
+    save_dataset(spec, generate(spec), root / "data")
+    cfg = root / "run.cfg"
+    cfg.write_text(f"dataset = {root / 'data'}\nseed = 0\nepochs = 1\nfeature_width = 4\nkernel_width = 3\n")
+    assert main(["train", "--config", str(cfg), "--out", str(root / "run")]) == 0
+    return root / "data", root / "run" / "model.ckpt"
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _corrupt(path: Path, how: str) -> None:
+    """Break one split file the way ``how`` names."""
+    if how == "channels":  # a well-formed file with one channel fewer than the manifest says
+        split = load_split(path)
+        save_split(replace(split, x=split.x[:, :-1, :]), path)
+        return
+    lines = path.read_text().splitlines()
+    if how == "header":
+        lines[0] = lines[0].replace("scene", "place")
+    else:  # on line 3: a nan in column c0_t2, or an id past the int64 range
+        column, text = (5, "nan") if how == "nan" else (0, "99999999999999999999")
+        fields = lines[2].split(",")
+        fields[column] = text
+        lines[2] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestParallelLoad:
+    """load_dataset parses in two processes and gives the serial loop's arrays and errors."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch, tmp_path):
+        """Force the two-process path; return a function giving (pid, split) of each parse so far."""
+        log = tmp_path / "parses.txt"
+        inner = data_mod.load_split
+
+        def spy(path, kind=None):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()} {kind}\n")
+            return inner(path, kind)
+
+        monkeypatch.setattr(data_mod, "load_split", spy)
+        monkeypatch.setattr(data_mod, "_usable_cpus", lambda: 2)
+        return lambda: [(int(pid), kind) for pid, kind in map(str.split, log.read_text().splitlines())]
+
+    @staticmethod
+    def serial(monkeypatch, action):
+        with monkeypatch.context() as patch:
+            patch.setattr(data_mod, "_usable_cpus", lambda: 1)
+            return action()
+
+    def test_arrays_are_bit_identical_to_the_serial_load(self, open_set_run, parses, monkeypatch):
+        data_dir, _ = open_set_run
+        spec, parallel = load_dataset(data_dir)
+        by_process = {}
+        for pid, kind in parses():
+            by_process.setdefault("parent" if pid == os.getpid() else "child", []).append(kind)
+        assert by_process == {"parent": [PARENT_FILE], "child": ["test_biased", "test_unbiased", "train"]}
+        _no_child_left()
+        serial_spec, serial = self.serial(monkeypatch, lambda: load_dataset(data_dir))
+        assert spec == serial_spec
+        assert list(parallel) == list(serial) == ["test_biased", "test_unbiased", "test_unknown", "train"]
+        for name in SPLIT_NAMES:
+            assert parallel[name].kind == serial[name].kind == name
+            for field in ("x", "ids", "labels", "scenes"):
+                a, b = getattr(parallel[name], field), getattr(serial[name], field)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (name, field)
+                assert a.flags.writeable and a.flags.c_contiguous
+
+    @pytest.mark.parametrize("how", ["header", "nan", "id", "channels"])
+    @pytest.mark.parametrize("bad", [PARENT_FILE, CHILD_FILE])
+    def test_a_malformed_file_exits_2_with_the_serial_message(
+        self, tmp_path, open_set_run, parses, monkeypatch, capsys, bad, how
+    ):
+        data_dir, ckpt = open_set_run
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        _corrupt(data / f"{bad}.csv", how)
+        argv = ["eval", "--checkpoint", str(ckpt), "--data", str(data), "--out", str(tmp_path / "report.json")]
+        assert main(argv) == 2
+        _no_child_left()
+        in_child = {kind for pid, kind in parses() if pid != os.getpid()}
+        assert (bad in in_child) == (bad == CHILD_FILE)
+        if how != "channels":  # a file that failed to parse is parsed again here
+            assert (os.getpid(), bad) in parses()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {data / bad}.csv:")
+        assert self.serial(monkeypatch, lambda: main(argv)) == 2
+        assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize("first, second", [(PARENT_FILE, "train"), ("test_biased", PARENT_FILE)])
+    def test_the_first_bad_file_in_manifest_order_is_named(self, tmp_path, open_set_run, parses, first, second):
+        data = tmp_path / "data"
+        shutil.copytree(open_set_run[0], data)
+        _corrupt(data / f"{first}.csv", "nan")
+        _corrupt(data / f"{second}.csv", "header")
+        with pytest.raises(ValueError, match=rf"{first}\.csv:3: value c0_t2=nan is not finite"):
+            load_dataset(data)
+        _no_child_left()
+
+    def test_eval_prints_its_line_once(self, tmp_path, open_set_run, parses, capfd):
+        data_dir, ckpt = open_set_run
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data_dir), "--out", str(tmp_path / "r.json")]) == 0
+        _no_child_left()
+        out = capfd.readouterr().out
+        assert out.count("open-set AUC") == 1, out
+        assert len(parses()) == 4

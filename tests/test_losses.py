@@ -351,3 +351,60 @@ def test_euc_clamps_are_np_clip_bit_for_bit(data, n, lambda_t, with_grad):
     if (~acc).any():
         expected -= (1.0 - lambda_t) * float(((1.0 - pc[~acc]) * np.log(uc[~acc])).mean())
     assert repr(got[0]) == repr(expected)
+
+
+@pytest.mark.parametrize("clamp_eps", [0.7, -1.0, math.nan, 0.0, 0.5])
+def test_euc_rejects_clamp_eps_outside_the_open_interval(clamp_eps):
+    """A clamp interval [eps, 1 - eps] that is empty, a point or unclamped is refused, naming the value."""
+    batch = BatchPrediction.from_evidence(np.array([0, 1]), np.array([[3.0, 1.0], [2.0, 0.5]]))
+    for loss in (euc_loss, euc_loss_grad_evidence):
+        with pytest.raises(ValueError) as err:
+            loss(batch, 0.5, clamp_eps)
+        assert str(err.value) == f"clamp_eps must be in (0, 0.5), got {clamp_eps}"
+    assert math.isfinite(euc_loss(batch, 0.5, 0.4999)[0])
+
+
+def _edl_loss_with_sum(y, ev):
+    """_edl_loss with gradients as it read with ``alpha.sum(axis=1)``."""
+    rows = np.arange(y.size)
+    alpha = ev + 1.0
+    alpha_y = alpha[rows, y]
+    strength = alpha.sum(axis=1)
+    grads = np.repeat(1.0 / strength[:, None], ev.shape[1], axis=1)
+    grads[rows, y] -= 1.0 / alpha_y
+    return np.log(strength) - np.log(alpha_y), grads
+
+
+def _euc_grad_evidence_with_sum(batch, lambda_t):
+    """euc_loss_grad_evidence as it read with ``alpha.sum(axis=1)``."""
+    loss, grad_p, grad_u = euc_loss(batch, lambda_t)
+    alpha = batch.evidence + 1.0
+    strength = alpha.sum(axis=1)
+    rows = np.arange(batch.batch_size)
+    alpha_star = alpha[rows, batch.predicted]
+    grad_e = np.repeat((-(grad_p * alpha_star + grad_u * batch.num_classes) / strength**2)[:, None],
+                       batch.num_classes, axis=1)
+    grad_e[rows, batch.predicted] += grad_p / strength
+    return loss, grad_e
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    batch=st.integers(1, 12),
+    classes=st.integers(2, 6),
+    scale=st.sampled_from([1e-9, 1.0, 30.0, 1e9, 1e300]),
+    lambda_t=st.floats(0.0, 1.0),
+)
+def test_add_reduce_strengths_are_the_sum_expressions_bit_for_bit(seed, batch, classes, scale, lambda_t):
+    rng = np.random.default_rng(seed)
+    e = rng.exponential(scale, size=(batch, classes)) * (rng.random((batch, classes)) < 0.8)
+    labels = rng.integers(0, classes, size=batch)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for ours, reference in zip(edl_loss_batch(labels, e), _edl_loss_with_sum(labels, e)):
+            assert ours.tobytes() == reference.tobytes()
+        pred = BatchPrediction.from_evidence(labels, e)
+        loss, grad = euc_loss_grad_evidence(pred, lambda_t)
+        ref_loss, ref_grad = _euc_grad_evidence_with_sum(pred, lambda_t)
+    assert repr(loss) == repr(ref_loss)
+    assert grad.tobytes() == ref_grad.tobytes()
