@@ -55,6 +55,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     out_path = Path(args.out)
+    if out_path.is_dir():
+        raise ConfigError(f"--out {out_path} is a directory; it must name the report JSON file")
     overrides = {
         "coverage": args.coverage,
         "ece_bins": args.ece_bins,

@@ -440,10 +440,14 @@ def load_dataset(directory, names=SPLIT_NAMES) -> tuple[SyntheticSpec, dict[str,
     The files are parsed in two processes where that helps (see
     :func:`_parse_in_two_processes`).  Any split not parsed there is parsed
     here, in manifest order, so the first error raised is the serial one.
+    Each split must have a row, and each row a class of its split: a known
+    class in [0, K) for the three known splits, an unknown one in [K, K + U)
+    for ``test_unknown``.
     """
     spec, files = _read_manifest(directory)
     wanted = [(name, path) for name, path in files.items() if name in names]
     parsed = _parse_in_two_processes(wanted)
+    k = spec.known_classes
     splits = {}
     for name, path in wanted:
         split = parsed[name] if name in parsed else load_split(path, kind=name)
@@ -451,6 +455,16 @@ def load_dataset(directory, names=SPLIT_NAMES) -> tuple[SyntheticSpec, dict[str,
             raise ValueError(
                 f"{path}: {split.x.shape[1]} channels x {split.x.shape[2]} timesteps, "
                 f"manifest spec says {spec.channels} x {spec.timesteps}"
+            )
+        if len(split) == 0:
+            raise ValueError(f"{path}: split has no rows")
+        which, lo, hi = ("unknown", k, k + spec.unknown_classes) if name == "test_unknown" else ("known", 0, k)
+        outside = np.flatnonzero((split.labels < lo) | (split.labels >= hi))
+        if outside.size:
+            row = outside[0]
+            raise ValueError(
+                f"{path}: row id={split.ids[row]} has class {split.labels[row]}, "
+                f"outside the {which} classes [{lo}, {hi})"
             )
         splits[name] = split
     return spec, splits

@@ -32,7 +32,6 @@ import numpy as np
 from .evidential import EvidenceFunction, _probs_and_uncertainty
 from .hsic import KernelParams, _hsic_values, centered_gram, hsic_value_and_grad, hsic_values
 from .losses import (
-    CLAMP_EPS,
     BatchPrediction,
     LossWeights,
     _edl_loss,
@@ -350,7 +349,7 @@ def branch_losses(
             euc = 0.0
             if use_euc:
                 batch = BatchPrediction._from_valid(y, evidence, *_probs_and_uncertainty(evidence))
-                euc = _euc_loss(batch, lambda_t, CLAMP_EPS, with_grad=False)[0]
+                euc = _euc_loss(batch, lambda_t, with_grad=False)[0]
             return _debias_loss(edl(evidence), euc, *hsic_pair, weights)
 
         at_fwd = _hsic_values(fwd.f, held, kernel)
@@ -438,12 +437,6 @@ def _f_losses_and_grad_e(
     return edl, euc, grad_e
 
 
-def _assert_zero_grads(params, context: str) -> None:
-    for p in params:
-        if np.any(p.grad != 0.0):
-            raise AssertionError(f"stop-gradient violated: {p.name} has gradient during {context}")
-
-
 def accumulate_gradients(
     branches: CedBranches,
     x: np.ndarray,
@@ -456,7 +449,6 @@ def accumulate_gradients(
     shuffle_rng: np.random.Generator | None = None,
     perms: np.ndarray | None = None,
     side: str = "joint",
-    debug: bool = False,
 ) -> StepRecord:
     """Forward all branches and accumulate this step's gradients.
 
@@ -474,20 +466,10 @@ def accumulate_gradients(
     apply_f = side in ("joint", "f")
     apply_h = side in ("joint", "h")
 
-    if debug and apply_f:
-        _assert_zero_grads(branches.parameters("h"), "start of f-side accumulation")
     main = debias_objective(
         branches, fwd, labels, weights, kernel, lambda_t=lambda_t, use_euc=use_euc, apply_grads=apply_f
     )
-    if debug and apply_f:
-        _assert_zero_grads(branches.parameters("h"), "f-side objective")
-
-    f_snapshot = [p.grad.copy() for p in branches.parameters("f")] if debug and apply_h else None
     biased = bias_objective(branches, fwd, labels, weights, kernel, apply_grads=apply_h)
-    if f_snapshot is not None:
-        for p, before in zip(branches.parameters("f"), f_snapshot):
-            if np.any(p.grad != before):
-                raise AssertionError(f"stop-gradient violated: {p.name} changed during h-side objective")
 
     lam = weights.lambda_hsic
     hs_sh, hs_st = main.hsic_shuffled, main.hsic_static

@@ -29,7 +29,6 @@ __all__ = [
     "hsic_values",
     "median_bandwidth",
     "rbf_gram",
-    "resolve_bandwidth",
 ]
 
 
@@ -94,22 +93,21 @@ def median_bandwidth(x) -> float:
     return (math.sqrt(lo) + math.sqrt(hi)) / 2.0
 
 
-def resolve_bandwidth(x, params: KernelParams) -> float:
-    return params.sigma if params.sigma is not None else median_bandwidth(x)
+def _kernel(arr: np.ndarray, params: KernelParams) -> tuple[np.ndarray, float]:
+    """The Gaussian Gram matrix of validated features and its squared bandwidth.
 
-
-def _gram(arr: np.ndarray, sigma_sq: float) -> np.ndarray:
-    """Gaussian Gram matrix of the rows of arr for a squared bandwidth."""
+    Every Gram is built here, so one matrix always gets the same bits.
+    """
+    sigma = params.sigma if params.sigma is not None else median_bandwidth(arr)
+    sigma_sq = sigma * sigma
     gram = np.exp(-_sq_dists(arr) / (2.0 * sigma_sq))
     np.fill_diagonal(gram, 1.0)
-    return gram
+    return gram, sigma_sq
 
 
 def rbf_gram(x, params: KernelParams = KernelParams()) -> np.ndarray:
     """Gaussian Gram matrix; symmetric, unit diagonal, entries in (0, 1]."""
-    arr = _as_feature_matrix(x, "features")
-    sigma = resolve_bandwidth(arr, params)
-    return _gram(arr, sigma * sigma)
+    return _kernel(_as_feature_matrix(x, "features"), params)[0]
 
 
 def _center(gram: np.ndarray) -> np.ndarray:
@@ -136,20 +134,6 @@ def hsic_biased(gram_x, gram_y) -> float:
     return float((kx * _center(ky)).sum() / (n - 1) ** 2)
 
 
-def _x_kernel(ax: np.ndarray, params: KernelParams) -> tuple[np.ndarray, float]:
-    """The Gram Kx of validated features and its squared bandwidth."""
-    sigma_x = resolve_bandwidth(ax, params)
-    sigma_x_sq = sigma_x * sigma_x
-    return _gram(ax, sigma_x_sq), sigma_x_sq
-
-
-def _y_centered(ay: np.ndarray, params: KernelParams) -> np.ndarray:
-    """M = H Ky H of validated features."""
-    # y's bandwidth is squared with ** and x's with a product: the two round
-    # differently in about 1 of 1000 values, and trained outputs keep these bits
-    return _center(_gram(ay, resolve_bandwidth(ay, params) ** 2))
-
-
 def _value(kx: np.ndarray, m: np.ndarray, scale: float) -> float:
     return float(np.add.reduce(kx * m, axis=None) * scale)
 
@@ -160,7 +144,7 @@ def centered_gram(y, params: KernelParams = KernelParams()) -> np.ndarray:
     Hand it to :func:`hsic_values` to evaluate HSIC against many x without
     rebuilding it.
     """
-    return _y_centered(_as_feature_matrix(y, "y"), params)
+    return _center(_kernel(_as_feature_matrix(y, "y"), params)[0])
 
 
 def hsic_values(x, centered, params: KernelParams = KernelParams()) -> list[float]:
@@ -176,7 +160,7 @@ def hsic_values(x, centered, params: KernelParams = KernelParams()) -> list[floa
 
 def _hsic_values(ax: np.ndarray, centered, params: KernelParams) -> list[float]:
     """:func:`hsic_values` of validated features and centred Grams that pair with them."""
-    kx, _ = _x_kernel(ax, params)
+    kx, _ = _kernel(ax, params)
     scale = 1.0 / (ax.shape[0] - 1) ** 2
     return [_value(kx, m, scale) for m in centered]
 
@@ -197,8 +181,8 @@ def hsic_value_and_grad(
     ay = _as_feature_matrix(y, "y")
     if ax.shape[0] != ay.shape[0]:
         raise ValueError(f"x and y must pair the same samples, got {ax.shape[0]} and {ay.shape[0]}")
-    kx, sigma_x_sq = _x_kernel(ax, params)
-    m = _y_centered(ay, params)
+    kx, sigma_x_sq = _kernel(ax, params)
+    m = _center(_kernel(ay, params)[0])
     scale = 1.0 / (ax.shape[0] - 1) ** 2
     w = m * kx
     grad = (-2.0 * scale / sigma_x_sq) * (w.sum(axis=1)[:, None] * ax - w @ ax)

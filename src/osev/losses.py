@@ -158,36 +158,31 @@ class BatchPrediction:
         return int(self.evidence.shape[1])
 
 
-def euc_loss(
-    batch: BatchPrediction, lambda_t: float, clamp_eps: float = CLAMP_EPS
-) -> tuple[float, np.ndarray, np.ndarray]:
+def euc_loss(batch: BatchPrediction, lambda_t: float) -> tuple[float, np.ndarray, np.ndarray]:
     """Evidential uncertainty calibration loss with per-sample gradients.
 
     L = -lambda_t    * mean over accurate   of p_i * ln(1 - u_i)
         -(1-lambda_t)* mean over inaccurate of (1 - p_i) * ln(u_i)
 
     where p_i is the maximum expected class probability and u_i the
-    uncertainty mass, both clamped into [clamp_eps, 1 - clamp_eps] before the
-    logarithms; ``clamp_eps`` must lie in (0, 0.5), so the interval is not
-    empty.  Each subset term is a mean over that subset; an empty subset
+    uncertainty mass, both clamped into [CLAMP_EPS, 1 - CLAMP_EPS] before the
+    logarithms.  Each subset term is a mean over that subset; an empty subset
     contributes zero.  Returns (loss, dL/dp (B,), dL/du (B,)); the clamp has
     zero derivative where it is active.
     """
-    return _euc_loss(batch, lambda_t, clamp_eps, with_grad=True)
+    return _euc_loss(batch, lambda_t, with_grad=True)
 
 
 def _euc_loss(
-    batch: BatchPrediction, lambda_t: float, clamp_eps: float, with_grad: bool
+    batch: BatchPrediction, lambda_t: float, with_grad: bool
 ) -> tuple[float, np.ndarray | None, np.ndarray | None]:
     """:func:`euc_loss`; the gradients are None without ``with_grad``."""
     if not 0.0 <= lambda_t <= 1.0:
         raise ValueError(f"lambda_t must be in [0, 1], got {lambda_t}")
-    if not 0.0 < clamp_eps < 0.5:  # also rejects NaN
-        raise ValueError(f"clamp_eps must be in (0, 0.5), got {clamp_eps}")
     p_raw = batch.max_prob
     u_raw = batch.uncertainty
-    p = _clamp(p_raw, clamp_eps, 1.0 - clamp_eps)
-    u = _clamp(u_raw, clamp_eps, 1.0 - clamp_eps)
+    p = _clamp(p_raw, CLAMP_EPS, 1.0 - CLAMP_EPS)
+    u = _clamp(u_raw, CLAMP_EPS, 1.0 - CLAMP_EPS)
     acc = batch.accurate
     inacc = ~acc
     grad_p = np.zeros_like(p) if with_grad else None
@@ -208,14 +203,12 @@ def _euc_loss(
             grad_p[inacc] = (1.0 - lambda_t) * log_u / m
             grad_u[inacc] = -(1.0 - lambda_t) * (1.0 - p[inacc]) / (u[inacc] * m)
     if with_grad:
-        grad_p[~((p_raw > clamp_eps) & (p_raw < 1.0 - clamp_eps))] = 0.0
-        grad_u[~((u_raw > clamp_eps) & (u_raw < 1.0 - clamp_eps))] = 0.0
+        grad_p[~((p_raw > CLAMP_EPS) & (p_raw < 1.0 - CLAMP_EPS))] = 0.0
+        grad_u[~((u_raw > CLAMP_EPS) & (u_raw < 1.0 - CLAMP_EPS))] = 0.0
     return float(loss), grad_p, grad_u
 
 
-def euc_loss_grad_evidence(
-    batch: BatchPrediction, lambda_t: float, clamp_eps: float = CLAMP_EPS
-) -> tuple[float, np.ndarray]:
+def euc_loss_grad_evidence(batch: BatchPrediction, lambda_t: float) -> tuple[float, np.ndarray]:
     """Calibration loss with the chain rule composed down to evidence.
 
     Both p_i = alpha_{k*} / S (k* the argmax, held fixed) and u_i = K / S are
@@ -223,7 +216,7 @@ def euc_loss_grad_evidence(
 
         dL/de_j = dL/dp * (1[j == k*]/S - alpha_{k*}/S^2) + dL/du * (-K/S^2).
     """
-    loss, grad_p, grad_u = euc_loss(batch, lambda_t, clamp_eps)
+    loss, grad_p, grad_u = euc_loss(batch, lambda_t)
     alpha = batch.evidence + 1.0
     strength = np.add.reduce(alpha, axis=1)
     k = batch.num_classes

@@ -116,8 +116,7 @@ def open_maf1_curve(
     *,
     num_selections: int = 10,
     seed: int = 0,
-    max_unknown: int | None = None,
-) -> tuple[list[OpennessPoint], float, float, str | None]:
+) -> tuple[list[OpennessPoint], float, float]:
     """Openness sweep of (K+1)-way macro-F1 with randomized unknown subsets.
 
     ``preds`` and ``labels`` lie in [0, K] (checked for every sample), K for
@@ -125,9 +124,8 @@ def open_maf1_curve(
     for known ones.  For each i in 1..U, ``num_selections`` random i-subsets of
     the unknown classes (without replacement, seeded per (i, selection)) are
     kept with all known samples and scored by macro-F1.  Returns the curve,
-    the openness-weighted scalar over selection means, the standard deviation
-    of that scalar across aligned selections, and a truncation note when
-    max_unknown cut the sweep short.
+    the openness-weighted scalar over selection means, and the standard
+    deviation of that scalar across aligned selections.
     """
     p = np.asarray(preds, dtype=np.int64)
     y = np.asarray(labels, dtype=np.int64)
@@ -145,17 +143,16 @@ def open_maf1_curve(
     if k < 1:
         raise ValueError(f"num_classes must be >= 2, got {k + 1}")
     class_ids, counts = _group_counts(p, y, ids, k + 1)
-    limit = class_ids.size if max_unknown is None else min(max_unknown, class_ids.size)
-    note = None if limit == class_ids.size else f"sweep truncated to {limit} of {class_ids.size} unknown classes"
+    u = class_ids.size
 
     # row (i - 1) * num_selections + s marks the unknown classes that selection s of point i keeps
-    kept = np.zeros((limit * num_selections, class_ids.size), dtype=np.int64)
-    for i in range(1, limit + 1):
+    kept = np.zeros((u * num_selections, u), dtype=np.int64)
+    for i in range(1, u + 1):
         for s in range(num_selections):
             chosen = np.random.default_rng([seed, 7001, i, s]).choice(class_ids, size=i, replace=False)
             kept[(i - 1) * num_selections + s, np.searchsorted(class_ids, chosen)] = 1
-    tables = counts[0] + (kept @ counts[1:].reshape(class_ids.size, -1)).reshape(-1, k + 1, k + 1)
-    f1s = np.asarray(_macro_f1s(tables)).reshape(limit, num_selections)
+    tables = counts[0] + (kept @ counts[1:].reshape(u, -1)).reshape(-1, k + 1, k + 1)
+    f1s = np.asarray(_macro_f1s(tables)).reshape(u, num_selections)
     points = [
         OpennessPoint(i, openness(k, i), float(arr.mean()), float(arr.std(ddof=1)) if num_selections > 1 else 0.0,
                       tuple(arr.tolist()))
@@ -166,7 +163,7 @@ def open_maf1_curve(
     scalar = float((omegas * means).sum() / omegas.sum())
     per_trial = np.asarray([(omegas * trial).sum() / omegas.sum() for trial in f1s.T])
     scalar_std = float(per_trial.std(ddof=1)) if num_selections > 1 else 0.0
-    return points, scalar, scalar_std, note
+    return points, scalar, scalar_std
 
 
 def roc_auc(scores_known, scores_unknown) -> float:

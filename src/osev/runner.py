@@ -209,10 +209,6 @@ def run_training(config: RunConfig, out_dir) -> dict:
     spec, splits = data_mod.load_dataset(config.dataset, names=("train",))
     train = splits["train"]
     num_classes = spec.known_classes
-    if train.labels.max() >= num_classes:
-        raise CheckpointDataMismatch(
-            f"train split contains label {train.labels.max()} outside the {num_classes} known classes"
-        )
 
     model = build_model(config, spec.channels, num_classes)
     schedule = AnnealingSchedule(config.lambda0, max(1, config.epochs - 1))
@@ -421,7 +417,7 @@ def run_evaluation(
     closed_biased = float(np.mean(correct_closed))
     closed_unbiased = float(np.mean(np.argmax(probs_u, axis=1) == unbiased.labels))
     auc = roc_auc(scores_b, scores_unk)
-    points, maf1_scalar, maf1_std, note = open_maf1_curve(
+    points, maf1_scalar, maf1_std = open_maf1_curve(
         preds, labels, unknown_ids, k, num_selections=num_selections, seed=seed
     )
     matrix, top = confusion_and_top_confusions(preds, labels, k, unknown_ids)
@@ -453,7 +449,6 @@ def run_evaluation(
         "open_maf1": {
             "scalar": maf1_scalar,
             "scalar_std": maf1_std,
-            "note": note,
             "points": [
                 {
                     "num_unknown": pt.num_unknown,
@@ -498,7 +493,7 @@ def _zero_grads(params) -> None:
         p.zero_grad()
 
 
-def _quadratic_layer_check(layer, x: np.ndarray, eps: float) -> float:
+def _quadratic_layer_check(layer, x: np.ndarray) -> float:
     """Max relative FD error under the loss 0.5 * sum(out^2).
 
     The upstream gradient of that loss is the output itself, so one forward
@@ -508,7 +503,7 @@ def _quadratic_layer_check(layer, x: np.ndarray, eps: float) -> float:
     _zero_grads(params)
     out = layer.forward(x)
     layer.backward(out.copy())
-    report = gradcheck(lambda: float(0.5 * np.sum(layer.forward(x) ** 2)), params, eps=eps)
+    report = gradcheck(lambda: float(0.5 * np.sum(layer.forward(x) ** 2)), params)
     return report.max_rel_err
 
 
@@ -550,17 +545,15 @@ def _branch_kink_distance(branches: CedBranches, x: np.ndarray, perms: np.ndarra
 
 
 def _branch_gradchecks(
-    objective,
     branches: CedBranches,
     fwd: CedForward,
     labels: np.ndarray,
     weights: LossWeights,
     kernel: KernelParams,
     side: str,
-    eps: float,
     **options,
 ) -> list[GradcheckReport]:
-    """Difference one side's ``objective`` one branch at a time, backbone and head apart.
+    """Difference one side's objective one branch at a time, backbone and head apart.
 
     Perturbing a branch's parameter can only change that branch's output, and
     the side's loss is evaluated through :func:`~osev.debias.branch_losses`,
@@ -571,9 +564,7 @@ def _branch_gradchecks(
     the branch's features in ``fwd``, and reads the branch's HSIC term at
     those features from ``branch_losses`` instead of recomputing it.  Each
     quotient thus computes only what the perturbed parameter can change and
-    equals ``objective(...).loss`` of a full forward bit for bit.
-    ``objective`` itself is not called; it is taken so that a differencing
-    that calls it whole can take this function's place.
+    equals the objective's loss of a full forward bit for bit.
     One coordinate generator runs through the side's branches in parameter
     order (f; or h_shuffled, then h_static; backbone before head), so the
     coordinates sampled are exactly those of one gradcheck over all of the
@@ -599,14 +590,12 @@ def _branch_gradchecks(
         def head_loss() -> float:
             return evidence_loss(branch.head.forward(feats))
 
-        reports.append(gradcheck(backbone_loss, branch.backbone.parameters(), eps=eps, rng=coords))
-        reports.append(gradcheck(head_loss, branch.head.parameters(), eps=eps, rng=coords))
+        reports.append(gradcheck(backbone_loss, branch.backbone.parameters(), rng=coords))
+        reports.append(gradcheck(head_loss, branch.head.parameters(), rng=coords))
     return reports
 
 
-def run_gradcheck(
-    config: RunConfig, eps: float = 1e-5, tol: float = 1e-4, instances: int = 20
-) -> tuple[list[dict], bool]:
+def run_gradcheck(config: RunConfig, tol: float = 1e-4, instances: int = 20) -> tuple[list[dict], bool]:
     """Finite-difference audit of every analytic gradient the trainer uses.
 
     Each named check redraws ``instances`` random problems and keeps the worst
@@ -659,22 +648,15 @@ def run_gradcheck(
 
     add(
         "layer.temporal_conv",
-        lambda: _quadratic_layer_check(TemporalConv(channels, 5, config.kernel_width, rng), draw_input(), eps),
+        lambda: _quadratic_layer_check(TemporalConv(channels, 5, config.kernel_width, rng), draw_input()),
     )
-    add(
-        "layer.pointwise_conv",
-        lambda: _quadratic_layer_check(PointwiseConv(channels, 5, rng), draw_input(), eps),
-    )
-    add(
-        "layer.dense",
-        lambda: _quadratic_layer_check(Dense(7, 4, rng), rng.standard_normal((batch, 7)), eps),
-    )
+    add("layer.pointwise_conv", lambda: _quadratic_layer_check(PointwiseConv(channels, 5, rng), draw_input()))
+    add("layer.dense", lambda: _quadratic_layer_check(Dense(7, 4, rng), rng.standard_normal((batch, 7))))
     add(
         "layer.evidence_head",
         lambda: _quadratic_layer_check(
             EvidenceHead(6, k, rng, kind=config.evidence, exp_bound=config.exp_bound),
             rng.standard_normal((batch, 6)),
-            eps,
         ),
     )
     def backbone_chain_instance() -> float:
@@ -684,7 +666,7 @@ def run_gradcheck(
             )
             x = draw_input()
             if float(np.abs(seq.layers[0].forward(x)).min()) > KINK_MARGIN:
-                return _quadratic_layer_check(seq, x, eps)
+                return _quadratic_layer_check(seq, x)
 
     add("layer.backbone_chain", backbone_chain_instance)
 
@@ -693,7 +675,7 @@ def run_gradcheck(
         e = Parameter("edl.evidence", rng.uniform(0.5, 4.0, size=(batch, k)))
         _, grads = edl_loss_batch(labels, e.value)
         e.grad += grads / batch
-        rep = gradcheck(lambda: float(edl_loss_batch(labels, e.value)[0].mean()), [e], eps=eps)
+        rep = gradcheck(lambda: float(edl_loss_batch(labels, e.value)[0].mean()), [e])
         return rep.max_rel_err
 
     add("loss.edl", edl_instance)
@@ -706,11 +688,7 @@ def run_gradcheck(
                 break
         _, grad_e = euc_loss_grad_evidence(BatchPrediction.from_evidence(labels, e.value), lam_t)
         e.grad += grad_e
-        rep = gradcheck(
-            lambda: euc_loss_grad_evidence(BatchPrediction.from_evidence(labels, e.value), lam_t)[0],
-            [e],
-            eps=eps,
-        )
+        rep = gradcheck(lambda: euc_loss_grad_evidence(BatchPrediction.from_evidence(labels, e.value), lam_t)[0], [e])
         return rep.max_rel_err
 
     add("loss.euc", euc_instance)
@@ -722,7 +700,7 @@ def run_gradcheck(
         _, grad_x = hsic_value_and_grad(x.value, y, frozen)
         x.grad += grad_x
         held = [centered_gram(y, frozen)]
-        rep = gradcheck(lambda: hsic_values(x.value, held, frozen)[0], [x], eps=eps)
+        rep = gradcheck(lambda: hsic_values(x.value, held, frozen)[0], [x])
         return rep.max_rel_err
 
     add("loss.hsic", hsic_instance)
@@ -753,11 +731,12 @@ def run_gradcheck(
             if _branch_kink_distance(branches, x, perms, config.evidence, config.exp_bound) > KINK_MARGIN:
                 return branches, x, labels, perms
 
-    def side_instance(objective, side: str, weights: LossWeights, composed: bool, **options) -> float:
+    def side_instance(side: str, weights: LossWeights, composed: bool, **options) -> float:
         """FD check of one side's objective against that side's parameters.
 
-        The analytic gradient comes from the objective itself or, when
-        ``composed``, from the training step restricted to that side.
+        The analytic gradient comes from the objective itself (debias for
+        "f", bias for "h") or, when ``composed``, from the training step
+        restricted to that side.
         """
         branches, x, labels, perms = fresh_instance()
         _zero_grads(branches.parameters())
@@ -768,17 +747,15 @@ def run_gradcheck(
                 side=side,
             )
         else:
+            objective = debias_objective if side == "f" else bias_objective
             objective(branches, fwd, labels, weights, sigma, apply_grads=True, **options)
-        reports = _branch_gradchecks(objective, branches, fwd, labels, weights, sigma, side, eps, **options)
+        reports = _branch_gradchecks(branches, fwd, labels, weights, sigma, side, **options)
         return max(report.max_rel_err for report in reports)
 
-    add("objective.debias", lambda: side_instance(debias_objective, "f", objective_weights, False))
-    add("objective.bias", lambda: side_instance(bias_objective, "h", objective_weights, False))
-    add(
-        "composed.main_side",
-        lambda: side_instance(debias_objective, "f", weights, True, lambda_t=lam_t, use_euc=True),
-    )
-    add("composed.biased_side", lambda: side_instance(bias_objective, "h", weights, True))
+    add("objective.debias", lambda: side_instance("f", objective_weights, False))
+    add("objective.bias", lambda: side_instance("h", objective_weights, False))
+    add("composed.main_side", lambda: side_instance("f", weights, True, lambda_t=lam_t, use_euc=True))
+    add("composed.biased_side", lambda: side_instance("h", weights, True))
 
     ok = all(entry["max_rel_err"] < tol for entry in entries)
     return entries, ok

@@ -263,7 +263,7 @@ def test_criterion_06_metrics_oracles():
     labels = np.concatenate([known_labels, np.full(30, 3)])
     unknown_ids = np.concatenate([np.full(30, -1), np.repeat([3, 4, 5], 10)])
     preds = open_predictions(probs, scores, 0.5)
-    points, scalar, _, _ = open_maf1_curve(preds, labels, unknown_ids, 3)
+    points, scalar, _ = open_maf1_curve(preds, labels, unknown_ids, 3)
     curve_vals = {p.f1_mean for p in points}
     curve_constant = curve_vals == {1.0} and scalar == 1.0
     ok = (

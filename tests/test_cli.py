@@ -451,6 +451,18 @@ class TestExitCodes:
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert f"train.csv:1: CSV header {bad}" in capsys.readouterr().err
 
+    def test_eval_out_naming_a_directory_is_2_and_writes_nothing(self, tmp_path, dataset_dir, run_dir, capsys):
+        (tmp_path / "report.json").write_text("earlier report\n")
+        out = tmp_path / "reports"
+        out.mkdir()
+        before = sorted(p.name for p in tmp_path.iterdir())
+        argv = ["eval", "--checkpoint", str(run_dir / "model.ckpt"), "--data", str(dataset_dir), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: --out {out} is a directory; it must name the report JSON file\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert not any(out.iterdir())
+        assert (tmp_path / "report.json").read_text() == "earlier report\n"
+
     def test_checkpoint_dataset_mismatch_is_4(self, tmp_path, run_dir):
         spec = tmp_path / "spec.cfg"
         spec.write_text(SPEC_TEXT.replace("known_classes = 3", "known_classes = 4"))

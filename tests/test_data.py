@@ -541,6 +541,50 @@ class TestParallelLoad:
         assert self.serial(monkeypatch, lambda: main(argv)) == 2
         assert capsys.readouterr().err == err
 
+    @pytest.mark.parametrize(
+        "bad, label, message",
+        [
+            ("train", -1, "has class -1, outside the known classes [0, 3)"),
+            ("train", 3, "has class 3, outside the known classes [0, 3)"),
+            ("train", None, "split has no rows"),
+            (CHILD_FILE, 13, "has class 13, outside the known classes [0, 3)"),
+            (PARENT_FILE, 2, "has class 2, outside the unknown classes [3, 13)"),
+            (PARENT_FILE, None, "split has no rows"),
+        ],
+    )
+    def test_a_split_without_rows_or_with_a_class_outside_its_range_exits_2(
+        self, tmp_path, open_set_run, parses, monkeypatch, capsys, bad, label, message
+    ):
+        """The row's id is named, or the empty file; on the forked and the serial eval, and in train."""
+        data_dir, ckpt = open_set_run
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        path = data / f"{bad}.csv"
+        lines = path.read_text().splitlines()
+        if label is None:  # the header alone
+            del lines[1:]
+        else:
+            fields = lines[2].split(",")
+            fields[1] = str(label)
+            lines[2] = ",".join(fields)
+            message = f"row id={fields[0]} {message}"
+        path.write_text("\n".join(lines) + "\n")
+        expected = f"error: {path}: {message}\n"
+        argv = ["eval", "--checkpoint", str(ckpt), "--data", str(data), "--out", str(tmp_path / "report.json")]
+        assert main(argv) == 2
+        _no_child_left()
+        assert any(pid != os.getpid() for pid, _ in parses())  # a child parsed
+        assert capsys.readouterr().err == expected
+        assert self.serial(monkeypatch, lambda: main(argv)) == 2
+        assert capsys.readouterr().err == expected
+        assert not (tmp_path / "report.json").exists()
+        if bad == "train":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"dataset = {data}\nseed = 0\nepochs = 1\nfeature_width = 4\nkernel_width = 3\n")
+            assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+            assert capsys.readouterr().err == expected
+            assert not (tmp_path / "run" / "run.log").exists()
+
     @pytest.mark.parametrize("first, second", [(PARENT_FILE, "train"), ("test_biased", PARENT_FILE)])
     def test_the_first_bad_file_in_manifest_order_is_named(self, tmp_path, open_set_run, parses, first, second):
         data = tmp_path / "data"

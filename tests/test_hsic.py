@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from osev.hsic import (
     KernelParams,
     _center,
-    _gram,
     _sq_dists,
     _value,
     centered_gram,
@@ -218,10 +217,19 @@ class TestCenteringOracle:
     def test_sums_equal_the_three_means(self, n):
         rng = np.random.default_rng(n)
         for scale in (0.1, 1.0, 10.0):
-            gram = _gram(rng.normal(size=(n, 5)), scale)
+            gram = rbf_gram(rng.normal(size=(n, 5)), KernelParams(sigma=scale))
             assert (_center(gram) == center_by_means(gram)).all()
         asymmetric = rng.uniform(size=(n, n))
         assert (_center(asymmetric) == center_by_means(asymmetric)).all()
+
+
+def test_one_squaring_rule_for_every_gram():
+    """A median bandwidth whose square rounds differently as s * s and s ** 2
+    still gives the centred Gram and the plain Gram of one matrix the same bits."""
+    y = np.random.default_rng(631).normal(size=(16, 4))
+    s = median_bandwidth(y)
+    assert s * s != s**2
+    assert centered_gram(y).tobytes() == _center(rbf_gram(y)).tobytes()
 
 
 @pytest.mark.parametrize("params", [KernelParams(sigma=0.9), KernelParams()])

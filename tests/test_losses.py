@@ -252,7 +252,7 @@ def test_value_only_terms_equal_the_gradient_carrying_ones(seed, batch, classes,
     assert values.tolist() == edl_loss_batch(labels, e)[0].tolist()
 
     value_only = BatchPrediction._from_valid(labels, e, *_probs_and_uncertainty(e))
-    loss, grad_p, grad_u = _euc_loss(value_only, lambda_t, CLAMP_EPS, with_grad=False)
+    loss, grad_p, grad_u = _euc_loss(value_only, lambda_t, with_grad=False)
     assert grad_p is None and grad_u is None
     assert loss == euc_loss_grad_evidence(BatchPrediction.from_evidence(labels, e), lambda_t)[0]
 
@@ -337,10 +337,10 @@ def test_euc_clamps_are_np_clip_bit_for_bit(data, n, lambda_t, with_grad):
     acc = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     batch = BatchPrediction(labels=np.zeros(n, dtype=np.int64), evidence=np.ones((n, 2)), probs=np.full((n, 2), 0.5),
                             uncertainty=u, predicted=np.zeros(n, dtype=np.int64), max_prob=p, accurate=acc)
-    got = _euc_loss(batch, lambda_t, CLAMP_EPS, with_grad)
+    got = _euc_loss(batch, lambda_t, with_grad)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(losses_module, "_clamp", np.clip)
-        clipped = _euc_loss(batch, lambda_t, CLAMP_EPS, with_grad)
+        clipped = _euc_loss(batch, lambda_t, with_grad)
     assert repr(got[0]) == repr(clipped[0])
     for ours, reference in zip(got[1:], clipped[1:]):
         assert (ours is None and reference is None) or ours.tobytes() == reference.tobytes()
@@ -351,17 +351,6 @@ def test_euc_clamps_are_np_clip_bit_for_bit(data, n, lambda_t, with_grad):
     if (~acc).any():
         expected -= (1.0 - lambda_t) * float(((1.0 - pc[~acc]) * np.log(uc[~acc])).mean())
     assert repr(got[0]) == repr(expected)
-
-
-@pytest.mark.parametrize("clamp_eps", [0.7, -1.0, math.nan, 0.0, 0.5])
-def test_euc_rejects_clamp_eps_outside_the_open_interval(clamp_eps):
-    """A clamp interval [eps, 1 - eps] that is empty, a point or unclamped is refused, naming the value."""
-    batch = BatchPrediction.from_evidence(np.array([0, 1]), np.array([[3.0, 1.0], [2.0, 0.5]]))
-    for loss in (euc_loss, euc_loss_grad_evidence):
-        with pytest.raises(ValueError) as err:
-            loss(batch, 0.5, clamp_eps)
-        assert str(err.value) == f"clamp_eps must be in (0, 0.5), got {clamp_eps}"
-    assert math.isfinite(euc_loss(batch, 0.5, 0.4999)[0])
 
 
 def _edl_loss_with_sum(y, ev):

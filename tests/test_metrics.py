@@ -132,8 +132,7 @@ class TestOpenMaf1Curve:
     def test_perfect_separation_gives_constant_one(self):
         known = perfect_known(3, 4)
         pool = unknown_pool(3, [10, 11, 12], 4, score=0.9)
-        points, scalar, scalar_std, note = sweep(known, pool, tau=0.5, num_selections=5)
-        assert note is None
+        points, scalar, scalar_std = sweep(known, pool, tau=0.5, num_selections=5)
         assert len(points) == 3
         for i, pt in enumerate(points, start=1):
             assert pt.num_unknown == i
@@ -150,7 +149,7 @@ class TestOpenMaf1Curve:
         known = tuple(np.asarray(col) for col in zip(*rows))
         scores_u = np.asarray([float(rng.uniform(0, 1)) for _ in range(16)])
         pool = (np.full((16, 3), 1 / 3), scores_u, np.repeat([0, 1], 8))
-        points, scalar, _, _ = sweep(known, pool, tau=0.5, num_selections=4)
+        points, scalar, _ = sweep(known, pool, tau=0.5, num_selections=4)
         omegas = np.array([pt.omega for pt in points])
         means = np.array([pt.f1_mean for pt in points])
         assert scalar == pytest.approx((omegas * means).sum() / omegas.sum(), abs=1e-12)
@@ -159,17 +158,10 @@ class TestOpenMaf1Curve:
     def test_single_unknown_class_scalar_equals_its_f1(self):
         known = perfect_known(3, 4)
         pool = unknown_pool(3, [42], 4, score=0.2)  # below tau: every unknown leaks
-        points, scalar, _, _ = sweep(known, pool, tau=0.5, num_selections=3)
+        points, scalar, _ = sweep(known, pool, tau=0.5, num_selections=3)
         assert len(points) == 1
         assert scalar == points[0].f1_mean
         assert points[0].f1_mean < 1.0
-
-    def test_truncation_note(self):
-        known = perfect_known(3, 2)
-        pool = unknown_pool(3, [1, 2, 3, 4], 2, score=0.9)
-        points, _, _, note = sweep(known, pool, tau=0.5, max_unknown=2)
-        assert len(points) == 2
-        assert note == "sweep truncated to 2 of 4 unknown classes"
 
     def test_selections_are_reproducible(self):
         known = perfect_known(4, 3)
@@ -190,12 +182,12 @@ class TestOpenMaf1Curve:
 
     @pytest.mark.parametrize("pred, label", [(7, 3), (-1, 3), (3, 4), (3, -2)])
     def test_class_range_is_checked_for_unselected_unknown_classes(self, pred, label):
-        # with seed 0 the one selection keeps class 11 only, so class 10 is never scored
+        # with seed 0 point 1's one selection keeps class 11 only, so class 10 is first scored at point 2
         preds = np.array([0, 1, 2, 3, pred])
         labels = np.array([0, 1, 2, 3, label])
         ids = np.array([-1, -1, -1, 11, 10])
         with pytest.raises(ValueError, match="out of range"):
-            open_maf1_curve(preds, labels, ids, 3, num_selections=1, seed=0, max_unknown=1)
+            open_maf1_curve(preds, labels, ids, 3, num_selections=1, seed=0)
 
 
 def record_open_predictions(records, tau):
@@ -260,7 +252,7 @@ class TestArraysMatchRecordOracle:
         unknown_by_class = {}
         for rec, c in zip(records[n_known:], ids[n_known:]):
             unknown_by_class.setdefault(int(c), []).append(rec)
-        points, scalar, scalar_std, _ = open_maf1_curve(preds, labels, ids, k, num_selections=6, seed=seed)
+        points, scalar, scalar_std = open_maf1_curve(preds, labels, ids, k, num_selections=6, seed=seed)
         assert (points, scalar, scalar_std) == record_curve(records[:n_known], unknown_by_class, tau, 6, seed)
 
 
@@ -279,14 +271,12 @@ def mask_loop_macro_f1(preds, labels, num_classes):
     return float(np.mean(scores))
 
 
-def mask_loop_curve(preds, labels, ids, k, num_selections, seed, max_unknown):
+def mask_loop_curve(preds, labels, ids, k, num_selections, seed):
     """Former open_maf1_curve: each selection masks the open set with np.isin and runs the mask loop."""
     known = ids < 0
     class_ids = sorted(set(ids[~known].tolist()))
-    limit = len(class_ids) if max_unknown is None else min(max_unknown, len(class_ids))
-    note = None if limit == len(class_ids) else f"sweep truncated to {limit} of {len(class_ids)} unknown classes"
     points = []
-    for i in range(1, limit + 1):
+    for i in range(1, len(class_ids) + 1):
         f1s = []
         for s in range(num_selections):
             chosen = np.random.default_rng([seed, 7001, i, s]).choice(class_ids, size=i, replace=False)
@@ -301,7 +291,7 @@ def mask_loop_curve(preds, labels, ids, k, num_selections, seed, max_unknown):
     per_trial = np.asarray(
         [(omegas * np.asarray([pt.f1_values[s] for pt in points])).sum() / omegas.sum() for s in range(num_selections)]
     )
-    return points, scalar, float(per_trial.std(ddof=1)) if num_selections > 1 else 0.0, note
+    return points, scalar, float(per_trial.std(ddof=1)) if num_selections > 1 else 0.0
 
 
 def mask_loop_confusion(preds, labels, k, ids):
@@ -341,18 +331,11 @@ class TestCountTablesMatchMaskLoops:
     """The count-table sweep and confusion report equal the former mask loops bit for bit."""
 
     @settings(deadline=None, max_examples=150)
-    @given(
-        open_sets(),
-        st.integers(1, 4),
-        st.integers(0, 10**6),
-        st.one_of(st.none(), st.integers(1, 7)),
-    )
-    def test_curve_and_confusion(self, open_set, num_selections, seed, max_unknown):
+    @given(open_sets(), st.integers(1, 4), st.integers(0, 10**6))
+    def test_curve_and_confusion(self, open_set, num_selections, seed):
         preds, labels, ids, k = open_set
-        got = open_maf1_curve(
-            preds, labels, ids, k, num_selections=num_selections, seed=seed, max_unknown=max_unknown
-        )
-        assert got == mask_loop_curve(preds, labels, ids, k, num_selections, seed, max_unknown)
+        got = open_maf1_curve(preds, labels, ids, k, num_selections=num_selections, seed=seed)
+        assert got == mask_loop_curve(preds, labels, ids, k, num_selections, seed)
         matrix, top = confusion_and_top_confusions(preds, labels, k, ids)
         want_matrix, want_top = mask_loop_confusion(preds, labels, k, ids)
         assert np.array_equal(matrix, want_matrix) and top == want_top
@@ -369,7 +352,7 @@ class TestCountTablesMatchMaskLoops:
         order = rng.permutation(labels.size)
         preds, labels, ids = preds[order], labels[order], ids[order]
         got = open_maf1_curve(preds, labels, ids, 11, num_selections=3, seed=5)
-        assert got == mask_loop_curve(preds, labels, ids, 11, 3, 5, None)
+        assert got == mask_loop_curve(preds, labels, ids, 11, 3, 5)
 
 
 def brute_force_auc(known, unknown):

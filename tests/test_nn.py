@@ -49,7 +49,6 @@ class TestGradcheckHarness:
             return 0.5 * float((p.value**2).sum())
 
         report = gradcheck(loss, [p])
-        assert report.ok(1e-8)
         assert report.max_rel_err < 1e-8
 
     def test_corrupted_gradient_is_caught(self):
@@ -60,15 +59,14 @@ class TestGradcheckHarness:
             return 0.5 * float((p.value**2).sum())
 
         report = gradcheck(loss, [p])
-        assert not report.ok(1e-4)
-        assert [e.name for e in report.failures(1e-4)] == ["theta"]
+        assert report.max_rel_err >= 1e-4
+        assert [e.name for e in report.entries if e.max_rel_err >= 1e-4] == ["theta"]
 
     def test_nan_gradient_is_caught(self):
         w = Parameter("w", np.array([1.0, -2.0, 0.5]))
         w.grad[...] = 2.0 * w.value
         w.grad[1] = np.nan
         report = gradcheck(lambda: float((w.value**2).sum()), [w])
-        assert not report.ok(1e-4)
         assert report.max_rel_err == math.inf
         assert report.entries[0].worst_coord == 1
 
@@ -76,7 +74,6 @@ class TestGradcheckHarness:
         w = Parameter("w", np.array([1.0, -2.0, 0.5]))
         w.grad[...] = 2.0 * w.value
         report = gradcheck(lambda: float("nan"), [w])
-        assert not report.ok(1e-4)
         assert report.max_rel_err == math.inf
 
 
@@ -99,19 +96,19 @@ class TestLayerGradients:
         rng = np.random.default_rng(42)
         layer = TemporalConv(3, 4, 3, rng)
         x = rng.normal(size=(5, 3, 9))
-        assert quadratic_gradcheck(layer, x).ok(1e-6)
+        assert quadratic_gradcheck(layer, x).max_rel_err < 1e-6
 
     def test_pointwise_conv(self):
         rng = np.random.default_rng(43)
         layer = PointwiseConv(3, 4, rng)
         x = rng.normal(size=(5, 3, 7))
-        assert quadratic_gradcheck(layer, x).ok(1e-6)
+        assert quadratic_gradcheck(layer, x).max_rel_err < 1e-6
 
     def test_dense(self):
         rng = np.random.default_rng(44)
         layer = Dense(6, 4, rng)
         x = rng.normal(size=(8, 6))
-        assert quadratic_gradcheck(layer, x).ok(1e-6)
+        assert quadratic_gradcheck(layer, x).max_rel_err < 1e-6
 
     @pytest.mark.parametrize("kind", ["exp", "softplus", "relu"])
     def test_evidence_head(self, kind):
@@ -122,7 +119,7 @@ class TestLayerGradients:
         logits = layer.dense.forward(x)
         assert np.abs(logits).min() > 1e-3
         assert np.abs(logits).max() < layer.exp_bound - 1e-3
-        assert quadratic_gradcheck(layer, x).ok(1e-6)
+        assert quadratic_gradcheck(layer, x).max_rel_err < 1e-6
 
     def test_full_backbone_chain(self):
         rng = np.random.default_rng(48)
@@ -130,7 +127,7 @@ class TestLayerGradients:
         x = rng.normal(size=(4, 3, 10))
         preact = net.layers[0].forward(x)
         assert np.abs(preact).min() > 1e-3  # clear of the ReLU corner
-        assert quadratic_gradcheck(net, x).ok(1e-6)
+        assert quadratic_gradcheck(net, x).max_rel_err < 1e-6
 
     def test_input_gradient_of_dense(self):
         rng = np.random.default_rng(47)

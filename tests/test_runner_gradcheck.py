@@ -10,7 +10,7 @@ from osev import debias, losses, runner
 from osev.cli import main
 from osev.config import ConfigError, RunConfig
 from osev.data import SyntheticSpec, generate, save_dataset
-from osev.nn import EvidenceHead, EvidentialNet
+from osev.nn import GRADCHECK_MAX_COORDS, EvidenceHead, EvidentialNet
 
 SIDE_CHECKS = ("objective.debias", "objective.bias", "composed.main_side", "composed.biased_side")
 
@@ -27,16 +27,17 @@ def acceptance_config(dataset_dir, seed):
     return replace(RunConfig(dataset=dataset_dir, seed=seed), feature_width=12, kernel_width=9)
 
 
-def oracle_gradchecks(objective, branches, fwd, labels, weights, kernel, side, eps, **options):
+def oracle_gradchecks(branches, fwd, labels, weights, kernel, side, **options):
     """Reference differencing: all three branches re-run per quotient, and one
     gradcheck covers all of the side's parameters."""
     params = branches.parameters(side)
+    objective = runner.debias_objective if side == "f" else runner.bias_objective
 
     def loss():
         full = runner.ced_forward(branches, fwd.x, perms=fwd.perms)
         return objective(branches, full, labels, weights, kernel, apply_grads=False, **options).loss
 
-    return [runner.gradcheck(loss, params, eps=eps)]
+    return [runner.gradcheck(loss, params)]
 
 
 def recording(inner, perturbed):
@@ -68,8 +69,8 @@ def test_branch_reports_equal_one_full_forward_gradcheck(dataset_dir, monkeypatc
         branch_coords = perturbed[:]
         del perturbed[:]
         (oracle,) = oracle_gradchecks(*args, **options)
-        compared.append((args[6], tuple(e for r in reports for e in r.entries), oracle.entries))
-        assert branch_coords == perturbed, f"side {args[6]} sampled other coordinates than the oracle"
+        compared.append((args[5], tuple(e for r in reports for e in r.entries), oracle.entries))
+        assert branch_coords == perturbed, f"side {args[5]} sampled other coordinates than the oracle"
         return reports
 
     monkeypatch.setattr(runner, "_branch_gradchecks", both)
@@ -95,8 +96,8 @@ def test_run_gradcheck_entries_equal_the_oracle_run(dataset_dir, monkeypatch):
     assert entries == oracle_entries
 
 
-def _coords(params, max_coords=64):
-    return sum(min(p.value.size, max_coords) for p in params)
+def _coords(params):
+    return sum(min(p.value.size, GRADCHECK_MAX_COORDS) for p in params)
 
 
 def test_quotients_forward_only_the_perturbed_branch(dataset_dir, monkeypatch):
