@@ -64,9 +64,7 @@ def _cmd_eval(args) -> int:
         "seed": args.seed,
         "avu_threshold": args.avu_threshold,
     }
-    report = run_evaluation(args.checkpoint, args.data, out_path.parent, **overrides)
-    if out_path.name != "report.json":
-        (out_path.parent / "report.json").replace(out_path)
+    report = run_evaluation(args.checkpoint, args.data, out_path, **overrides)
     print(f"open-set AUC {report['open_auc']:.4f}, Open maF1 {report['open_maf1']['scalar']:.4f}")
     return EXIT_OK
 
@@ -104,7 +102,7 @@ def _dig(report: dict, path: tuple[str, ...]) -> float:
 
 def _sweep_one(config: RunConfig, out_dir: Path) -> dict:
     paths = run_training(config, out_dir)
-    return run_evaluation(paths["checkpoint"], config.dataset, out_dir)
+    return run_evaluation(paths["checkpoint"], config.dataset, out_dir / "report.json")
 
 
 def _cmd_sweep(args) -> int:

@@ -13,16 +13,17 @@ detection cannot succeed through scene novelty alone.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import math
-import os
-import pickle
 import re
-import threading
+import zipfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.npyio import NpzFile
 
 from .config import _from_json
 
@@ -185,17 +186,33 @@ def _float_repr(v: float) -> str:
 
 
 def save_split(split: DatasetSplit, path) -> Path:
-    """CSV with one row per sample: id, class, scene, then channel-major values."""
+    """CSV with one row per sample: id, class, scene, then channel-major values.
+
+    Beside it goes a binary copy, the same name with suffix ``.npz``
+    (uncompressed): ``csv_sha256``, the hex sha256 of the CSV bytes written,
+    then ``ids``, ``labels`` and ``scenes`` (int64) and ``x`` (float64,
+    ``(n, C, T)``), equal to what parsing the CSV gives.  An integer outside
+    int64, which no parse accepts, gets no copy.
+    """
     p = Path(path)
     n, c, t = split.x.shape
     header = ["id", "class", "scene"] + [f"c{ci}_t{ti}" for ci in range(c) for ti in range(t)]
     lines = [",".join(header)]
+    keys = [(int(split.ids[i]), int(split.labels[i]), int(split.scenes[i])) for i in range(n)]
     flat = split.x.reshape(n, c * t)
     for i in range(n):
-        row = [str(int(split.ids[i])), str(int(split.labels[i])), str(int(split.scenes[i]))]
+        row = [str(key) for key in keys[i]]
         row.extend(_float_repr(v) for v in flat[i])
         lines.append(",".join(row))
-    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    body = ("\n".join(lines) + "\n").encode("utf-8")
+    p.write_bytes(body)
+    try:
+        ids, labels, scenes = np.array(keys, dtype=np.int64).reshape(n, 3).T
+    except OverflowError:  # load_split names the field when it parses the CSV
+        return p
+    x = np.asarray(split.x, dtype=np.float64)
+    with open(p.with_suffix(".npz"), "wb") as fh:
+        np.savez(fh, csv_sha256=hashlib.sha256(body).hexdigest(), ids=ids, labels=labels, scenes=scenes, x=x)
     return p
 
 
@@ -290,19 +307,57 @@ def _header_shape(p: Path, header: list[str]) -> tuple[int, int]:
     return int(last.group(1)) + 1, timesteps
 
 
+_COPY_DTYPES = {"ids": np.int64, "labels": np.int64, "scenes": np.int64, "x": np.float64}
+
+
+def _read_copy(path: Path, csv_bytes: bytes, channels: int, timesteps: int):
+    """``(ids, labels, scenes, x)`` from the binary copy at ``path``, or None unless it verifies.
+
+    It verifies when it is an ``.npz`` archive without object arrays whose
+    ``csv_sha256`` is the sha256 of ``csv_bytes``, whose arrays have the dtypes
+    :func:`save_split` writes, ``x`` of shape ``(n, channels, timesteps)`` and
+    the others ``(n,)``, and whose ``x`` is all finite.
+    """
+    try:
+        # opened here, since np.load leaves its own file open when the archive is bad
+        with open(path, "rb") as fh:
+            saved = np.load(fh, allow_pickle=False)
+            if not isinstance(saved, NpzFile):  # an .npy file loads as one array
+                return None
+            with saved:
+                if saved["csv_sha256"].tolist() != hashlib.sha256(csv_bytes).hexdigest():
+                    return None
+                arrays = tuple(saved[key] for key in _COPY_DTYPES)
+    except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile):
+        return None
+    rows = arrays[3].shape[:1]
+    shapes = (rows, rows, rows, rows + (channels, timesteps))
+    for array, dtype, shape in zip(arrays, _COPY_DTYPES.values(), shapes):
+        if array.dtype != dtype or array.shape != shape:
+            return None
+    return arrays if np.isfinite(arrays[3]).all() else None
+
+
 def load_split(path, kind: str | None = None) -> DatasetSplit:
     """Read a split CSV written by :func:`save_split`.
 
-    The value block is parsed in one vectorised call; on any failure it is
-    re-parsed line by line, so every error names its file, line and column.
+    The CSV's bytes are read once and its header checked.  The binary copy
+    beside it (the same name with suffix ``.npz``) is used in place of the
+    rows when it verifies against those bytes (see :func:`_read_copy`).
+    Otherwise the rows are parsed in one vectorised call, and on any failure
+    again line by line, so every error names its file, line and column.
     """
     p = Path(path)
-    with open(p, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        channels, timesteps = _header_shape(p, header)
-        lines = fh.readlines()
-    parsed = _parse_rows_fast(lines, channels * timesteps)
-    ids, labels, scenes, x = parsed if parsed is not None else _parse_rows(p, header, lines)
+    with open(p, "rb") as fh:
+        csv_bytes = fh.read()
+    text = io.TextIOWrapper(io.BytesIO(csv_bytes), encoding="utf-8")  # decodes lazily: the rows only if parsed
+    header = text.readline().strip().split(",")
+    channels, timesteps = _header_shape(p, header)
+    arrays = _read_copy(p.with_suffix(".npz"), csv_bytes, channels, timesteps)
+    if arrays is None:
+        lines = text.readlines()
+        arrays = _parse_rows_fast(lines, channels * timesteps) or _parse_rows(p, header, lines)
+    ids, labels, scenes, x = arrays
     return DatasetSplit(
         kind=kind or p.stem,
         x=x.reshape(len(x), channels, timesteps),
@@ -313,7 +368,7 @@ def load_split(path, kind: str | None = None) -> DatasetSplit:
 
 
 def save_dataset(spec: SyntheticSpec, splits: dict[str, DatasetSplit], out_dir) -> Path:
-    """Write one CSV per split plus a manifest describing the generation."""
+    """Write one CSV per split, each with its binary copy (see :func:`save_split`), plus a manifest."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     files = {}
@@ -370,87 +425,23 @@ def _read_manifest(directory) -> tuple[SyntheticSpec, dict[str, Path]]:
     return spec, {name: d / fname for name, fname in listed.items() if name in SPLIT_NAMES}
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _parse_each(files) -> dict[str, DatasetSplit]:
-    """The splits of ``files`` that parse; one that raises is left out, for the caller to parse again."""
-    parsed = {}
-    for name, path in files:
-        try:
-            parsed[name] = load_split(path, kind=name)
-        except (ValueError, OSError):
-            pass
-    return parsed
-
-
-def _parse_in_two_processes(files) -> dict[str, DatasetSplit]:
-    """Parse ``(name, path)`` pairs in this process and one forked child; {} when that cannot help.
-
-    Parsing is correctly rounded float conversion, which holds the GIL, so
-    threads would not overlap it.  It takes two or more files, two usable CPUs,
-    and no other thread, since forking a threaded process is unsafe.  The files
-    go largest first to whichever process has fewer bytes so far.  The child
-    pickles what it parsed into a pipe and leaves by ``os._exit`` on every
-    path; it is reaped before this returns, whatever is raised.  A split that
-    failed in either process is missing from the result.
-    """
-    if len(files) < 2 or not hasattr(os, "fork") or _usable_cpus() < 2 or threading.active_count() > 1:
-        return {}
-    try:
-        sizes = {path: os.path.getsize(path) for _, path in files}
-    except OSError:  # the serial loop names the file
-        return {}
-    shares, loads = ([], []), [0, 0]
-    for name, path in sorted(files, key=lambda item: sizes[item[1]], reverse=True):
-        side = 0 if loads[0] <= loads[1] else 1
-        shares[side].append((name, path))
-        loads[side] += sizes[path]
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        try:
-            os.close(read_fd)
-            payload = pickle.dumps(_parse_each(shares[1]))
-            with open(write_fd, "wb") as pipe:
-                pipe.write(payload)
-        finally:
-            os._exit(0)
-    os.close(write_fd)
-    try:
-        # Closed before the wait on every path: if this process raises, the
-        # child's write then fails instead of blocking, and it exits.
-        with open(read_fd, "rb") as pipe:
-            parsed = _parse_each(shares[0])
-            payload = pipe.read()
-    finally:
-        _, status = os.waitpid(pid, 0)
-    if payload and os.waitstatus_to_exitcode(status) == 0:
-        parsed.update(pickle.loads(payload))
-    return parsed
-
-
 def load_dataset(directory, names=SPLIT_NAMES) -> tuple[SyntheticSpec, dict[str, DatasetSplit]]:
-    """Check the manifest, then parse the splits in ``names``; no other split's CSV is opened.
+    """Check the manifest, then load the splits in ``names``; no other split's CSV is opened.
 
-    The files are parsed in two processes where that helps (see
-    :func:`_parse_in_two_processes`).  Any split not parsed there is parsed
-    here, in manifest order, so the first error raised is the serial one.
-    Each split must have a row, and each row a class of its split: a known
-    class in [0, K) for the three known splits, an unknown one in [K, K + U)
-    for ``test_unknown``.
+    The splits are loaded one by one in manifest order with :func:`load_split`
+    (from a verified binary copy where there is one), so the first error
+    raised names the first bad file.  Whichever way a split was read, its
+    shape must match the spec, it must have a row, and each row a class of its
+    split: a known class in [0, K) for the three known splits, an unknown one
+    in [K, K + U) for ``test_unknown``.
     """
     spec, files = _read_manifest(directory)
-    wanted = [(name, path) for name, path in files.items() if name in names]
-    parsed = _parse_in_two_processes(wanted)
     k = spec.known_classes
     splits = {}
-    for name, path in wanted:
-        split = parsed[name] if name in parsed else load_split(path, kind=name)
+    for name, path in files.items():
+        if name not in names:
+            continue
+        split = load_split(path, kind=name)
         if split.x.shape[1:] != (spec.channels, spec.timesteps):
             raise ValueError(
                 f"{path}: {split.x.shape[1]} channels x {split.x.shape[2]} timesteps, "

@@ -349,7 +349,7 @@ def _median(values: np.ndarray) -> float:
 def run_evaluation(
     checkpoint_path,
     data_dir,
-    out_dir,
+    report_path,
     *,
     coverage: float | None = None,
     ece_bins: int | None = None,
@@ -359,11 +359,13 @@ def run_evaluation(
 ) -> dict:
     """Score all test splits against a checkpoint and write the report.
 
-    Writes report.json, curve.csv, scores.jsonl (biased known test plus the
-    unknown pool) and scores_unbiased.jsonl into ``out_dir``; returns the
-    report dict.  Also writes timings.json, the wall seconds of each phase
-    (``load_s``, ``score_s``, ``metrics_s``, ``write_s``), which is not
-    deterministic and appears in no other output.  An override left None
+    Writes the report JSON to ``report_path`` and four siblings in its
+    directory: curve.csv, scores.jsonl (biased known test plus the unknown
+    pool), scores_unbiased.jsonl and timings.json, the wall seconds of each
+    phase (``load_s``, ``score_s``, ``metrics_s``, ``write_s``), which is not
+    deterministic and appears in no other output.  No other file is written,
+    so a ``report.json`` beside a report of another name keeps its bytes.
+    Returns the report dict.  An override left None
     keeps the checkpoint config's value; one that breaks that key's rule
     raises :class:`ConfigError`.  Raises :class:`CheckpointDataMismatch` when
     the checkpoint and dataset disagree.
@@ -392,7 +394,8 @@ def run_evaluation(
             f"checkpoint expects {meta['channels']} channels, dataset has {spec.channels}"
         )
 
-    out = Path(out_dir)
+    report_path = Path(report_path)
+    out = report_path.parent
     out.mkdir(parents=True, exist_ok=True)
     k = spec.known_classes
     loaded = time.perf_counter()
@@ -467,7 +470,7 @@ def run_evaluation(
         },
     }
     measured = time.perf_counter()
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
+    with open(report_path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     curve_lines = ["i,omega,f1_mean,f1_std"]

@@ -48,7 +48,7 @@ def _report(num: int, title: str, ok: bool, detail: str) -> None:
 def train_eval(dataset: str, out_dir, seed: int, **overrides) -> dict:
     cfg = replace(RunConfig(dataset=dataset, seed=seed), **overrides)
     paths = run_training(cfg, out_dir)
-    return run_evaluation(paths["checkpoint"], dataset, out_dir)
+    return run_evaluation(paths["checkpoint"], dataset, out_dir / "report.json")
 
 
 @pytest.fixture(scope="module")

@@ -92,9 +92,13 @@ class TestArtifacts:
         assert names == {
             "manifest.json",
             "train.csv",
+            "train.npz",
             "test_biased.csv",
+            "test_biased.npz",
             "test_unbiased.csv",
+            "test_unbiased.npz",
             "test_unknown.csv",
+            "test_unknown.npz",
         }
 
     def test_training_files(self, run_dir):
@@ -115,6 +119,21 @@ class TestArtifacts:
     def test_eval_files(self, eval_dir):
         names = {p.name for p in eval_dir.iterdir()}
         assert names == {"report.json", "curve.csv", "scores.jsonl", "scores_unbiased.jsonl", "timings.json"}
+
+    def test_eval_out_of_another_name_leaves_report_json_beside_it(self, tmp_path, dataset_dir, run_dir, eval_dir):
+        (tmp_path / "report.json").write_text("earlier report\n")
+        argv = ["eval", "--checkpoint", str(run_dir / "model.ckpt"), "--data", str(dataset_dir)]
+        assert main(argv + ["--out", str(tmp_path / "a.json")]) == 0
+        assert (tmp_path / "report.json").read_text() == "earlier report\n"
+        assert (tmp_path / "a.json").read_bytes() == (eval_dir / "report.json").read_bytes()
+        assert {p.name for p in tmp_path.iterdir()} == {
+            "a.json",
+            "report.json",
+            "curve.csv",
+            "scores.jsonl",
+            "scores_unbiased.jsonl",
+            "timings.json",
+        }
 
     def test_report_structure(self, eval_dir):
         report = json.loads((eval_dir / "report.json").read_text())
@@ -545,21 +564,20 @@ def _copy_with_manifest(dataset_dir, dest, edit):
 
 
 class TestSplitsParsed:
-    """Each command parses only the split CSVs it reads; every one checks the whole manifest."""
+    """Each command loads only the splits it reads; every one checks the whole manifest."""
 
     @pytest.fixture
-    def parsed(self, monkeypatch, tmp_path):
-        """A function giving the file names parsed so far, in this process or a forked child."""
-        log = tmp_path / "parsed.txt"
+    def parsed(self, monkeypatch):
+        """A function giving the names of the split files loaded so far."""
+        loaded = []
         inner = data_mod.load_split
 
         def spy(path, kind=None):
-            with open(log, "a", encoding="utf-8") as fh:
-                fh.write(Path(path).name + "\n")
+            loaded.append(Path(path).name)
             return inner(path, kind)
 
         monkeypatch.setattr(data_mod, "load_split", spy)
-        return lambda: log.read_text(encoding="utf-8").splitlines() if log.exists() else []
+        return lambda: loaded
 
     def test_train_parses_the_train_split_only(self, tmp_path, dataset_dir, parsed):
         cfg = tmp_path / "run.cfg"
@@ -576,7 +594,7 @@ class TestSplitsParsed:
     def test_eval_parses_all_four_splits(self, tmp_path, dataset_dir, run_dir, parsed):
         argv = ["eval", "--checkpoint", str(run_dir / "model.ckpt"), "--data", str(dataset_dir)]
         assert main(argv + ["--out", str(tmp_path / "report.json")]) == 0
-        assert sorted(parsed()) == sorted(f"{name}.csv" for name in data_mod.SPLIT_NAMES)
+        assert parsed() == ["test_biased.csv", "test_unbiased.csv", "test_unknown.csv", "train.csv"]  # manifest order
 
     @pytest.fixture(scope="class")
     def unknown_nan_dir(self, tmp_path_factory, dataset_dir):

@@ -1,6 +1,5 @@
 """Synthetic dataset: spectral identity, bias wiring, serialization."""
 
-import os
 import shutil
 from dataclasses import replace
 from pathlib import Path
@@ -438,17 +437,15 @@ class TestVectorisedParse:
             _assert_same_bytes(fast, data_mod._parse_rows(Path("fuzz.csv"), header, lines))
 
 
-#: Known splits of 12 rows and an unknown pool of 40: the pool goes to this
-#: process and the three known splits to the forked child.
-PARALLEL_SPEC = dict(known_classes=3, unknown_classes=10, samples_per_class=4, timesteps=32)
-PARENT_FILE, CHILD_FILE = "test_unknown", "test_biased"
+#: Known splits of 12 rows and an unknown pool of 40, each row 5 channels x 32 timesteps.
+OPEN_SET_SPEC = dict(known_classes=3, unknown_classes=10, samples_per_class=4, timesteps=32)
 
 
 @pytest.fixture(scope="module")
 def open_set_run(tmp_path_factory):
     """(dataset dir, checkpoint) for ``osev eval``: a tiny model trained for one epoch."""
-    root = tmp_path_factory.mktemp("parallel")
-    spec = small_spec(**PARALLEL_SPEC)
+    root = tmp_path_factory.mktemp("open_set")
+    spec = small_spec(**OPEN_SET_SPEC)
     save_dataset(spec, generate(spec), root / "data")
     cfg = root / "run.cfg"
     cfg.write_text(f"dataset = {root / 'data'}\nseed = 0\nepochs = 1\nfeature_width = 4\nkernel_width = 3\n")
@@ -456,9 +453,157 @@ def open_set_run(tmp_path_factory):
     return root / "data", root / "run" / "model.ckpt"
 
 
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+@pytest.fixture
+def copies_used(monkeypatch):
+    """A dict that maps each split loaded from here on to whether its binary copy was used."""
+    used = {}
+    inner = data_mod._read_copy
+
+    def spy(path, *args):
+        arrays = inner(path, *args)
+        used[Path(path).stem] = arrays is not None
+        return arrays
+
+    monkeypatch.setattr(data_mod, "_read_copy", spy)
+    return used
+
+
+def _parse_only(path, monkeypatch) -> DatasetSplit:
+    """``load_split(path)`` with every binary copy ignored."""
+    with monkeypatch.context() as patch:
+        patch.setattr(data_mod, "_read_copy", lambda *args: None)
+        return load_split(path)
+
+
+def _assert_same_split(a: DatasetSplit, b: DatasetSplit) -> None:
+    assert a.kind == b.kind
+    for field in ("x", "ids", "labels", "scenes"):
+        u, v = getattr(a, field), getattr(b, field)
+        assert (u.dtype, u.shape, u.tobytes()) == (v.dtype, v.shape, v.tobytes()), field
+        assert u.flags.writeable and u.flags.c_contiguous, field
+
+
+def _drop_copies(directory: Path) -> None:
+    for npz in directory.glob("*.npz"):
+        npz.unlink()
+
+
+def _forge(npz: Path, how: str) -> None:
+    """Replace a binary copy with one that must not verify; all but the first three keep the digest."""
+    if how == "truncated":
+        npz.write_bytes(npz.read_bytes()[:-100])
+        return
+    if how == "not_a_zip":
+        npz.write_text("id,class,scene\n")
+        return
+    with np.load(npz) as saved:
+        arrays = dict(saved)
+    if how == "npy":  # a lone array, which np.load returns without an archive
+        with open(npz, "wb") as fh:
+            np.save(fh, arrays["x"])
+        return
+    x = arrays["x"].copy()
+    if how == "x_float32":
+        arrays["x"] = x.astype(np.float32)
+    elif how == "labels_int32":
+        arrays["labels"] = arrays["labels"].astype(np.int32)
+    elif how == "one_row_short":
+        arrays["x"] = x[:-1]
+    elif how == "one_channel_short":
+        arrays["x"] = x[:, :-1]
+    elif how == "nan":
+        x[1, 0, 2] = np.nan
+        arrays["x"] = x
+    elif how == "pickled_object_array":
+        arrays["x"] = x.astype(object)
+    elif how == "digest_as_bytes":
+        arrays["csv_sha256"] = np.bytes_(str(arrays["csv_sha256"]))
+    else:  # "no_scenes"
+        del arrays["scenes"]
+    with open(npz, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+class TestBinaryCopies:
+    """A split CSV's ``.npz`` copy is read in place of the parse only when it verifies against the CSV."""
+
+    def test_copies_load_bit_identical_to_the_parse(self, open_set_run, copies_used, monkeypatch):
+        data_dir, _ = open_set_run
+        _, splits = load_dataset(data_dir)
+        assert copies_used == {name: True for name in SPLIT_NAMES}
+        assert list(splits) == ["test_biased", "test_unbiased", "test_unknown", "train"]  # manifest order
+        for name in SPLIT_NAMES:
+            assert splits[name].kind == name
+            _assert_same_split(splits[name], _parse_only(data_dir / f"{name}.csv", monkeypatch))
+
+    def test_a_csv_with_one_changed_digit_is_parsed_not_read_from_its_stale_copy(self, tmp_path, copies_used, monkeypatch):
+        path = save_split(generate(small_spec(samples_per_class=3))["train"], tmp_path / "train.csv")
+        stale = load_split(path)
+        lines = path.read_text().splitlines()
+        fields = lines[1].split(",")
+        digit = fields[3][-1]
+        fields[3] = fields[3][:-1] + str((int(digit) + 1) % 10)
+        lines[1] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        split = load_split(path)
+        assert copies_used == {"train": False}
+        _assert_same_split(split, _parse_only(path, monkeypatch))
+        assert split.x[0, 0, 0] != stale.x[0, 0, 0]
+        assert np.array_equal(split.x.ravel()[1:], stale.x.ravel()[1:])
+
+    @pytest.mark.parametrize(
+        "how",
+        [
+            "truncated",
+            "not_a_zip",
+            "npy",
+            "x_float32",
+            "labels_int32",
+            "one_row_short",
+            "one_channel_short",
+            "nan",
+            "pickled_object_array",
+            "digest_as_bytes",
+            "no_scenes",
+        ],
+    )
+    def test_a_copy_that_does_not_verify_falls_back_to_the_parse(self, tmp_path, copies_used, monkeypatch, how):
+        path = save_split(generate(small_spec(samples_per_class=3))["test_biased"], tmp_path / "test_biased.csv")
+        _forge(path.with_suffix(".npz"), how)
+        split = load_split(path)
+        assert copies_used == {"test_biased": False}
+        _assert_same_split(split, _parse_only(path, monkeypatch))
+
+    def test_an_id_outside_int64_gets_no_copy_and_fails_the_parse(self, tmp_path):
+        split = generate(small_spec(samples_per_class=2))["train"]
+        ids = split.ids.astype(np.uint64)
+        ids[1] = 2**63
+        path = save_split(replace(split, ids=ids), tmp_path / "train.csv")
+        assert not path.with_suffix(".npz").exists()
+        with pytest.raises(ValueError, match=r"train\.csv:3: value id='9223372036854775808' is outside the int64 range"):
+            load_split(path)
+
+    def test_generate_data_twice_writes_identical_bytes(self, tmp_path):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text("known_classes = 3\nunknown_classes = 2\nsamples_per_class = 4\ntimesteps = 16\n")
+        for out in ("a", "b"):
+            assert main(["generate-data", "--spec", str(spec), "--out", str(tmp_path / out)]) == 0
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert names == sorted(["manifest.json"] + [f"{n}.{ext}" for n in SPLIT_NAMES for ext in ("csv", "npz")])
+        assert sorted(p.name for p in (tmp_path / "b").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+    def test_a_missing_csv_exits_2_when_its_copy_exists(self, tmp_path, open_set_run, capsys):
+        data_dir, ckpt = open_set_run
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        (data / "test_unknown.csv").unlink()
+        report = tmp_path / "report.json"
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data), "--out", str(report)]) == 2
+        missing = data / "test_unknown.csv"
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+        assert not report.exists()
 
 
 def _corrupt(path: Path, how: str) -> None:
@@ -478,68 +623,36 @@ def _corrupt(path: Path, how: str) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-class TestParallelLoad:
-    """load_dataset parses in two processes and gives the serial loop's arrays and errors."""
+#: The message each ``_corrupt`` gives, after ``error: <path of the CSV>``.
+CORRUPT_MESSAGE = {
+    "header": ":1: CSV header column 3 is 'place', expected 'scene'",
+    "nan": ":3: value c0_t2=nan is not finite",
+    "id": ":3: value id='99999999999999999999' is outside the int64 range",
+    "channels": ": 4 channels x 32 timesteps, manifest spec says 5 x 32",
+}
 
-    @pytest.fixture
-    def parses(self, monkeypatch, tmp_path):
-        """Force the two-process path; return a function giving (pid, split) of each parse so far."""
-        log = tmp_path / "parses.txt"
-        inner = data_mod.load_split
 
-        def spy(path, kind=None):
-            with open(log, "a", encoding="utf-8") as fh:
-                fh.write(f"{os.getpid()} {kind}\n")
-            return inner(path, kind)
+@pytest.mark.parametrize("copies", [True, False], ids=["copies", "no_copies"])
+class TestDatasetLoad:
+    """Every malformed split gives the same exit code and message with the binary copies present or deleted.
 
-        monkeypatch.setattr(data_mod, "load_split", spy)
-        monkeypatch.setattr(data_mod, "_usable_cpus", lambda: 2)
-        return lambda: [(int(pid), kind) for pid, kind in map(str.split, log.read_text().splitlines())]
-
-    @staticmethod
-    def serial(monkeypatch, action):
-        with monkeypatch.context() as patch:
-            patch.setattr(data_mod, "_usable_cpus", lambda: 1)
-            return action()
-
-    def test_arrays_are_bit_identical_to_the_serial_load(self, open_set_run, parses, monkeypatch):
-        data_dir, _ = open_set_run
-        spec, parallel = load_dataset(data_dir)
-        by_process = {}
-        for pid, kind in parses():
-            by_process.setdefault("parent" if pid == os.getpid() else "child", []).append(kind)
-        assert by_process == {"parent": [PARENT_FILE], "child": ["test_biased", "test_unbiased", "train"]}
-        _no_child_left()
-        serial_spec, serial = self.serial(monkeypatch, lambda: load_dataset(data_dir))
-        assert spec == serial_spec
-        assert list(parallel) == list(serial) == ["test_biased", "test_unbiased", "test_unknown", "train"]
-        for name in SPLIT_NAMES:
-            assert parallel[name].kind == serial[name].kind == name
-            for field in ("x", "ids", "labels", "scenes"):
-                a, b = getattr(parallel[name], field), getattr(serial[name], field)
-                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (name, field)
-                assert a.flags.writeable and a.flags.c_contiguous
+    With copies present, an edited CSV leaves its copy stale unless the test
+    saves the split again, which writes a copy that verifies.
+    """
 
     @pytest.mark.parametrize("how", ["header", "nan", "id", "channels"])
-    @pytest.mark.parametrize("bad", [PARENT_FILE, CHILD_FILE])
-    def test_a_malformed_file_exits_2_with_the_serial_message(
-        self, tmp_path, open_set_run, parses, monkeypatch, capsys, bad, how
-    ):
+    @pytest.mark.parametrize("bad", ["test_unknown", "test_biased"])
+    def test_a_malformed_file_exits_2_with_its_message(self, tmp_path, open_set_run, capsys, copies, bad, how):
         data_dir, ckpt = open_set_run
         data = tmp_path / "data"
         shutil.copytree(data_dir, data)
         _corrupt(data / f"{bad}.csv", how)
-        argv = ["eval", "--checkpoint", str(ckpt), "--data", str(data), "--out", str(tmp_path / "report.json")]
-        assert main(argv) == 2
-        _no_child_left()
-        in_child = {kind for pid, kind in parses() if pid != os.getpid()}
-        assert (bad in in_child) == (bad == CHILD_FILE)
-        if how != "channels":  # a file that failed to parse is parsed again here
-            assert (os.getpid(), bad) in parses()
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {data / bad}.csv:")
-        assert self.serial(monkeypatch, lambda: main(argv)) == 2
-        assert capsys.readouterr().err == err
+        if not copies:
+            _drop_copies(data)
+        report = tmp_path / "report.json"
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data), "--out", str(report)]) == 2
+        assert capsys.readouterr().err == f"error: {data / bad}.csv{CORRUPT_MESSAGE[how]}\n"
+        assert not report.exists()
 
     @pytest.mark.parametrize(
         "bad, label, message",
@@ -547,15 +660,15 @@ class TestParallelLoad:
             ("train", -1, "has class -1, outside the known classes [0, 3)"),
             ("train", 3, "has class 3, outside the known classes [0, 3)"),
             ("train", None, "split has no rows"),
-            (CHILD_FILE, 13, "has class 13, outside the known classes [0, 3)"),
-            (PARENT_FILE, 2, "has class 2, outside the unknown classes [3, 13)"),
-            (PARENT_FILE, None, "split has no rows"),
+            ("test_biased", 13, "has class 13, outside the known classes [0, 3)"),
+            ("test_unknown", 2, "has class 2, outside the unknown classes [3, 13)"),
+            ("test_unknown", None, "split has no rows"),
         ],
     )
     def test_a_split_without_rows_or_with_a_class_outside_its_range_exits_2(
-        self, tmp_path, open_set_run, parses, monkeypatch, capsys, bad, label, message
+        self, tmp_path, open_set_run, copies_used, capsys, copies, bad, label, message
     ):
-        """The row's id is named, or the empty file; on the forked and the serial eval, and in train."""
+        """The row's id is named, or the empty file; in eval and in train."""
         data_dir, ckpt = open_set_run
         data = tmp_path / "data"
         shutil.copytree(data_dir, data)
@@ -569,15 +682,18 @@ class TestParallelLoad:
             lines[2] = ",".join(fields)
             message = f"row id={fields[0]} {message}"
         path.write_text("\n".join(lines) + "\n")
+        if copies:  # the split's checks then run on what its copy holds
+            edited = path.read_bytes()
+            save_split(load_split(path), path)
+            assert path.read_bytes() == edited
+        else:
+            _drop_copies(data)
         expected = f"error: {path}: {message}\n"
-        argv = ["eval", "--checkpoint", str(ckpt), "--data", str(data), "--out", str(tmp_path / "report.json")]
-        assert main(argv) == 2
-        _no_child_left()
-        assert any(pid != os.getpid() for pid, _ in parses())  # a child parsed
+        report = tmp_path / "report.json"
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data), "--out", str(report)]) == 2
         assert capsys.readouterr().err == expected
-        assert self.serial(monkeypatch, lambda: main(argv)) == 2
-        assert capsys.readouterr().err == expected
-        assert not (tmp_path / "report.json").exists()
+        assert copies_used[bad] == copies
+        assert not report.exists()
         if bad == "train":
             cfg = tmp_path / "run.cfg"
             cfg.write_text(f"dataset = {data}\nseed = 0\nepochs = 1\nfeature_width = 4\nkernel_width = 3\n")
@@ -585,20 +701,26 @@ class TestParallelLoad:
             assert capsys.readouterr().err == expected
             assert not (tmp_path / "run" / "run.log").exists()
 
-    @pytest.mark.parametrize("first, second", [(PARENT_FILE, "train"), ("test_biased", PARENT_FILE)])
-    def test_the_first_bad_file_in_manifest_order_is_named(self, tmp_path, open_set_run, parses, first, second):
+    @pytest.mark.parametrize("first, second", [("test_unknown", "train"), ("test_biased", "test_unknown")])
+    def test_the_first_bad_file_in_manifest_order_is_named(self, tmp_path, open_set_run, copies, first, second):
         data = tmp_path / "data"
         shutil.copytree(open_set_run[0], data)
         _corrupt(data / f"{first}.csv", "nan")
         _corrupt(data / f"{second}.csv", "header")
+        if not copies:
+            _drop_copies(data)
         with pytest.raises(ValueError, match=rf"{first}\.csv:3: value c0_t2=nan is not finite"):
             load_dataset(data)
-        _no_child_left()
 
-    def test_eval_prints_its_line_once(self, tmp_path, open_set_run, parses, capfd):
+    def test_eval_loads_each_split_once_and_prints_its_line_once(
+        self, tmp_path, open_set_run, copies_used, capfd, copies
+    ):
         data_dir, ckpt = open_set_run
-        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data_dir), "--out", str(tmp_path / "r.json")]) == 0
-        _no_child_left()
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        if not copies:
+            _drop_copies(data)
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data), "--out", str(tmp_path / "r.json")]) == 0
         out = capfd.readouterr().out
         assert out.count("open-set AUC") == 1, out
-        assert len(parses()) == 4
+        assert copies_used == {name: copies for name in SPLIT_NAMES}
