@@ -16,12 +16,10 @@ from .evidential import (
 )
 from .losses import (
     AnnealingSchedule,
-    BatchPrediction,
     LossWeights,
     NonFiniteLossError,
     annealing_lambda,
     edl_loss_batch,
-    euc_loss,
     euc_loss_grad_evidence,
     total_loss,
 )

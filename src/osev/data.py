@@ -216,34 +216,6 @@ def save_split(split: DatasetSplit, path) -> Path:
     return p
 
 
-def _parse_rows_fast(lines: list[str], num_values: int):
-    """Parse the rows after the header in one vectorised call, or return None.
-
-    It is at least as strict as :func:`_parse_rows`: the integer columns
-    reject ``1.0`` and ``1e0``, every row must have all its fields, and a
-    non-finite value returns None so the line loop can name its line.  Floats
-    go through the same correctly rounded conversion as ``float()``.
-    """
-    if all(line.isspace() for line in lines):  # no rows: np.loadtxt would warn
-        return None
-    row = np.dtype(
-        [("id", np.int64), ("class", np.int64), ("scene", np.int64), ("values", np.float64, (num_values,))]
-    )
-    try:
-        table = np.loadtxt(lines, delimiter=",", dtype=row, comments=None, ndmin=1)
-    except (ValueError, OverflowError):
-        return None
-    x = np.ascontiguousarray(table["values"])
-    if not np.isfinite(x).all():
-        return None
-    return (
-        np.ascontiguousarray(table["id"]),
-        np.ascontiguousarray(table["class"]),
-        np.ascontiguousarray(table["scene"]),
-        x,
-    )
-
-
 _INT64 = np.iinfo(np.int64)
 
 
@@ -344,8 +316,8 @@ def load_split(path, kind: str | None = None) -> DatasetSplit:
     The CSV's bytes are read once and its header checked.  The binary copy
     beside it (the same name with suffix ``.npz``) is used in place of the
     rows when it verifies against those bytes (see :func:`_read_copy`).
-    Otherwise the rows are parsed in one vectorised call, and on any failure
-    again line by line, so every error names its file, line and column.
+    Otherwise the rows are parsed line by line, and every error names its
+    file, line and column.
     """
     p = Path(path)
     with open(p, "rb") as fh:
@@ -355,8 +327,7 @@ def load_split(path, kind: str | None = None) -> DatasetSplit:
     channels, timesteps = _header_shape(p, header)
     arrays = _read_copy(p.with_suffix(".npz"), csv_bytes, channels, timesteps)
     if arrays is None:
-        lines = text.readlines()
-        arrays = _parse_rows_fast(lines, channels * timesteps) or _parse_rows(p, header, lines)
+        arrays = _parse_rows(p, header, text.readlines())
     ids, labels, scenes, x = arrays
     return DatasetSplit(
         kind=kind or p.stem,

@@ -32,7 +32,6 @@ import numpy as np
 from .evidential import EvidenceFunction, _probs_and_uncertainty
 from .hsic import KernelParams, _hsic_values, centered_gram, hsic_value_and_grad, hsic_values
 from .losses import (
-    BatchPrediction,
     LossWeights,
     _edl_loss,
     _euc_loss,
@@ -348,8 +347,7 @@ def branch_losses(
         def main_loss(hsic_pair: list[float], evidence: np.ndarray) -> float:
             euc = 0.0
             if use_euc:
-                batch = BatchPrediction._from_valid(y, evidence, *_probs_and_uncertainty(evidence))
-                euc = _euc_loss(batch, lambda_t, with_grad=False)[0]
+                euc = _euc_loss(y, evidence, *_probs_and_uncertainty(evidence), lambda_t, with_grad=False)[0]
             return _debias_loss(edl(evidence), euc, *hsic_pair, weights)
 
         at_fwd = _hsic_values(fwd.f, held, kernel)
@@ -431,8 +429,7 @@ def _f_losses_and_grad_e(
     grad_e = grads / grads.shape[0]
     euc = 0.0
     if use_euc:
-        batch = BatchPrediction.from_evidence(labels, evidence)
-        euc, grad_e_euc = euc_loss_grad_evidence(batch, lambda_t)
+        euc, grad_e_euc = euc_loss_grad_evidence(labels, evidence, lambda_t)
         grad_e = grad_e + w_euc * grad_e_euc
     return edl, euc, grad_e
 

@@ -25,12 +25,10 @@ from .evidential import _clamp, batch_probs_and_uncertainty, validate_evidence
 __all__ = [
     "CLAMP_EPS",
     "AnnealingSchedule",
-    "BatchPrediction",
     "LossWeights",
     "NonFiniteLossError",
     "annealing_lambda",
     "edl_loss_batch",
-    "euc_loss",
     "euc_loss_grad_evidence",
     "softmax_ce_loss",
     "total_loss",
@@ -115,75 +113,43 @@ def edl_loss_batch(labels, e) -> tuple[np.ndarray, np.ndarray]:
     return _edl_loss(_validate_labels(labels, *ev.shape), ev, with_grad=True)
 
 
-@dataclass(frozen=True)
-class BatchPrediction:
-    """Evidence plus everything the calibration losses need per sample."""
-
-    labels: np.ndarray  # (B,) integer class indices
-    evidence: np.ndarray  # (B, K)
-    probs: np.ndarray  # (B, K) expected probabilities alpha / S
-    uncertainty: np.ndarray  # (B,)
-    predicted: np.ndarray  # (B,) argmax of probs, lowest index on ties
-    max_prob: np.ndarray  # (B,)
-    accurate: np.ndarray  # (B,) bool, predicted == label
-
-    @classmethod
-    def from_evidence(cls, labels, evidence) -> "BatchPrediction":
-        probs, u = batch_probs_and_uncertainty(evidence)  # validates the evidence
-        ev = np.asarray(evidence, dtype=np.float64)
-        if ev.ndim != 2:
-            raise ValueError(f"expected (batch, classes) evidence, got shape {ev.shape}")
-        return cls._from_valid(_validate_labels(labels, *ev.shape), ev, probs, u)
-
-    @classmethod
-    def _from_valid(cls, labels, evidence, probs, uncertainty) -> "BatchPrediction":
-        """The prediction of validated labels and evidence, given their probabilities and uncertainty."""
-        predicted = np.argmax(probs, axis=1)
-        return cls(
-            labels=labels,
-            evidence=evidence,
-            probs=probs,
-            uncertainty=uncertainty,
-            predicted=predicted,
-            max_prob=probs[np.arange(labels.size), predicted],
-            accurate=predicted == labels,
-        )
-
-    @property
-    def batch_size(self) -> int:
-        return int(self.labels.shape[0])
-
-    @property
-    def num_classes(self) -> int:
-        return int(self.evidence.shape[1])
-
-
-def euc_loss(batch: BatchPrediction, lambda_t: float) -> tuple[float, np.ndarray, np.ndarray]:
-    """Evidential uncertainty calibration loss with per-sample gradients.
+def euc_loss_grad_evidence(labels, evidence, lambda_t: float) -> tuple[float, np.ndarray]:
+    """Evidential uncertainty calibration loss and its evidence gradient (B, K).
 
     L = -lambda_t    * mean over accurate   of p_i * ln(1 - u_i)
         -(1-lambda_t)* mean over inaccurate of (1 - p_i) * ln(u_i)
 
-    where p_i is the maximum expected class probability and u_i the
-    uncertainty mass, both clamped into [CLAMP_EPS, 1 - CLAMP_EPS] before the
-    logarithms.  Each subset term is a mean over that subset; an empty subset
-    contributes zero.  Returns (loss, dL/dp (B,), dL/du (B,)); the clamp has
-    zero derivative where it is active.
+    where p_i is the maximum expected class probability (argmax k*, lowest
+    index on ties) and u_i the uncertainty mass, both clamped into
+    [CLAMP_EPS, 1 - CLAMP_EPS] before the logarithms; a sample is accurate
+    when k* is its label.  Each subset term is a mean over that subset; an
+    empty subset contributes zero.  Both p_i = alpha_{k*} / S (k* held fixed)
+    and u_i = K / S are functions of the evidence, so
+
+        dL/de_j = dL/dp * (1[j == k*]/S - alpha_{k*}/S^2) + dL/du * (-K/S^2),
+
+    where the clamp has zero derivative where it is active.
     """
-    return _euc_loss(batch, lambda_t, with_grad=True)
+    probs, u = batch_probs_and_uncertainty(evidence)  # validates the evidence
+    ev = np.asarray(evidence, dtype=np.float64)
+    if ev.ndim != 2:
+        raise ValueError(f"expected (batch, classes) evidence, got shape {ev.shape}")
+    return _euc_loss(_validate_labels(labels, *ev.shape), ev, probs, u, lambda_t, with_grad=True)
 
 
 def _euc_loss(
-    batch: BatchPrediction, lambda_t: float, with_grad: bool
-) -> tuple[float, np.ndarray | None, np.ndarray | None]:
-    """:func:`euc_loss`; the gradients are None without ``with_grad``."""
+    y: np.ndarray, ev: np.ndarray, probs: np.ndarray, u_raw: np.ndarray, lambda_t: float, with_grad: bool
+) -> tuple[float, np.ndarray | None]:
+    """:func:`euc_loss_grad_evidence` on validated labels and evidence, given their
+    probabilities and uncertainty; the gradient is None without ``with_grad``."""
     if not 0.0 <= lambda_t <= 1.0:
         raise ValueError(f"lambda_t must be in [0, 1], got {lambda_t}")
-    p_raw = batch.max_prob
-    u_raw = batch.uncertainty
+    rows = np.arange(y.size)
+    predicted = np.argmax(probs, axis=1)
+    p_raw = probs[rows, predicted]
     p = _clamp(p_raw, CLAMP_EPS, 1.0 - CLAMP_EPS)
     u = _clamp(u_raw, CLAMP_EPS, 1.0 - CLAMP_EPS)
-    acc = batch.accurate
+    acc = predicted == y
     inacc = ~acc
     grad_p = np.zeros_like(p) if with_grad else None
     grad_u = np.zeros_like(u) if with_grad else None
@@ -202,31 +168,19 @@ def _euc_loss(
             m = float(inacc.sum())
             grad_p[inacc] = (1.0 - lambda_t) * log_u / m
             grad_u[inacc] = -(1.0 - lambda_t) * (1.0 - p[inacc]) / (u[inacc] * m)
-    if with_grad:
-        grad_p[~((p_raw > CLAMP_EPS) & (p_raw < 1.0 - CLAMP_EPS))] = 0.0
-        grad_u[~((u_raw > CLAMP_EPS) & (u_raw < 1.0 - CLAMP_EPS))] = 0.0
-    return float(loss), grad_p, grad_u
-
-
-def euc_loss_grad_evidence(batch: BatchPrediction, lambda_t: float) -> tuple[float, np.ndarray]:
-    """Calibration loss with the chain rule composed down to evidence.
-
-    Both p_i = alpha_{k*} / S (k* the argmax, held fixed) and u_i = K / S are
-    functions of the evidence, so
-
-        dL/de_j = dL/dp * (1[j == k*]/S - alpha_{k*}/S^2) + dL/du * (-K/S^2).
-    """
-    loss, grad_p, grad_u = euc_loss(batch, lambda_t)
-    alpha = batch.evidence + 1.0
+    if not with_grad:
+        return float(loss), None
+    grad_p[~((p_raw > CLAMP_EPS) & (p_raw < 1.0 - CLAMP_EPS))] = 0.0
+    grad_u[~((u_raw > CLAMP_EPS) & (u_raw < 1.0 - CLAMP_EPS))] = 0.0
+    alpha = ev + 1.0
     strength = np.add.reduce(alpha, axis=1)
-    k = batch.num_classes
-    rows = np.arange(batch.batch_size)
-    alpha_star = alpha[rows, batch.predicted]
+    k = ev.shape[1]
+    alpha_star = alpha[rows, predicted]
     # Shared component for all coordinates, then the argmax coordinate's extra.
     common = -(grad_p * alpha_star + grad_u * k) / strength**2
     grad_e = np.repeat(common[:, None], k, axis=1)
-    grad_e[rows, batch.predicted] += grad_p / strength
-    return loss, grad_e
+    grad_e[rows, predicted] += grad_p / strength
+    return float(loss), grad_e
 
 
 @dataclass(frozen=True)

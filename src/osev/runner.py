@@ -42,7 +42,6 @@ from .evidential import NonFiniteInputError, batch_probs_and_uncertainty, thresh
 from .hsic import KernelParams, centered_gram, hsic_value_and_grad, hsic_values, median_bandwidth
 from .losses import (
     AnnealingSchedule,
-    BatchPrediction,
     LossWeights,
     NonFiniteLossError,
     annealing_lambda,
@@ -88,6 +87,8 @@ __all__ = [
 ]
 
 REPORT_FORMAT = "osev-report-v1"
+# The files run_evaluation writes beside the report, in the order it writes them.
+_EVAL_SIBLINGS = ("curve.csv", "scores.jsonl", "scores_unbiased.jsonl", "timings.json")
 
 # Stream tags for seed derivation; fixed forever so old runs stay reproducible.
 STREAM_INIT_F = 1
@@ -365,12 +366,19 @@ def run_evaluation(
     phase (``load_s``, ``score_s``, ``metrics_s``, ``write_s``), which is not
     deterministic and appears in no other output.  No other file is written,
     so a ``report.json`` beside a report of another name keeps its bytes.
-    Returns the report dict.  An override left None
-    keeps the checkpoint config's value; one that breaks that key's rule
-    raises :class:`ConfigError`.  Raises :class:`CheckpointDataMismatch` when
-    the checkpoint and dataset disagree.
+    Returns the report dict.  A ``report_path`` named like a sibling raises
+    :class:`ConfigError` before anything is read or written.  An override
+    left None keeps the checkpoint config's value; one that breaks that key's
+    rule raises :class:`ConfigError`.  Raises :class:`CheckpointDataMismatch`
+    when the checkpoint and dataset disagree.
     """
     start = time.perf_counter()
+    report_path = Path(report_path)
+    if report_path.name in _EVAL_SIBLINGS:
+        raise ConfigError(
+            f"report path {report_path} would be overwritten by the eval file of that name; "
+            f"the report may not be named {', '.join(_EVAL_SIBLINGS)}"
+        )
     net, config, meta = load_model(checkpoint_path)
     overrides = {
         "coverage": coverage,
@@ -394,7 +402,6 @@ def run_evaluation(
             f"checkpoint expects {meta['channels']} channels, dataset has {spec.channels}"
         )
 
-    report_path = Path(report_path)
     out = report_path.parent
     out.mkdir(parents=True, exist_ok=True)
     k = spec.known_classes
@@ -478,16 +485,17 @@ def run_evaluation(
         curve_lines.append(
             f"{pt.num_unknown},{_float_repr(pt.omega)},{_float_repr(pt.f1_mean)},{_float_repr(pt.f1_std)}"
         )
-    (out / "curve.csv").write_text("\n".join(curve_lines) + "\n", encoding="utf-8")
-    write_score_dump(out / "scores.jsonl", probs, scores, labels)
-    write_score_dump(out / "scores_unbiased.jsonl", probs_u, scores_u, unbiased.labels)
+    curve_path, dump_path, unbiased_dump_path, timings_path = (out / name for name in _EVAL_SIBLINGS)
+    curve_path.write_text("\n".join(curve_lines) + "\n", encoding="utf-8")
+    write_score_dump(dump_path, probs, scores, labels)
+    write_score_dump(unbiased_dump_path, probs_u, scores_u, unbiased.labels)
     timings = {
         "load_s": loaded - start,
         "score_s": scored - loaded,
         "metrics_s": measured - scored,
         "write_s": time.perf_counter() - measured,
     }
-    (out / "timings.json").write_text(json.dumps(timings, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    timings_path.write_text(json.dumps(timings, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return report
 
 
@@ -689,9 +697,9 @@ def run_gradcheck(config: RunConfig, tol: float = 1e-4, instances: int = 20) -> 
             e = Parameter("euc.evidence", rng.uniform(0.5, 4.0, size=(batch, k)))
             if _top2_gap(batch_probs_and_uncertainty(e.value)[0]) > KINK_MARGIN:
                 break
-        _, grad_e = euc_loss_grad_evidence(BatchPrediction.from_evidence(labels, e.value), lam_t)
+        _, grad_e = euc_loss_grad_evidence(labels, e.value, lam_t)
         e.grad += grad_e
-        rep = gradcheck(lambda: euc_loss_grad_evidence(BatchPrediction.from_evidence(labels, e.value), lam_t)[0], [e])
+        rep = gradcheck(lambda: euc_loss_grad_evidence(labels, e.value, lam_t)[0], [e])
         return rep.max_rel_err
 
     add("loss.euc", euc_instance)

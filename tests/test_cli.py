@@ -482,6 +482,17 @@ class TestExitCodes:
         assert not any(out.iterdir())
         assert (tmp_path / "report.json").read_text() == "earlier report\n"
 
+    @pytest.mark.parametrize("name", ["curve.csv", "scores.jsonl", "scores_unbiased.jsonl", "timings.json"])
+    def test_eval_out_naming_a_sibling_is_2_and_writes_nothing(self, tmp_path, dataset_dir, run_dir, name, capsys):
+        (tmp_path / "report.json").write_text("earlier report\n")
+        (tmp_path / name).write_text("earlier sibling\n")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        out = tmp_path / name
+        argv = ["eval", "--checkpoint", str(run_dir / "model.ckpt"), "--data", str(dataset_dir), "--out", str(out)]
+        assert main(argv) == 2
+        assert f"report path {out} would be overwritten" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_checkpoint_dataset_mismatch_is_4(self, tmp_path, run_dir):
         spec = tmp_path / "spec.cfg"
         spec.write_text(SPEC_TEXT.replace("known_classes = 3", "known_classes = 4"))

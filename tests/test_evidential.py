@@ -1,5 +1,7 @@
 """Subjective-logic algebra: identities, evidence functions, thresholding."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from osev.evidential import (
     validate_evidence,
 )
 from osev.hsic import _as_feature_matrix, hsic_value_and_grad
-from osev.losses import BatchPrediction
+from osev.losses import CLAMP_EPS, euc_loss_grad_evidence
 
 
 def opinion(evidence):
@@ -120,21 +122,26 @@ def test_non_finite_model_values_raise_the_typed_error():
     assert not isinstance(info.value, NonFiniteInputError)
 
 
-def test_predict_tie_breaks_to_lowest_index():
-    batch = BatchPrediction.from_evidence([0], [[0.0, 0.0, 0.0]])
-    assert batch.predicted[0] == 0
-    assert batch.max_prob[0] == pytest.approx(1 / 3)
-    assert batch.uncertainty[0] == 1.0
+def test_euc_argmax_tie_breaks_to_lowest_index():
+    """All-zero evidence ties every class at p = 1/3, u = 1: label 0 takes the
+    accurate branch, and the gradient's argmax term dL/dp / S lands on column 0."""
+    loss, grad = euc_loss_grad_evidence([0], [[0.0, 0.0, 0.0]], 0.5)
+    u = 1.0 - CLAMP_EPS  # u = 1 sits on the clamp, so only dL/dp reaches the evidence
+    assert loss == pytest.approx(-0.5 * (1 / 3) * math.log1p(-u), rel=1e-12)
+    dl_dp = -0.5 * math.log1p(-u)
+    np.testing.assert_allclose(grad[0], [dl_dp * (1 / 3 - 1 / 9), -dl_dp / 9, -dl_dp / 9], rtol=1e-12)
+    inaccurate, _ = euc_loss_grad_evidence([1], [[0.0, 0.0, 0.0]], 0.5)
+    assert inaccurate == pytest.approx(-0.5 * (2 / 3) * math.log(u), rel=1e-12)
 
 
 def test_predict_worked_example():
-    batch = BatchPrediction.from_evidence([0, 0], [[4.0, 1.0, 0.0], [0.0, 8.0, 0.0]])
-    assert (batch.predicted[0], batch.max_prob[0], batch.uncertainty[0]) == (
+    probs, u = batch_probs_and_uncertainty([[4.0, 1.0, 0.0], [0.0, 8.0, 0.0]])
+    assert (np.argmax(probs[0]), probs[0].max(), u[0]) == (
         0,
         pytest.approx(0.625),
         pytest.approx(0.375),
     )
-    assert batch.predicted[1] == 1
+    assert np.argmax(probs[1]) == 1
 
 
 def test_threshold_order_statistic():

@@ -13,18 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osev import losses as losses_module
-from osev.evidential import _probs_and_uncertainty
+from osev.evidential import _probs_and_uncertainty, batch_probs_and_uncertainty
 from osev.losses import (
     CLAMP_EPS,
     AnnealingSchedule,
-    BatchPrediction,
     LossWeights,
     NonFiniteLossError,
     _edl_loss,
     _euc_loss,
     annealing_lambda,
     edl_loss_batch,
-    euc_loss,
     euc_loss_grad_evidence,
     softmax_ce_loss,
     total_loss,
@@ -111,7 +109,7 @@ def test_bad_labels_rejected(labels, message):
     with pytest.raises(ValueError, match=message):
         softmax_ce_loss(labels, e)
     with pytest.raises(ValueError, match=message):
-        BatchPrediction.from_evidence(labels, e)
+        euc_loss_grad_evidence(labels, e, 0.5)
 
 
 @settings(max_examples=100, deadline=None)
@@ -152,7 +150,7 @@ def test_annealing_rejects_bad_arguments():
 
 
 def _accurate_two_class_batch(p_star, u):
-    """One accurate 2-class sample with chosen max-prob and uncertainty.
+    """Evidence of one 2-class sample, accurate for label 0, with chosen max-prob and uncertainty.
 
     u = 2/S fixes S, p_star fixes the winning alpha; feasible whenever the
     implied evidence stays non-negative.
@@ -160,16 +158,16 @@ def _accurate_two_class_batch(p_star, u):
     s = 2.0 / u
     alpha_win = p_star * s
     e = np.array([[alpha_win - 1.0, s - alpha_win - 1.0]])
-    batch = BatchPrediction.from_evidence(np.array([0]), e)
-    assert bool(batch.accurate[0])
-    assert batch.max_prob[0] == pytest.approx(p_star, abs=1e-9)
-    assert batch.uncertainty[0] == pytest.approx(u, abs=1e-9)
-    return batch
+    probs, unc = batch_probs_and_uncertainty(e)
+    assert np.argmax(probs[0]) == 0
+    assert probs[0, 0] == pytest.approx(p_star, abs=1e-9)
+    assert unc[0] == pytest.approx(u, abs=1e-9)
+    return e
 
 
 def test_euc_accurate_sample_value():
-    batch = _accurate_two_class_batch(p_star=0.9, u=0.2)
-    loss, _, _ = euc_loss(batch, 0.5)
+    e = _accurate_two_class_batch(p_star=0.9, u=0.2)
+    loss = euc_loss_grad_evidence(np.array([0]), e, 0.5)[0]
     assert loss == pytest.approx(-0.5 * 0.9 * math.log(0.8), abs=1e-12)
     assert loss == pytest.approx(0.100414, abs=1e-6)
 
@@ -178,19 +176,19 @@ def test_euc_inaccurate_sample_value():
     # K=4 realizes max-prob 0.3 with u=0.7: alpha = [12/7, 4/3, 4/3, 4/3],
     # S = 40/7, p* = 0.3, u = 4/S = 0.7; label 1 makes the sample inaccurate.
     e = np.array([[5.0 / 7.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0]])
-    batch = BatchPrediction.from_evidence(np.array([1]), e)
-    assert not bool(batch.accurate[0])
-    assert batch.max_prob[0] == pytest.approx(0.3, abs=1e-12)
-    assert batch.uncertainty[0] == pytest.approx(0.7, abs=1e-12)
-    loss, _, _ = euc_loss(batch, 0.5)
+    probs, u = batch_probs_and_uncertainty(e)
+    assert np.argmax(probs[0]) != 1
+    assert probs[0].max() == pytest.approx(0.3, abs=1e-12)
+    assert u[0] == pytest.approx(0.7, abs=1e-12)
+    loss = euc_loss_grad_evidence(np.array([1]), e, 0.5)[0]
     assert loss == pytest.approx(-0.5 * 0.7 * math.log(0.7), abs=1e-12)
     assert loss == pytest.approx(0.124836, abs=1e-6)
 
 
 def test_euc_accurate_confident_sample_is_free():
     # u -> 0 makes ln(1 - u) -> 0; an accurate certain sample costs nothing
-    batch = _accurate_two_class_batch(p_star=0.99, u=1e-6)
-    loss, _, _ = euc_loss(batch, 0.5)
+    e = _accurate_two_class_batch(p_star=0.99, u=1e-6)
+    loss = euc_loss_grad_evidence(np.array([0]), e, 0.5)[0]
     assert loss == pytest.approx(0.0, abs=1e-5)
 
 
@@ -199,8 +197,7 @@ def test_euc_non_negative_on_random_batches():
     for _ in range(50):
         e = rng.uniform(0, 6, size=(8, 4))
         labels = rng.integers(0, 4, size=8)
-        batch = BatchPrediction.from_evidence(labels, e)
-        loss, _, _ = euc_loss(batch, float(rng.uniform(0.01, 1.0)))
+        loss = euc_loss_grad_evidence(labels, e, float(rng.uniform(0.01, 1.0)))[0]
         assert loss >= 0.0
 
 
@@ -209,8 +206,8 @@ def test_euc_subset_means_are_batch_size_invariant():
     rng = np.random.default_rng(9)
     e = rng.uniform(0, 6, size=(5, 3))
     labels = rng.integers(0, 3, size=5)
-    one = euc_loss(BatchPrediction.from_evidence(labels, e), 0.4)[0]
-    two = euc_loss(BatchPrediction.from_evidence(np.tile(labels, 2), np.tile(e, (2, 1))), 0.4)[0]
+    one = euc_loss_grad_evidence(labels, e, 0.4)[0]
+    two = euc_loss_grad_evidence(np.tile(labels, 2), np.tile(e, (2, 1)), 0.4)[0]
     assert two == pytest.approx(one, abs=1e-12)
 
 
@@ -219,7 +216,7 @@ def test_euc_gradients_match_finite_differences():
     e = rng.uniform(0.5, 4.0, size=(6, 3))
     labels = rng.integers(0, 3, size=6)
     lam_t = 0.35
-    _, grad = euc_loss_grad_evidence(BatchPrediction.from_evidence(labels, e), lam_t)
+    _, grad = euc_loss_grad_evidence(labels, e, lam_t)
     eps = 1e-6
     for i in range(e.shape[0]):
         for j in range(e.shape[1]):
@@ -227,8 +224,8 @@ def test_euc_gradients_match_finite_differences():
             up[i, j] += eps
             down[i, j] -= eps
             fd = (
-                euc_loss_grad_evidence(BatchPrediction.from_evidence(labels, up), lam_t)[0]
-                - euc_loss_grad_evidence(BatchPrediction.from_evidence(labels, down), lam_t)[0]
+                euc_loss_grad_evidence(labels, up, lam_t)[0]
+                - euc_loss_grad_evidence(labels, down, lam_t)[0]
             ) / (2 * eps)
             assert abs(fd - grad[i, j]) < 1e-6, f"evidence grad mismatch at ({i},{j})"
 
@@ -251,10 +248,9 @@ def test_value_only_terms_equal_the_gradient_carrying_ones(seed, batch, classes,
     assert no_grads is None
     assert values.tolist() == edl_loss_batch(labels, e)[0].tolist()
 
-    value_only = BatchPrediction._from_valid(labels, e, *_probs_and_uncertainty(e))
-    loss, grad_p, grad_u = _euc_loss(value_only, lambda_t, with_grad=False)
-    assert grad_p is None and grad_u is None
-    assert loss == euc_loss_grad_evidence(BatchPrediction.from_evidence(labels, e), lambda_t)[0]
+    loss, no_grad = _euc_loss(labels, e, *_probs_and_uncertainty(e), lambda_t, with_grad=False)
+    assert no_grad is None
+    assert loss == euc_loss_grad_evidence(labels, e, lambda_t)[0]
 
 
 def test_avu_counts():
@@ -268,15 +264,16 @@ def test_avu_counts():
         ]
     )
     labels = np.array([0, 0, 0, 0])
-    batch = BatchPrediction.from_evidence(labels, e)
-    assert avu(batch.accurate, batch.uncertainty, threshold=0.5) == pytest.approx(0.75)
+    probs, u = batch_probs_and_uncertainty(e)
+    assert avu(np.argmax(probs, axis=1) == labels, u, threshold=0.5) == pytest.approx(0.75)
 
 
 def test_avu_extremes():
     e = np.array([[9.0, 0.0], [9.0, 0.0]])
-    batch = BatchPrediction.from_evidence(np.array([0, 0]), e)
-    assert avu(batch.accurate, batch.uncertainty, threshold=0.99) == 1.0  # all accurate and certain
-    assert avu(batch.accurate, batch.uncertainty, threshold=0.0001) == 0.0  # all accurate but uncertain
+    probs, u = batch_probs_and_uncertainty(e)
+    accurate = np.argmax(probs, axis=1) == np.array([0, 0])
+    assert avu(accurate, u, threshold=0.99) == 1.0  # all accurate and certain
+    assert avu(accurate, u, threshold=0.0001) == 0.0  # all accurate but uncertain
 
 
 def test_total_loss_combination():
@@ -330,20 +327,23 @@ def euc_edges() -> list[float]:
 @given(data=st.data(), n=st.integers(1, 8), lambda_t=st.floats(0.0, 1.0), with_grad=st.booleans())
 def test_euc_clamps_are_np_clip_bit_for_bit(data, n, lambda_t, with_grad):
     """_euc_loss against itself with np.clip as its clamp, and its value against the
-    np.clip and ndarray.mean expression it replaces."""
+    np.clip and ndarray.mean expression it replaces.
+
+    One probability column makes p the max probability and argmax 0, so label 0
+    is accurate and label 1 is not, and p, u and accuracy are independent edge
+    values.  The two evidence columns carry dL/dp and dL/du into the gradient
+    as independent combinations (their difference is dL/dp / 4)."""
     unit = st.sampled_from(euc_edges()) | st.floats(0.0, 1.0)
     p = np.array(data.draw(st.lists(unit, min_size=n, max_size=n)))
     u = np.array(data.draw(st.lists(unit, min_size=n, max_size=n)))
     acc = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    batch = BatchPrediction(labels=np.zeros(n, dtype=np.int64), evidence=np.ones((n, 2)), probs=np.full((n, 2), 0.5),
-                            uncertainty=u, predicted=np.zeros(n, dtype=np.int64), max_prob=p, accurate=acc)
-    got = _euc_loss(batch, lambda_t, with_grad)
+    args = (np.where(acc, 0, 1), np.ones((n, 2)), p[:, None], u, lambda_t, with_grad)
+    got = _euc_loss(*args)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(losses_module, "_clamp", np.clip)
-        clipped = _euc_loss(batch, lambda_t, with_grad)
+        clipped = _euc_loss(*args)
     assert repr(got[0]) == repr(clipped[0])
-    for ours, reference in zip(got[1:], clipped[1:]):
-        assert (ours is None and reference is None) or ours.tobytes() == reference.tobytes()
+    assert (got[1] is None and clipped[1] is None) or got[1].tobytes() == clipped[1].tobytes()
     pc, uc = np.clip(p, CLAMP_EPS, 1.0 - CLAMP_EPS), np.clip(u, CLAMP_EPS, 1.0 - CLAMP_EPS)
     expected = 0.0
     if acc.any():
@@ -364,16 +364,33 @@ def _edl_loss_with_sum(y, ev):
     return np.log(strength) - np.log(alpha_y), grads
 
 
-def _euc_grad_evidence_with_sum(batch, lambda_t):
-    """euc_loss_grad_evidence as it read with ``alpha.sum(axis=1)``."""
-    loss, grad_p, grad_u = euc_loss(batch, lambda_t)
-    alpha = batch.evidence + 1.0
+def _euc_grad_evidence_with_sum(y, ev, lambda_t):
+    """euc_loss_grad_evidence written out, with ``alpha.sum(axis=1)`` as the strength."""
+    probs, u_raw = batch_probs_and_uncertainty(ev)
+    rows = np.arange(y.size)
+    predicted = np.argmax(probs, axis=1)
+    p_raw = probs[rows, predicted]
+    p, u = np.clip(p_raw, CLAMP_EPS, 1.0 - CLAMP_EPS), np.clip(u_raw, CLAMP_EPS, 1.0 - CLAMP_EPS)
+    acc = predicted == y
+    grad_p, grad_u = np.zeros_like(p), np.zeros_like(u)
+    loss = 0.0
+    if acc.any():
+        log_one_minus_u = np.log1p(-u[acc])
+        loss -= lambda_t * float(np.add.reduce(p[acc] * log_one_minus_u) / log_one_minus_u.size)
+        grad_p[acc] = -lambda_t * log_one_minus_u / float(acc.sum())
+        grad_u[acc] = lambda_t * p[acc] / ((1.0 - u[acc]) * float(acc.sum()))
+    if (~acc).any():
+        log_u = np.log(u[~acc])
+        loss -= (1.0 - lambda_t) * float(np.add.reduce((1.0 - p[~acc]) * log_u) / log_u.size)
+        grad_p[~acc] = (1.0 - lambda_t) * log_u / float((~acc).sum())
+        grad_u[~acc] = -(1.0 - lambda_t) * (1.0 - p[~acc]) / (u[~acc] * float((~acc).sum()))
+    grad_p[~((p_raw > CLAMP_EPS) & (p_raw < 1.0 - CLAMP_EPS))] = 0.0
+    grad_u[~((u_raw > CLAMP_EPS) & (u_raw < 1.0 - CLAMP_EPS))] = 0.0
+    alpha = ev + 1.0
     strength = alpha.sum(axis=1)
-    rows = np.arange(batch.batch_size)
-    alpha_star = alpha[rows, batch.predicted]
-    grad_e = np.repeat((-(grad_p * alpha_star + grad_u * batch.num_classes) / strength**2)[:, None],
-                       batch.num_classes, axis=1)
-    grad_e[rows, batch.predicted] += grad_p / strength
+    k = ev.shape[1]
+    grad_e = np.repeat((-(grad_p * alpha[rows, predicted] + grad_u * k) / strength**2)[:, None], k, axis=1)
+    grad_e[rows, predicted] += grad_p / strength
     return loss, grad_e
 
 
@@ -392,8 +409,7 @@ def test_add_reduce_strengths_are_the_sum_expressions_bit_for_bit(seed, batch, c
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for ours, reference in zip(edl_loss_batch(labels, e), _edl_loss_with_sum(labels, e)):
             assert ours.tobytes() == reference.tobytes()
-        pred = BatchPrediction.from_evidence(labels, e)
-        loss, grad = euc_loss_grad_evidence(pred, lambda_t)
-        ref_loss, ref_grad = _euc_grad_evidence_with_sum(pred, lambda_t)
+        loss, grad = euc_loss_grad_evidence(labels, e, lambda_t)
+        ref_loss, ref_grad = _euc_grad_evidence_with_sum(labels, e, lambda_t)
     assert repr(loss) == repr(ref_loss)
     assert grad.tobytes() == ref_grad.tobytes()

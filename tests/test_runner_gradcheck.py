@@ -148,7 +148,7 @@ def test_quotients_forward_only_the_perturbed_branch(dataset_dir, monkeypatch):
     counting(debias, "_hsic_values", perturbed=(lambda args: args[0], 0))  # the perturbed branch's features
     counting(debias, "_edl_loss", perturbed=(lambda args: args[1], 1))  # ... and its evidence
     counting(debias, "_probs_and_uncertainty", perturbed=(lambda args: args[0], 1))
-    counting(debias, "_euc_loss", perturbed=(lambda args: args[0].evidence, 1))
+    counting(debias, "_euc_loss", perturbed=(lambda args: args[1], 1))
 
     builds = []  # per side instance: (centred Grams, own HSIC terms, held EDL terms, label checks) by branch_losses
     inner_branch_losses = runner.branch_losses
