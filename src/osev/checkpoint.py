@@ -61,8 +61,11 @@ def save_checkpoint(path, arrays, meta: dict | None = None) -> Path:
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     """Read a checkpoint back into {name: array} plus its metadata."""
     p = Path(path)
-    with open(sidecar_path(p), "r", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
+    try:
+        with open(sidecar_path(p), "r", encoding="utf-8") as fh:
+            sidecar = json.load(fh)
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"checkpoint {p}: sidecar is not valid JSON: {exc}") from None
     if not isinstance(sidecar, dict):
         raise ValueError(f"checkpoint {p}: sidecar is not a JSON object")
     if sidecar.get("format") != FORMAT_NAME:

@@ -113,7 +113,6 @@ class SyntheticSpec:
 
 @dataclass
 class DatasetSplit:
-    kind: str
     x: np.ndarray  # (n, channels, timesteps)
     labels: np.ndarray  # (n,) global class index; unknown classes start at known_classes
     scenes: np.ndarray  # (n,)
@@ -129,7 +128,6 @@ def _synthesize(
     class_ids: list[int],
     frequencies: list[int],
     scene_mode: str,
-    kind: str,
 ) -> DatasetSplit:
     """Draw order per class: phases, scene coins, scene picks, then noise."""
     t_axis = np.arange(spec.timesteps)
@@ -156,7 +154,6 @@ def _synthesize(
         scenes.append(scene.astype(np.int64))
     x_all = np.concatenate(xs)
     return DatasetSplit(
-        kind=kind,
         x=x_all,
         labels=np.concatenate(labels),
         scenes=np.concatenate(scenes),
@@ -173,11 +170,11 @@ def generate(spec: SyntheticSpec) -> dict[str, DatasetSplit]:
     for name in SPLIT_NAMES:
         rng = np.random.default_rng([spec.seed, _SPLIT_STREAM[name]])
         if name == "test_unknown":
-            splits[name] = _synthesize(spec, rng, unknown_ids, spec.unknown_frequencies, "uniform", name)
+            splits[name] = _synthesize(spec, rng, unknown_ids, spec.unknown_frequencies, "uniform")
         elif name == "test_unbiased":
-            splits[name] = _synthesize(spec, rng, known_ids, spec.known_frequencies, "uniform", name)
+            splits[name] = _synthesize(spec, rng, known_ids, spec.known_frequencies, "uniform")
         else:
-            splits[name] = _synthesize(spec, rng, known_ids, spec.known_frequencies, "biased", name)
+            splits[name] = _synthesize(spec, rng, known_ids, spec.known_frequencies, "biased")
     return splits
 
 
@@ -238,7 +235,14 @@ def _parse_rows(p: Path, header: list[str], lines: list[str]):
             if not _INT64.min <= value <= _INT64.max:
                 raise ValueError(f"{p}:{line_no}: value {column}={text!r} is outside the int64 range")
             out.append(value)
-        values.append([float(v) for v in parts[3:]])
+        try:
+            values.append([float(v) for v in parts[3:]])
+        except ValueError:
+            for column, text in zip(dims, parts[3:]):
+                try:
+                    float(text)
+                except ValueError:
+                    raise ValueError(f"{p}:{line_no}: value {column}={text!r} is not a number") from None
         line_nos.append(line_no)
     x = np.asarray(values, dtype=np.float64).reshape(len(values), len(dims))
     finite = np.isfinite(x)
@@ -310,7 +314,7 @@ def _read_copy(path: Path, csv_bytes: bytes, channels: int, timesteps: int):
     return arrays if np.isfinite(arrays[3]).all() else None
 
 
-def load_split(path, kind: str | None = None) -> DatasetSplit:
+def load_split(path) -> DatasetSplit:
     """Read a split CSV written by :func:`save_split`.
 
     The CSV's bytes are read once and its header checked.  The binary copy
@@ -330,7 +334,6 @@ def load_split(path, kind: str | None = None) -> DatasetSplit:
         arrays = _parse_rows(p, header, text.readlines())
     ids, labels, scenes, x = arrays
     return DatasetSplit(
-        kind=kind or p.stem,
         x=x.reshape(len(x), channels, timesteps),
         labels=labels,
         scenes=scenes,
@@ -373,8 +376,11 @@ def _read_manifest(directory) -> tuple[SyntheticSpec, dict[str, Path]]:
     manifest_path = d / "manifest.json"
     if not manifest_path.exists():
         raise FileNotFoundError(f"no dataset manifest at {manifest_path}")
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    try:
+        with open(manifest_path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"{manifest_path}: manifest is not valid JSON: {exc}") from None
     fmt = manifest.get("format") if isinstance(manifest, dict) else None
     if fmt != "osev-dataset-v1":
         raise ValueError(f"{manifest_path}: unrecognized dataset format: {fmt!r}")
@@ -412,7 +418,7 @@ def load_dataset(directory, names=SPLIT_NAMES) -> tuple[SyntheticSpec, dict[str,
     for name, path in files.items():
         if name not in names:
             continue
-        split = load_split(path, kind=name)
+        split = load_split(path)
         if split.x.shape[1:] != (spec.channels, spec.timesteps):
             raise ValueError(
                 f"{path}: {split.x.shape[1]} channels x {split.x.shape[2]} timesteps, "

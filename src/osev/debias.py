@@ -2,7 +2,7 @@
 
 Three branches see the same batch: the main branch f (temporal conv net) on
 the original input, a shuffled branch on a per-sample time-permuted copy of
-the input, and a static branch (kernel-width-1 conv) on the original input.
+the input, and a static branch (a width-1 ``TemporalConv``) on the original input.
 The static and shuffled branches can only exploit order-free shortcuts, so
 pushing the main branch's features toward statistical independence from both
 removes those shortcuts from f while the biased branches are simultaneously
@@ -75,19 +75,18 @@ def build_branch(
     kernel: int,
     num_classes: int,
     rng: np.random.Generator,
-    pointwise: bool = False,
     evidence: EvidenceFunction | str = EvidenceFunction.EXPONENTIAL,
     exp_bound: float = 10.0,
     head: str = "evidence",
 ) -> EvidentialNet:
-    """One conv -> ReLU -> mean-pool backbone with a class head.
+    """One conv -> ReLU -> mean-pool backbone with a class head; ``kernel`` 1 is pointwise.
 
     ``head`` is "evidence" for a Dirichlet-evidence head or "logits" for a
     plain affine head (softmax baseline).  The rng is consumed in a fixed
     order (conv weights, then head weights) so a branch built alone matches
     the same branch built as part of a trio, stream for stream.
     """
-    backbone = build_feature_net(channels, width, kernel, rng, pointwise=pointwise, name=name)
+    backbone = build_feature_net(channels, width, kernel, rng, name=name)
     if head == "evidence":
         out: EvidenceHead | Dense = EvidenceHead(
             width, num_classes, rng, kind=evidence, exp_bound=exp_bound, name=f"{name}.head"
@@ -106,7 +105,6 @@ class CedBranches:
     f_branch: EvidentialNet
     h_shuffled: EvidentialNet
     h_static: EvidentialNet
-    num_classes: int
 
     def parameters(self, side: str = "joint") -> list[Parameter]:
         """The parameters one side updates: "f", "h" or "joint" for both.
@@ -135,26 +133,25 @@ def build_branches(
     """Build the three branches from independent init streams.
 
     Separate streams keep the main branch's initialization identical whether
-    or not the biased branches exist at all.
+    or not the biased branches exist at all.  The static branch's conv has
+    width 1, so it sees no temporal order.
     """
     return CedBranches(
-        f_branch=build_branch("f", channels, width, kernel, num_classes, rng_f, False, evidence, exp_bound),
+        f_branch=build_branch("f", channels, width, kernel, num_classes, rng_f, evidence, exp_bound),
         h_shuffled=build_branch(
-            "h_shuffled", channels, width, kernel, num_classes, rng_h_shuffled, False, evidence, exp_bound
+            "h_shuffled", channels, width, kernel, num_classes, rng_h_shuffled, evidence, exp_bound
         ),
-        h_static=build_branch(
-            "h_static", channels, width, kernel, num_classes, rng_h_static, True, evidence, exp_bound
-        ),
-        num_classes=num_classes,
+        h_static=build_branch("h_static", channels, width, 1, num_classes, rng_h_static, evidence, exp_bound),
     )
 
 
 @dataclass
 class CedForward:
-    """One forward pass of all three branches on a batch."""
+    """One forward pass of all three branches on a batch; ``x_shuffled`` is ``x`` under ``perms``."""
 
     x: np.ndarray
     perms: np.ndarray
+    x_shuffled: np.ndarray
     f: np.ndarray
     h_shuffled: np.ndarray
     h_static: np.ndarray
@@ -183,7 +180,10 @@ def ced_forward(
     f, e_f = branches.f_branch.forward(x)
     h_sh, e_sh = branches.h_shuffled.forward(x_shuffled)
     h_st, e_st = branches.h_static.forward(x)
-    return CedForward(x=x, perms=perms, f=f, h_shuffled=h_sh, h_static=h_st, e_f=e_f, e_shuffled=e_sh, e_static=e_st)
+    return CedForward(
+        x=x, perms=perms, x_shuffled=x_shuffled, f=f, h_shuffled=h_sh, h_static=h_st, e_f=e_f, e_shuffled=e_sh,
+        e_static=e_st,
+    )
 
 
 def _hsic(x, y, kernel: KernelParams, with_grad: bool) -> tuple[float, np.ndarray | None]:
@@ -458,7 +458,7 @@ def accumulate_gradients(
     """
     if side not in ("joint", "f", "h"):
         raise ValueError(f"side must be joint, f or h, got {side!r}")
-    _validate_labels(labels, len(x), branches.num_classes)  # reject bad labels before the forward pass
+    _validate_labels(labels, len(x), branches.f_branch.num_classes)  # reject bad labels before the forward pass
     fwd = ced_forward(branches, x, rng=shuffle_rng, perms=perms)
     apply_f = side in ("joint", "f")
     apply_h = side in ("joint", "h")

@@ -31,7 +31,6 @@ __all__ = [
     "GradcheckReport",
     "NonFiniteGradientError",
     "Parameter",
-    "PointwiseConv",
     "ReLU",
     "Sequential",
     "TemporalConv",
@@ -121,7 +120,9 @@ class TemporalConv(Layer):
     """1-D convolution across the time axis, stride 1, no padding.
 
     Input (batch, c_in, T) -> output (batch, c_out, T - kernel + 1).  Kernel
-    widths >= 2 see temporal order; width 1 degenerates to a per-timestep map.
+    widths >= 2 see temporal order; width 1 is the pointwise map, the same
+    affine map at every timestep, so composed with any pooling that ignores
+    order its output is invariant to permutations of the time axis.
     It is an input layer: every backbone starts with it and no caller reads
     the gradient of its input, so backward computes none and returns None.
     """
@@ -172,17 +173,6 @@ class TemporalConv(Layer):
 
     def parameters(self) -> list[Parameter]:
         return [self.weight, self.bias]
-
-
-class PointwiseConv(TemporalConv):
-    """Kernel-width-1 convolution: the same affine map at every timestep.
-
-    Composed with any pooling that ignores order, its output is invariant to
-    permutations of the time axis.
-    """
-
-    def __init__(self, c_in: int, c_out: int, rng: np.random.Generator, name: str = "pconv") -> None:
-        super().__init__(c_in, c_out, 1, rng, name=name)
 
 
 class Dense(Layer):
@@ -260,18 +250,14 @@ class TemporalMeanPool(Layer):
 class Sequential(Layer):
     def __init__(self, layers) -> None:
         self.layers = list(layers)
-        self._ran = False
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         out = x
         for layer in self.layers:
             out = layer.forward(out)
-        self._ran = True
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray | None:
-        if not self._ran:
-            raise RuntimeError("backward called before forward on Sequential")
         g = grad_out
         for layer in reversed(self.layers):
             g = layer.backward(g)
@@ -347,17 +333,10 @@ def build_feature_net(
     width: int,
     kernel: int,
     rng: np.random.Generator,
-    pointwise: bool = False,
     name: str = "net",
 ) -> Sequential:
-    """Conv -> ReLU -> mean-pool backbone mapping (B, C, T) to (B, width)."""
-    if pointwise:
-        conv: Layer = PointwiseConv(channels, width, rng, name=f"{name}.conv")
-    else:
-        if kernel < 2:
-            raise ValueError(f"temporal kernel must be >= 2, got {kernel}")
-        conv = TemporalConv(channels, width, kernel, rng, name=f"{name}.conv")
-    return Sequential([conv, ReLU(), TemporalMeanPool()])
+    """Conv -> ReLU -> mean-pool backbone mapping (B, C, T) to (B, width); kernel 1 is pointwise."""
+    return Sequential([TemporalConv(channels, width, kernel, rng, name=f"{name}.conv"), ReLU(), TemporalMeanPool()])
 
 
 def sgd_step(

@@ -65,12 +65,10 @@ from .nn import (
     GradcheckReport,
     NonFiniteGradientError,
     Parameter,
-    PointwiseConv,
     ReLU,
     Sequential,
     TemporalConv,
     TemporalMeanPool,
-    apply_time_permutations,
     draw_time_permutations,
     gradcheck,
     sgd_step,
@@ -499,22 +497,16 @@ def run_evaluation(
     return report
 
 
-def _zero_grads(params) -> None:
-    for p in params:
-        p.zero_grad()
-
-
 def _quadratic_layer_check(layer, x: np.ndarray) -> float:
     """Max relative FD error under the loss 0.5 * sum(out^2).
 
     The upstream gradient of that loss is the output itself, so one forward
-    feeds one backward directly.
+    feeds one backward directly.  The layer must be freshly built, so its
+    gradients start at zero.
     """
-    params = layer.parameters()
-    _zero_grads(params)
     out = layer.forward(x)
     layer.backward(out.copy())
-    report = gradcheck(lambda: float(0.5 * np.sum(layer.forward(x) ** 2)), params)
+    report = gradcheck(lambda: float(0.5 * np.sum(layer.forward(x) ** 2)), layer.parameters())
     return report.max_rel_err
 
 
@@ -539,16 +531,18 @@ def _top2_gap(probs: np.ndarray) -> float:
     return float((ordered[:, -1] - ordered[:, -2]).min())
 
 
-def _branch_kink_distance(branches: CedBranches, x: np.ndarray, perms: np.ndarray, kind: str, bound: float) -> float:
-    """Distance of the nearest non-smooth point across all three branches."""
-    x_shuffled = apply_time_permutations(x, perms)
+def _branch_kink_distance(branches: CedBranches, fwd: CedForward, kind: str, bound: float) -> float:
+    """Distance of the nearest non-smooth point across all three branches of ``fwd``.
+
+    The evidence and each head's cached logits are read from that forward;
+    only the conv pre-activations, which no layer keeps, are recomputed.
+    """
     dist = np.inf
-    for branch, inp in (
-        (branches.f_branch, x),
-        (branches.h_shuffled, x_shuffled),
-        (branches.h_static, x),
+    for branch, inp, e in (
+        (branches.f_branch, fwd.x, fwd.e_f),
+        (branches.h_shuffled, fwd.x_shuffled, fwd.e_shuffled),
+        (branches.h_static, fwd.x, fwd.e_static),
     ):
-        _, e = branch.forward(inp)
         dist = min(dist, float(np.abs(branch.backbone.layers[0].forward(inp)).min()))
         dist = min(dist, _logit_kink_distance(branch.head._logits, kind, bound))
         dist = min(dist, _top2_gap(batch_probs_and_uncertainty(e)[0]))
@@ -584,9 +578,8 @@ def _branch_gradchecks(
     if side == "f":
         parts = [("f", branches.f_branch, fwd.x, fwd.f)]
     else:
-        x_shuffled = apply_time_permutations(fwd.x, fwd.perms)
         parts = [
-            ("h_shuffled", branches.h_shuffled, x_shuffled, fwd.h_shuffled),
+            ("h_shuffled", branches.h_shuffled, fwd.x_shuffled, fwd.h_shuffled),
             ("h_static", branches.h_static, fwd.x, fwd.h_static),
         ]
     losses = branch_losses(side, fwd, labels, weights, kernel, **options)
@@ -619,13 +612,14 @@ def run_gradcheck(config: RunConfig, tol: float = 1e-4, instances: int = 20) -> 
     bandwidths and shuffle permutations are frozen during differencing, which
     is exactly how the training step treats them.  Each side's branches are
     differenced separately: all three branches are forwarded once per
-    instance, and each difference quotient re-forwards only the perturbed
-    branch (only its head, for a head parameter, which also holds the
-    branch's HSIC term) and recomputes only the value of its term, while the
-    others' contributions stay cached and the labels are checked once (see
-    :func:`_branch_gradchecks`).  A coordinate whose relative error is NaN
-    (a NaN gradient or loss) counts as infinitely wrong (see
-    :func:`~osev.nn.gradcheck`), so its check fails.  Returns (entries, ok).
+    instance, a forward the kink test reads too, and each difference
+    quotient re-forwards only the perturbed branch (only its head, for a
+    head parameter, which also holds the branch's HSIC term) and recomputes
+    only the value of its term, while the others' contributions stay cached
+    and the labels are checked once (see :func:`_branch_gradchecks`).  A
+    coordinate whose relative error is NaN (a NaN gradient or loss) counts
+    as infinitely wrong (see :func:`~osev.nn.gradcheck`), so its check
+    fails.  Returns (entries, ok).
 
     Raises :class:`ConfigError` for fewer than one instance or a ``tol`` that
     is not positive and finite: such an audit would pass without checking
@@ -661,7 +655,7 @@ def run_gradcheck(config: RunConfig, tol: float = 1e-4, instances: int = 20) -> 
         "layer.temporal_conv",
         lambda: _quadratic_layer_check(TemporalConv(channels, 5, config.kernel_width, rng), draw_input()),
     )
-    add("layer.pointwise_conv", lambda: _quadratic_layer_check(PointwiseConv(channels, 5, rng), draw_input()))
+    add("layer.pointwise_conv", lambda: _quadratic_layer_check(TemporalConv(channels, 5, 1, rng), draw_input()))
     add("layer.dense", lambda: _quadratic_layer_check(Dense(7, 4, rng), rng.standard_normal((batch, 7))))
     add(
         "layer.evidence_head",
@@ -722,8 +716,8 @@ def run_gradcheck(config: RunConfig, tol: float = 1e-4, instances: int = 20) -> 
     objective_weights = LossWeights(w_euc=0.0, w_ced=1.0, lambda_hsic=lam)
     sigma = KernelParams(sigma=1.0)
 
-    def fresh_instance() -> tuple[CedBranches, np.ndarray, np.ndarray, np.ndarray]:
-        """Branches, input, labels and shuffle clear of every kink."""
+    def fresh_instance() -> tuple[CedBranches, CedForward, np.ndarray]:
+        """Branches, their forward on an input and shuffle clear of every kink, and labels."""
         while True:
             branches = build_branches(
                 channels,
@@ -738,9 +732,9 @@ def run_gradcheck(config: RunConfig, tol: float = 1e-4, instances: int = 20) -> 
             )
             x = draw_input()
             labels = draw_labels()
-            perms = draw_time_permutations(rng, batch, timesteps)
-            if _branch_kink_distance(branches, x, perms, config.evidence, config.exp_bound) > KINK_MARGIN:
-                return branches, x, labels, perms
+            fwd = ced_forward(branches, x, perms=draw_time_permutations(rng, batch, timesteps))
+            if _branch_kink_distance(branches, fwd, config.evidence, config.exp_bound) > KINK_MARGIN:
+                return branches, fwd, labels
 
     def side_instance(side: str, weights: LossWeights, composed: bool, **options) -> float:
         """FD check of one side's objective against that side's parameters.
@@ -749,13 +743,11 @@ def run_gradcheck(config: RunConfig, tol: float = 1e-4, instances: int = 20) -> 
         "f", bias for "h") or, when ``composed``, from the training step
         restricted to that side.
         """
-        branches, x, labels, perms = fresh_instance()
-        _zero_grads(branches.parameters())
-        fwd = ced_forward(branches, x, perms=perms)
+        branches, fwd, labels = fresh_instance()
         if composed:
             accumulate_gradients(
-                branches, x, labels, weights=weights, lambda_t=lam_t, use_euc=True, kernel=sigma, perms=perms,
-                side=side,
+                branches, fwd.x, labels, weights=weights, lambda_t=lam_t, use_euc=True, kernel=sigma,
+                perms=fwd.perms, side=side,
             )
         else:
             objective = debias_objective if side == "f" else bias_objective

@@ -28,6 +28,17 @@ noise_sigma = 0.1
 seed = 0
 """
 
+
+def _truncate_json(path: Path) -> None:
+    """Cut a JSON file off after its first line, so it no longer parses."""
+    path.write_text(path.read_text(encoding="utf-8").split("\n")[0] + "\n", encoding="utf-8")
+
+
+def _not_utf8(path: Path) -> None:
+    """Replace a file with bytes that are not UTF-8."""
+    path.write_bytes(b"\xff\xfe\x00\x01")
+
+
 CONFIG_TEMPLATE = """\
 dataset = {dataset}
 seed = 0
@@ -408,6 +419,19 @@ class TestExitCodes:
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert "train.csv:3:" in capsys.readouterr().err
 
+    def test_csv_value_not_a_number_is_2(self, tmp_path, dataset_dir, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        lines = (data / "train.csv").read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[5] = "abc"
+        lines[2] = ",".join(fields)
+        (data / "train.csv").write_text("\n".join(lines) + "\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG_TEMPLATE.format(dataset=data))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "train.csv:3: value c0_t2='abc' is not a number" in capsys.readouterr().err
+
     def test_csv_id_outside_int64_is_2(self, tmp_path, dataset_dir, capsys):
         data = tmp_path / "data"
         shutil.copytree(dataset_dir, data)
@@ -521,6 +545,25 @@ class TestExitCodes:
         assert main(argv + ["--out", str(tmp_path / "eval" / "report.json")]) == 2
         assert "model.ckpt: sidecar 'total_bytes' is None" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damage", [_truncate_json, _not_utf8], ids=["truncated", "binary"])
+    def test_manifest_that_is_not_json_is_2(self, tmp_path, dataset_dir, damage, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        damage(data / "manifest.json")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG_TEMPLATE.format(dataset=data))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert f"error: {data / 'manifest.json'}: manifest is not valid JSON: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", [_truncate_json, _not_utf8], ids=["truncated", "binary"])
+    def test_sidecar_that_is_not_json_is_2(self, tmp_path, dataset_dir, run_dir, damage, capsys):
+        for name in ("model.ckpt", "model.ckpt.json"):
+            shutil.copy(run_dir / name, tmp_path / name)
+        damage(tmp_path / "model.ckpt.json")
+        argv = ["eval", "--checkpoint", str(tmp_path / "model.ckpt"), "--data", str(dataset_dir)]
+        assert main(argv + ["--out", str(tmp_path / "eval" / "report.json")]) == 2
+        assert f"error: checkpoint {tmp_path / 'model.ckpt'}: sidecar is not valid JSON: " in capsys.readouterr().err
+
     def test_gradcheck_passes_at_default_tolerance(self, tmp_path, dataset_dir, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(CONFIG_TEMPLATE.format(dataset=dataset_dir))
@@ -583,9 +626,9 @@ class TestSplitsParsed:
         loaded = []
         inner = data_mod.load_split
 
-        def spy(path, kind=None):
+        def spy(path):
             loaded.append(Path(path).name)
-            return inner(path, kind)
+            return inner(path)
 
         monkeypatch.setattr(data_mod, "load_split", spy)
         return lambda: loaded

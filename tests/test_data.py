@@ -187,7 +187,6 @@ class TestSerialization:
 
     def test_empty_split_writes_header_only(self, tmp_path):
         split = DatasetSplit(
-            kind="train",
             x=np.zeros((0, 2, 3)),
             labels=np.zeros(0, dtype=np.int64),
             scenes=np.zeros(0, dtype=np.int64),
@@ -206,8 +205,7 @@ class TestSerialization:
             "id,class,scene,c0_t0,c0_t1,c1_t0,c1_t1\n"
             "7,1,0,0.5,-0.25,1.5,2.0\n"
         )
-        split = load_split(path, kind="train")
-        assert split.kind == "train"
+        split = load_split(path)
         assert len(split) == 1
         assert split.ids[0] == 7
         assert split.labels[0] == 1
@@ -251,6 +249,7 @@ class TestSerialization:
             pytest.param("x,0,0,0.5,0.5", "value id='x' is not an integer", id="id"),
             pytest.param("2,1.5,0,0.5,0.5", "value class='1.5' is not an integer", id="class"),
             pytest.param("2,0,,0.5,0.5", "value scene='' is not an integer", id="scene"),
+            pytest.param("2,0,0,abc,0.5", "value c0_t0='abc' is not a number", id="not_a_number"),
             pytest.param(
                 "99999999999999999999,0,0,0.5,0.5",
                 "value id='99999999999999999999' is outside the int64 range",
@@ -259,7 +258,8 @@ class TestSerialization:
         ],
     )
     def test_non_finite_value_reports_line_and_column(self, tmp_path, row, message):
-        """A non-finite value, or an id, class or scene that is not an int64 integer, names file:line and the column."""
+        """A value that is not a finite number, or an id, class or scene that is not an int64 integer,
+        names file:line and the column."""
         path = tmp_path / "bad.csv"
         path.write_text(f"id,class,scene,c0_t0,c0_t1\n1,0,0,0.5,0.5\n\n{row}\n")
         with pytest.raises(ValueError, match=rf"bad\.csv:4: {message}"):
@@ -318,7 +318,6 @@ class TestCsvParse:
         values = np.exp(rng.uniform(np.log(1e-300), np.log(1e300), size=(400, 100)))
         values *= rng.choice([-1.0, 1.0], size=values.shape)
         split = DatasetSplit(
-            kind="train",
             x=values.reshape(400, 4, 25),
             labels=np.arange(400, dtype=np.int64) % 5,
             scenes=np.zeros(400, dtype=np.int64),
@@ -347,7 +346,7 @@ class TestCsvParse:
             ("2,0,1.5,0.5,0.5", "value scene='1.5' is not an integer"),
             ("2,0,0,0.5", "expected 5 fields, found 4"),
             ("2,0,0,0.5,0.5,0.5", "expected 5 fields, found 6"),
-            ("2,0,0,0.5,", "could not convert"),
+            ("2,0,0,0.5,", "bad.csv:3: value c0_t1='' is not a number"),
             ("2,0,0,nan,0.5", "value c0_t0=nan is not finite"),
             ("2,0,0,0.5,-inf", "value c0_t1=-inf is not finite"),
             ("2,0,0,0.5,1e400", "value c0_t1=inf is not finite"),
@@ -399,7 +398,6 @@ def _parse_only(path, monkeypatch) -> DatasetSplit:
 
 
 def _assert_same_split(a: DatasetSplit, b: DatasetSplit) -> None:
-    assert a.kind == b.kind
     for field in ("x", "ids", "labels", "scenes"):
         u, v = getattr(a, field), getattr(b, field)
         assert (u.dtype, u.shape, u.tobytes()) == (v.dtype, v.shape, v.tobytes()), field
@@ -456,7 +454,6 @@ class TestBinaryCopies:
         assert copies_used == {name: True for name in SPLIT_NAMES}
         assert list(splits) == ["test_biased", "test_unbiased", "test_unknown", "train"]  # manifest order
         for name in SPLIT_NAMES:
-            assert splits[name].kind == name
             _assert_same_split(splits[name], _parse_only(data_dir / f"{name}.csv", monkeypatch))
 
     def test_a_csv_with_one_changed_digit_is_parsed_not_read_from_its_stale_copy(self, tmp_path, copies_used, monkeypatch):

@@ -348,6 +348,14 @@ class TestCedForward:
             assert np.all(e >= 0.0)
         assert fwd.perms.shape == (5, 9)
 
+    def test_keeps_the_shuffled_input(self):
+        branches = make_branches()
+        x, _ = make_batch(batch=5, timesteps=9)
+        fwd = ced_forward(branches, x, rng=np.random.default_rng(0))
+        expected = apply_time_permutations(x, fwd.perms)
+        assert (fwd.x_shuffled.dtype, fwd.x_shuffled.shape) == (expected.dtype, expected.shape)
+        assert fwd.x_shuffled.tobytes() == expected.tobytes()
+
     def test_small_batch_rejected(self):
         branches = make_branches()
         with pytest.raises(ValueError, match=">= 2"):

@@ -15,7 +15,6 @@ from osev.nn import (
     EvidentialNet,
     NonFiniteGradientError,
     Parameter,
-    PointwiseConv,
     ReLU,
     Sequential,
     TemporalConv,
@@ -100,7 +99,7 @@ class TestLayerGradients:
 
     def test_pointwise_conv(self):
         rng = np.random.default_rng(43)
-        layer = PointwiseConv(3, 4, rng)
+        layer = TemporalConv(3, 4, 1, rng)
         x = rng.normal(size=(5, 3, 7))
         assert quadratic_gradcheck(layer, x).max_rel_err < 1e-6
 
@@ -179,10 +178,7 @@ class TestTemporalConvOracle:
     )
     def test_matches_nested_loops(self, batch, c_in, c_out, t, kernel):
         rng = np.random.default_rng(100 + kernel)
-        if kernel == 1:
-            layer = PointwiseConv(c_in, c_out, rng)
-        else:
-            layer = TemporalConv(c_in, c_out, kernel, rng)
+        layer = TemporalConv(c_in, c_out, kernel, rng)
         layer.bias.assign(rng.normal(size=c_out))
         x = rng.normal(size=(batch, c_in, t))
         g = rng.normal(size=(batch, c_out, t - kernel + 1))
@@ -370,7 +366,7 @@ class TestTemporalShuffle:
         temporal = build_feature_net(3, 5, 3, np.random.default_rng(10))
         assert not np.allclose(temporal.forward(x), temporal.forward(shuffled))
 
-        pointwise = build_feature_net(3, 5, 1, np.random.default_rng(10), pointwise=True)
+        pointwise = build_feature_net(3, 5, 1, np.random.default_rng(10))
         np.testing.assert_allclose(
             pointwise.forward(x), pointwise.forward(shuffled), atol=1e-12
         )

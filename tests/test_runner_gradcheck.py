@@ -107,7 +107,8 @@ def test_quotients_forward_only_the_perturbed_branch(dataset_dir, monkeypatch):
     what that forward returned: no CED forward, time permutation, objective, centred
     Gram, validation, gradient-carrying loss or held branch's term inside a difference
     quotient; the held pieces, each branch's own HSIC terms among them, are built, and
-    the labels checked, once per side instance."""
+    the labels checked, once per side instance.  Each drawn instance is forwarded once,
+    and its kink test reads that forward; no permutation is made outside a CED forward."""
     counts = dict.fromkeys(
         ("ced_forward", "apply_time_permutations", "_branch_kink_distance", "objective", "centered_gram",
          "hsic_values", "_hsic_values", "_edl_loss", "_euc_loss", "_probs_and_uncertainty", "_validate_labels",
@@ -137,8 +138,9 @@ def test_quotients_forward_only_the_perturbed_branch(dataset_dir, monkeypatch):
 
         monkeypatch.setattr(module, name, wrapped)
 
-    for name in ("ced_forward", "apply_time_permutations", "_branch_kink_distance"):
+    for name in ("ced_forward", "_branch_kink_distance"):
         counting(runner, name)
+    counting(debias, "apply_time_permutations")  # the only binding that permutes: ced_forward's
     for name in ("debias_objective", "bias_objective"):
         counting(runner, name, key="objective")
     for name in ("centered_gram", "hsic_values", "_validate_labels", "edl_loss_batch", "euc_loss_grad_evidence"):
@@ -225,10 +227,11 @@ def test_quotients_forward_only_the_perturbed_branch(dataset_dir, monkeypatch):
     assert counts["centered_gram"] == 6 + 4
     assert counts["hsic_values"] == 4
     assert counts["objective"] == 2  # the objective checks' analytic gradients
-    # one CED forward per side instance; besides each kink test's shuffle,
-    # one permuted input per h-side instance
-    assert counts["ced_forward"] == len(SIDE_CHECKS)
-    assert counts["apply_time_permutations"] == counts["_branch_kink_distance"] + 2
+    # one CED forward per drawn instance, which its kink test reads (4 side
+    # instances, 4 redrawn at seed 0); each permutes once, as does each
+    # composed check's training step
+    assert counts["ced_forward"] == counts["_branch_kink_distance"] == 8
+    assert counts["apply_time_permutations"] == counts["ced_forward"] + 2
 
 
 @pytest.mark.parametrize(
