@@ -20,6 +20,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from .config import ConfigError, RunConfig, _from_kv_file
 from .data import SyntheticSpec, generate, save_dataset
 from .losses import NonFiniteLossError
 from .nn import NonFiniteGradientError
-from .runner import CheckpointDataMismatch, run_evaluation, run_gradcheck, run_training
+from .runner import CheckpointDataMismatch, _run_jobs, run_evaluation, run_gradcheck, run_training
 
 __all__ = ["main"]
 
@@ -126,11 +127,11 @@ def _cmd_sweep(args) -> int:
             tasks.append((path.stem, run_config, out / path.stem / f"seed{run_config.seed}"))
 
     per_config: dict[str, dict] = {}
-    for stem, run_config, run_dir in tasks:
-        try:
-            report = _sweep_one(run_config, run_dir)
-        except Exception as exc:  # noqa: BLE001 - a failed run must not kill the sweep
-            failures.append({"config": stem, "seed": run_config.seed, "error": f"{type(exc).__name__}: {exc}"})
+    # a failed run must not kill the sweep: its exception comes back as its outcome
+    outcomes = _run_jobs(partial(_sweep_one, run_config, run_dir) for _, run_config, run_dir in tasks)
+    for (stem, run_config, _), report in zip(tasks, outcomes):
+        if isinstance(report, Exception):
+            failures.append({"config": stem, "seed": run_config.seed, "error": f"{type(report).__name__}: {report}"})
             continue
         bucket = per_config.setdefault(stem, {name: [] for name, _ in SWEEP_METRICS})
         for name, path in SWEEP_METRICS:

@@ -216,17 +216,29 @@ def save_split(split: DatasetSplit, path) -> Path:
 _INT64 = np.iinfo(np.int64)
 
 
+#: What ``int`` and ``float`` accept but :func:`save_split` never writes:
+#: digit-group underscores and whitespace around or inside a field.
+_FOREIGN_TEXT = re.compile(r"[_\s]")
+
+
 def _parse_rows(p: Path, header: list[str], lines: list[str]):
-    """Parse the rows after the header line by line; errors name file:line and column."""
+    """Parse the rows after the header line by line; errors name file:line and column.
+
+    Blank lines are skipped.  A field with an underscore or whitespace is
+    rejected, although ``int`` and ``float`` would take it.
+    """
     dims = header[3:]
     ids, labels, scenes, values, line_nos = [], [], [], [], []
     for line_no, line in enumerate(lines, start=2):
-        line = line.strip()
-        if not line:
+        line = line.rstrip("\n")
+        if not line.strip():
             continue
         parts = line.split(",")
         if len(parts) != 3 + len(dims):
             raise ValueError(f"{p}:{line_no}: expected {3 + len(dims)} fields, found {len(parts)}")
+        if _FOREIGN_TEXT.search(line):
+            column, text = next((c, t) for c, t in zip(header, parts) if _FOREIGN_TEXT.search(t))
+            raise ValueError(f"{p}:{line_no}: value {column}={text!r} has an underscore or whitespace")
         for column, text, out in zip(header, parts, (ids, labels, scenes)):
             try:
                 value = int(text)

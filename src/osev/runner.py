@@ -13,6 +13,10 @@ from __future__ import annotations
 import datetime
 import json
 import math
+import os
+import pickle
+import signal
+import threading
 import time
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -114,6 +118,79 @@ def _log(fh, message: str) -> None:
 
 def _float_repr(v: float) -> str:
     return repr(float(v))
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _outcome(job):
+    """``job()``, or the exception it raised."""
+    try:
+        return job()
+    except Exception as exc:  # noqa: BLE001 - handed to the caller in the job's place
+        return exc
+
+
+def _run_jobs(jobs) -> list:
+    """Run independent zero-argument jobs; returns each one's result, or the exception it raised, in job order.
+
+    Job *i* runs on worker *i* mod *W*, where *W* is the number of usable CPUs
+    (at most one per job) and worker 0 is this process; the others are forked
+    children.  It forks only with two or more workers, ``os.fork`` and no other
+    thread, since forking a threaded process is unsafe; otherwise every job
+    runs here, in order.  A job must not depend on what another job changes,
+    and must not return an exception, so both ways give the same outcomes.
+    A child pickles its outcomes down a pipe and leaves by ``os._exit``; each
+    job of a child whose report does not arrive whole becomes a
+    :class:`ChildProcessError` naming the job.  Each pipe is read to EOF and
+    each child reaped before this returns; if this process raises first, the
+    children are killed.
+    """
+    jobs = list(jobs)
+    workers = min(_usable_cpus(), len(jobs))
+    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [_outcome(job) for job in jobs]
+    outcomes = [None] * len(jobs)
+    children = []  # (worker, pid, read end of its pipe)
+    payloads = None
+    try:
+        for worker in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(read_fd)
+                    payload = pickle.dumps([_outcome(job) for job in jobs[worker::workers]])
+                    with open(write_fd, "wb") as pipe:
+                        pipe.write(payload)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_fd)
+            children.append((worker, pid, open(read_fd, "rb")))
+        outcomes[::workers] = [_outcome(job) for job in jobs[::workers]]
+        payloads = [pipe.read() for _, _, pipe in children]
+    finally:
+        statuses = []
+        for _, pid, pipe in children:
+            pipe.close()
+            if payloads is None:  # this process raised: no child's work is wanted
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for (worker, _, _), payload, status in zip(children, payloads, statuses):
+        try:
+            outcomes[worker::workers] = pickle.loads(payload)
+        except Exception:  # noqa: BLE001 - empty, cut short, or holding what will not unpickle
+            outcomes[worker::workers] = [
+                ChildProcessError(f"job {i}: its worker process exited with code {status} without reporting")
+                for i in range(worker, len(jobs), workers)
+            ]
+    return outcomes
 
 
 def build_model(config: RunConfig, channels: int, num_classes: int):
@@ -497,17 +574,16 @@ def run_evaluation(
     return report
 
 
-def _quadratic_layer_check(layer, x: np.ndarray) -> float:
-    """Max relative FD error under the loss 0.5 * sum(out^2).
+def _quadratic_layer_check(layer, x: np.ndarray):
+    """The job that returns the max relative FD error under the loss 0.5 * sum(out^2).
 
     The upstream gradient of that loss is the output itself, so one forward
-    feeds one backward directly.  The layer must be freshly built, so its
-    gradients start at zero.
+    feeds one backward directly; both run here, and the job runs only the
+    quotients.  The layer must be freshly built, so its gradients start at zero.
     """
     out = layer.forward(x)
     layer.backward(out.copy())
-    report = gradcheck(lambda: float(0.5 * np.sum(layer.forward(x) ** 2)), layer.parameters())
-    return report.max_rel_err
+    return lambda: gradcheck(lambda: float(0.5 * np.sum(layer.forward(x) ** 2)), layer.parameters()).max_rel_err
 
 
 #: Finite differences are invalid within eps of a kink (a ReLU zero crossing,
@@ -621,6 +697,15 @@ def run_gradcheck(config: RunConfig, tol: float = 1e-4, instances: int = 20) -> 
     as infinitely wrong (see :func:`~osev.nn.gradcheck`), so its check
     fails.  Returns (entries, ok).
 
+    The audit runs in two phases.  First every instance of every check is
+    prepared here, in check order: its draws from the audit's one random
+    stream (kink redraws included), its bandwidth and its analytic gradient.
+    Each prepared instance is a job that only runs its difference quotients,
+    which draw nothing from that stream, so :func:`_run_jobs` may spread the
+    jobs over forked processes.  Each check's worst error is then folded in
+    job order, so the entries are the same floats however the jobs ran, and
+    the first job in that order that raised re-raises here.
+
     Raises :class:`ConfigError` for fewer than one instance or a ``tol`` that
     is not positive and finite: such an audit would pass without checking
     anything.  The dataset is loaded as :func:`run_training` loads it (the
@@ -637,13 +722,12 @@ def run_gradcheck(config: RunConfig, tol: float = 1e-4, instances: int = 20) -> 
     channels, timesteps, k = spec.channels, spec.timesteps, spec.known_classes
     batch = 8
     lam_t = 0.4
-    entries: list[dict] = []
+    names: list[str] = []
+    jobs = []
 
-    def add(name: str, one_instance) -> None:
-        worst = 0.0
-        for _ in range(instances):
-            worst = max(worst, one_instance())
-        entries.append({"check": name, "max_rel_err": worst})
+    def add(name: str, prepare) -> None:
+        names.append(name)
+        jobs.extend(prepare() for _ in range(instances))
 
     def draw_input() -> np.ndarray:
         return rng.standard_normal((batch, channels, timesteps))
@@ -664,7 +748,7 @@ def run_gradcheck(config: RunConfig, tol: float = 1e-4, instances: int = 20) -> 
             rng.standard_normal((batch, 6)),
         ),
     )
-    def backbone_chain_instance() -> float:
+    def backbone_chain_instance():
         while True:
             seq = Sequential(
                 [TemporalConv(channels, 6, config.kernel_width, rng), ReLU(), TemporalMeanPool(), Dense(6, k, rng)]
@@ -675,17 +759,16 @@ def run_gradcheck(config: RunConfig, tol: float = 1e-4, instances: int = 20) -> 
 
     add("layer.backbone_chain", backbone_chain_instance)
 
-    def edl_instance() -> float:
+    def edl_instance():
         labels = draw_labels()
         e = Parameter("edl.evidence", rng.uniform(0.5, 4.0, size=(batch, k)))
         _, grads = edl_loss_batch(labels, e.value)
         e.grad += grads / batch
-        rep = gradcheck(lambda: float(edl_loss_batch(labels, e.value)[0].mean()), [e])
-        return rep.max_rel_err
+        return lambda: gradcheck(lambda: float(edl_loss_batch(labels, e.value)[0].mean()), [e]).max_rel_err
 
     add("loss.edl", edl_instance)
 
-    def euc_instance() -> float:
+    def euc_instance():
         while True:
             labels = draw_labels()
             e = Parameter("euc.evidence", rng.uniform(0.5, 4.0, size=(batch, k)))
@@ -693,20 +776,18 @@ def run_gradcheck(config: RunConfig, tol: float = 1e-4, instances: int = 20) -> 
                 break
         _, grad_e = euc_loss_grad_evidence(labels, e.value, lam_t)
         e.grad += grad_e
-        rep = gradcheck(lambda: euc_loss_grad_evidence(labels, e.value, lam_t)[0], [e])
-        return rep.max_rel_err
+        return lambda: gradcheck(lambda: euc_loss_grad_evidence(labels, e.value, lam_t)[0], [e]).max_rel_err
 
     add("loss.euc", euc_instance)
 
-    def hsic_instance() -> float:
+    def hsic_instance():
         x = Parameter("hsic.x", rng.standard_normal((batch, 3)))
         y = rng.standard_normal((batch, 3))
         frozen = KernelParams(sigma=median_bandwidth(x.value))
         _, grad_x = hsic_value_and_grad(x.value, y, frozen)
         x.grad += grad_x
         held = [centered_gram(y, frozen)]
-        rep = gradcheck(lambda: hsic_values(x.value, held, frozen)[0], [x])
-        return rep.max_rel_err
+        return lambda: gradcheck(lambda: hsic_values(x.value, held, frozen)[0], [x]).max_rel_err
 
     add("loss.hsic", hsic_instance)
 
@@ -736,7 +817,7 @@ def run_gradcheck(config: RunConfig, tol: float = 1e-4, instances: int = 20) -> 
             if _branch_kink_distance(branches, fwd, config.evidence, config.exp_bound) > KINK_MARGIN:
                 return branches, fwd, labels
 
-    def side_instance(side: str, weights: LossWeights, composed: bool, **options) -> float:
+    def side_instance(side: str, weights: LossWeights, composed: bool, **options):
         """FD check of one side's objective against that side's parameters.
 
         The analytic gradient comes from the objective itself (debias for
@@ -752,13 +833,25 @@ def run_gradcheck(config: RunConfig, tol: float = 1e-4, instances: int = 20) -> 
         else:
             objective = debias_objective if side == "f" else bias_objective
             objective(branches, fwd, labels, weights, sigma, apply_grads=True, **options)
-        reports = _branch_gradchecks(branches, fwd, labels, weights, sigma, side, **options)
-        return max(report.max_rel_err for report in reports)
+        return lambda: max(
+            report.max_rel_err
+            for report in _branch_gradchecks(branches, fwd, labels, weights, sigma, side, **options)
+        )
 
     add("objective.debias", lambda: side_instance("f", objective_weights, False))
     add("objective.bias", lambda: side_instance("h", objective_weights, False))
     add("composed.main_side", lambda: side_instance("f", weights, True, lambda_t=lam_t, use_euc=True))
     add("composed.biased_side", lambda: side_instance("h", weights, True))
 
+    outcomes = iter(_run_jobs(jobs))
+    entries: list[dict] = []
+    for name in names:
+        worst = 0.0
+        for _ in range(instances):
+            outcome = next(outcomes)
+            if isinstance(outcome, Exception):
+                raise outcome
+            worst = max(worst, outcome)
+        entries.append({"check": name, "max_rel_err": worst})
     ok = all(entry["max_rel_err"] < tol for entry in entries)
     return entries, ok

@@ -3,14 +3,19 @@
 Each test records a ``criterion NN PASS|FAIL ...`` line; the conftest hook
 echoes all of them after the run so a plain ``pytest -v`` leaves a readable
 sign-off sheet at the bottom of the log.  The directional checks (7-9) train
-real models; their five-seed runs are shared through module fixtures and the
-shared wall time is charged to every criterion that consumes them, so no
-budget is understated.
+real models.  Their train+eval runs are independent jobs for the runner's
+job helper, which spreads them over the usable CPUs; criteria 08 and 09 share
+one fixture's fifteen runs, and the fixture's whole wall time is charged to
+each of them, so no budget is understated.  Each of 07-09 prints its wall
+seconds and, beside them, its CPU seconds (this process's and its reaped
+children's).
 """
 
 import math
+import os
 import time
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -24,7 +29,7 @@ from osev.hsic import KernelParams, hsic_biased, hsic_value_and_grad, rbf_gram
 from osev.losses import AnnealingSchedule, annealing_lambda, edl_loss_batch
 from osev.metrics import ece, open_maf1_curve, open_predictions, openness, roc_auc
 from osev.nn import draw_time_permutations
-from osev.runner import run_evaluation, run_gradcheck, run_training
+from osev.runner import _run_jobs, run_evaluation, run_gradcheck, run_training
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -59,21 +64,33 @@ def acceptance_dataset(tmp_path_factory):
     return str(out)
 
 
+def run_jobs_timed(jobs) -> tuple[list, float, float]:
+    """Outcomes of ``jobs`` through the job helper, raising the first failure, with wall and CPU seconds.
+
+    The CPU seconds are this process's and its reaped children's (``os.times()``).
+    """
+    t0, c0 = time.monotonic(), sum(os.times()[:4])
+    outcomes = _run_jobs(jobs)
+    wall, cpu = time.monotonic() - t0, sum(os.times()[:4]) - c0
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes, wall, cpu
+
+
 @pytest.fixture(scope="module")
 def shared_runs(tmp_path_factory, acceptance_dataset):
-    """Five-seed runs reused across criteria 8 and 9: (reports, seconds)."""
+    """Five-seed runs reused across criteria 8 and 9: ({name: reports}, wall seconds, CPU seconds)."""
     root = tmp_path_factory.mktemp("shared")
-    out = {}
-    for name, extra in (("plain", {}), ("euc", {"use_euc": True}), ("ced", {"use_ced": True})):
-        t0 = time.monotonic()
-        out[name] = (
-            [
-                train_eval(acceptance_dataset, root / name / f"s{s}", s, epochs=400, **BASE, **extra)
-                for s in SEEDS
-            ],
-            time.monotonic() - t0,
-        )
-    return out
+    variants = (("plain", {}), ("euc", {"use_euc": True}), ("ced", {"use_ced": True}))
+    jobs = [
+        partial(train_eval, acceptance_dataset, root / name / f"s{s}", s, epochs=400, **BASE, **extra)
+        for name, extra in variants
+        for s in SEEDS
+    ]
+    reports, wall, cpu = run_jobs_timed(jobs)
+    per_variant = {name: reports[i * len(SEEDS) : (i + 1) * len(SEEDS)] for i, (name, _) in enumerate(variants)}
+    return per_variant, wall, cpu
 
 
 def test_criterion_01_subjective_logic_identities():
@@ -284,47 +301,42 @@ def test_criterion_06_metrics_oracles():
 
 
 def test_criterion_07_open_set_auc_direction(tmp_path_factory, acceptance_dataset):
-    t0 = time.monotonic()
     root = tmp_path_factory.mktemp("auc")
-    edl, soft = [], []
+    jobs = []
     for s in SEEDS:
-        edl.append(
-            train_eval(acceptance_dataset, root / f"edl{s}", s, epochs=1000, **BASE)["open_auc"]
+        jobs.append(partial(train_eval, acceptance_dataset, root / f"edl{s}", s, epochs=1000, **BASE))
+        jobs.append(
+            partial(train_eval, acceptance_dataset, root / f"soft{s}", s, epochs=1000, loss_type="softmax", **BASE)
         )
-        soft.append(
-            train_eval(
-                acceptance_dataset, root / f"soft{s}", s, epochs=1000, loss_type="softmax", **BASE
-            )["open_auc"]
-        )
-    dt = time.monotonic() - t0
+    reports, dt, cpu = run_jobs_timed(jobs)
+    edl = [r["open_auc"] for r in reports[0::2]]
+    soft = [r["open_auc"] for r in reports[1::2]]
     mean_edl, mean_soft = float(np.mean(edl)), float(np.mean(soft))
     _report(
         7,
         "evidential uncertainty beats max-softmax on unknowns",
         mean_edl >= 0.80 and mean_edl >= mean_soft and dt < 300.0,
         f"evidential AUC {mean_edl:.3f} (min {min(edl):.3f}) vs softmax {mean_soft:.3f}, "
-        f"5 seeds [{dt:.0f}s]",
+        f"5 seeds [{dt:.0f}s wall, {cpu:.0f}s CPU]",
     )
 
 
 def test_criterion_08_calibration_direction(shared_runs):
-    plain, t_plain = shared_runs["plain"]
-    euc, t_euc = shared_runs["euc"]
-    dt = t_plain + t_euc
+    runs, dt, cpu = shared_runs
+    plain, euc = runs["plain"], runs["euc"]
     mean_without = float(np.mean([r["ece"]["open_k_plus_one"] for r in plain]))
     mean_with = float(np.mean([r["ece"]["open_k_plus_one"] for r in euc]))
     _report(
         8,
         "uncertainty calibration lowers open-set miscalibration",
         mean_with <= mean_without and dt < 300.0,
-        f"open-set ECE {mean_without:.4f} -> {mean_with:.4f}, 5 seeds [{dt:.0f}s]",
+        f"open-set ECE {mean_without:.4f} -> {mean_with:.4f}, 5 seeds [{dt:.0f}s wall, {cpu:.0f}s CPU, shared]",
     )
 
 
 def test_criterion_09_debiasing_direction(shared_runs):
-    plain, t_plain = shared_runs["plain"]
-    ced, t_ced = shared_runs["ced"]
-    dt = t_plain + t_ced
+    runs, dt, cpu = shared_runs
+    plain, ced = runs["plain"], runs["ced"]
     unb_without = float(np.mean([r["closed_accuracy"]["unbiased"] for r in plain]))
     unb_with = float(np.mean([r["closed_accuracy"]["unbiased"] for r in ced]))
     b_without = float(np.mean([r["closed_accuracy"]["biased"] for r in plain]))
@@ -336,7 +348,7 @@ def test_criterion_09_debiasing_direction(shared_runs):
         "debiasing recovers unbiased accuracy",
         gain >= 0.05 and drop <= 0.02 and dt < 600.0,
         f"unbiased {unb_without:.3f} -> {unb_with:.3f} ({gain * 100:+.1f}pts), "
-        f"biased {b_without:.3f} -> {b_with:.3f} ({-drop * 100:+.1f}pts), 5 seeds [{dt:.0f}s]",
+        f"biased {b_without:.3f} -> {b_with:.3f} ({-drop * 100:+.1f}pts), 5 seeds [{dt:.0f}s wall, {cpu:.0f}s CPU, shared]",
     )
 
 

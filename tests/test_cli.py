@@ -13,6 +13,7 @@ import pytest
 
 import osev
 from osev import data as data_mod
+from osev import runner
 from osev.cli import main
 from osev.metrics import ece, open_predictions, read_score_dump, roc_auc
 
@@ -327,6 +328,33 @@ class TestSweep:
         summary = json.loads((out / "summary.json").read_text())
         assert [f["config"] for f in summary["failures"]] == ["bad"]
         assert list(summary["configs"]) == ["good"]
+
+    def test_a_forked_sweep_writes_the_bytes_of_a_serial_one(self, tmp_path, dataset_dir, monkeypatch, capsys):
+        """2 configs x 2 seeds, and a config whose runs fail: the runs spread over two processes give the
+        run directories (but timings.json and run.log), summaries and stdout of runs one after another."""
+        cfg_dir = tmp_path / "cfgs"
+        cfg_dir.mkdir()
+        template = CONFIG_TEMPLATE.format(dataset=dataset_dir)
+        (cfg_dir / "ced.cfg").write_text(template)
+        (cfg_dir / "plain.cfg").write_text(template.replace("use_ced = true\n", ""))
+        (cfg_dir / "missing.cfg").write_text(CONFIG_TEMPLATE.format(dataset=tmp_path / "nonexistent"))
+        results = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(runner, "_usable_cpus", lambda: cpus)
+            out = tmp_path / f"cpus{cpus}"
+            assert main(["sweep", "--configs", str(cfg_dir), "--seeds", "2", "--out", str(out)]) == 0
+            files = {
+                path.relative_to(out): None if path.name in ("timings.json", "run.log") else path.read_bytes()
+                for path in sorted(out.rglob("*"))
+                if path.is_file()
+            }
+            results.append((capsys.readouterr().out.replace(str(out), "<out>"), files))
+        assert results[0] == results[1]
+        summary = json.loads(results[1][1][Path("summary.json")])
+        assert sorted(summary["configs"]) == ["ced", "plain"]
+        assert [(f["config"], f["seed"]) for f in summary["failures"]] == [("missing", 0), ("missing", 1)]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_empty_config_dir_is_a_config_error(self, tmp_path):
         empty = tmp_path / "none"

@@ -327,6 +327,30 @@ class TestCsvParse:
         path.with_suffix(".npz").unlink()
         assert load_split(path).x.tobytes() == values.tobytes()
 
+    @pytest.mark.parametrize(
+        "row, column, text",
+        [
+            ("1_0,0, 0,1_5,0.5", "id", "1_0"),
+            ("2,0, 0,0.5,0.5", "scene", " 0"),
+            ("2,0,0,1_5,0.5", "c0_t0", "1_5"),
+            ("2,0,0,0.5,0.5 ", "c0_t1", "0.5 "),
+            (" 2,0,0,0.5,0.5", "id", " 2"),
+            ("2,0,0,0.5,\t0.5", "c0_t1", "\t0.5"),
+        ],
+    )
+    def test_a_field_save_split_cannot_write_names_its_line_and_column(self, tmp_path, row, column, text):
+        """int() and float() take digit-group underscores and surrounding whitespace; the parse does not.
+        The row before it, negatives and exponents as save_split writes them, parses."""
+        path = tmp_path / "bad.csv"
+        path.write_text(f"id,class,scene,c0_t0,c0_t1\n-1,0,-2,-1e-05,1.5e+300\n{row}\n")
+        with pytest.raises(ValueError) as err:
+            load_split(path)
+        assert str(err.value) == f"{path}:3: value {column}={text!r} has an underscore or whitespace"
+        path.write_text("id,class,scene,c0_t0,c0_t1\n-1,0,-2,-1e-05,1.5e+300\n")
+        split = load_split(path)
+        assert (split.ids[0], split.scenes[0]) == (-1, -2)
+        assert split.x.tobytes() == np.array([-1e-05, 1.5e300]).tobytes()
+
     def test_verified_copy_skips_the_parse(self, tmp_path, monkeypatch):
         split = generate(small_spec(samples_per_class=3))["train"]
         path = save_split(split, tmp_path / "train.csv")
@@ -535,8 +559,8 @@ def _corrupt(path: Path, how: str) -> None:
     lines = path.read_text().splitlines()
     if how == "header":
         lines[0] = lines[0].replace("scene", "place")
-    else:  # on line 3: a nan in column c0_t2, or an id past the int64 range
-        column, text = (5, "nan") if how == "nan" else (0, "99999999999999999999")
+    else:  # on line 3: a nan in column c0_t2, an id past the int64 range, or a digit-group underscore
+        column, text = {"nan": (5, "nan"), "id": (0, "99999999999999999999"), "underscore": (3, "1_5")}[how]
         fields = lines[2].split(",")
         fields[column] = text
         lines[2] = ",".join(fields)
@@ -548,6 +572,7 @@ CORRUPT_MESSAGE = {
     "header": ":1: CSV header column 3 is 'place', expected 'scene'",
     "nan": ":3: value c0_t2=nan is not finite",
     "id": ":3: value id='99999999999999999999' is outside the int64 range",
+    "underscore": ":3: value c0_t0='1_5' has an underscore or whitespace",
     "channels": ": 4 channels x 32 timesteps, manifest spec says 5 x 32",
 }
 
@@ -560,7 +585,7 @@ class TestDatasetLoad:
     saves the split again, which writes a copy that verifies.
     """
 
-    @pytest.mark.parametrize("how", ["header", "nan", "id", "channels"])
+    @pytest.mark.parametrize("how", ["header", "nan", "id", "underscore", "channels"])
     @pytest.mark.parametrize("bad", ["test_unknown", "test_biased"])
     def test_a_malformed_file_exits_2_with_its_message(self, tmp_path, open_set_run, capsys, copies, bad, how):
         data_dir, ckpt = open_set_run

@@ -40,6 +40,11 @@ def oracle_gradchecks(branches, fwd, labels, weights, kernel, side, **options):
     return [runner.gradcheck(loss, params)]
 
 
+def serial(monkeypatch):
+    """Run the audit's jobs in this process: a forked child's calls reach no recorder here."""
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 1)
+
+
 def recording(inner, perturbed):
     """gradcheck that logs the (parameter, coordinate) each loss evaluation perturbs."""
 
@@ -59,6 +64,7 @@ def recording(inner, perturbed):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_branch_reports_equal_one_full_forward_gradcheck(dataset_dir, monkeypatch, seed):
     """Every side check's per-branch entries equal, with ==, those of the oracle's single call."""
+    serial(monkeypatch)
     branch_gradchecks = runner._branch_gradchecks
     perturbed = []
     compared = []
@@ -109,6 +115,7 @@ def test_quotients_forward_only_the_perturbed_branch(dataset_dir, monkeypatch):
     quotient; the held pieces, each branch's own HSIC terms among them, are built, and
     the labels checked, once per side instance.  Each drawn instance is forwarded once,
     and its kink test reads that forward; no permutation is made outside a CED forward."""
+    serial(monkeypatch)
     counts = dict.fromkeys(
         ("ced_forward", "apply_time_permutations", "_branch_kink_distance", "objective", "centered_gram",
          "hsic_values", "_hsic_values", "_edl_loss", "_euc_loss", "_probs_and_uncertainty", "_validate_labels",
