@@ -171,6 +171,8 @@ class RunConfig:
         for name, v in positive_ints:
             if v < 1:
                 raise ConfigError(f"{name}: must be >= 1, got {v}")
+        if self.use_ced and self.batch_size < 2:
+            raise ConfigError(f"batch_size: must be >= 2 with use_ced, got {self.batch_size}")
         if self.kernel_width < 2:
             raise ConfigError(f"kernel_width: must be >= 2, got {self.kernel_width}")
         if not self.exp_bound > 0.0:

@@ -81,10 +81,9 @@ def evidence_from_logits(
     x = np.asarray(logits, dtype=np.float64)
     if x.ndim == 0 or x.shape[-1] < 2:
         raise ValueError(f"need at least 2 classes on the last axis, got shape {x.shape}")
-    if not np.logical_and.reduce(np.isfinite(x), axis=None):
+    if not np.isfinite(x).all():
         raise NonFiniteInputError(f"non-finite logit at index {_first_bad_index(~np.isfinite(x))}")
-    if not isinstance(kind, EvidenceFunction):
-        kind = EvidenceFunction(kind)
+    kind = EvidenceFunction(kind)
     if kind is EvidenceFunction.EXPONENTIAL:
         if exp_bound <= 0:
             raise ValueError(f"exp_bound must be positive, got {exp_bound}")
@@ -105,8 +104,7 @@ def evidence_grad_wrt_logits(
     the right derivative at the kink.
     """
     x = np.asarray(logits, dtype=np.float64)
-    if not isinstance(kind, EvidenceFunction):
-        kind = EvidenceFunction(kind)
+    kind = EvidenceFunction(kind)
     if kind is EvidenceFunction.EXPONENTIAL:
         inside = np.abs(x) < exp_bound
         return np.where(inside, np.exp(_clamp(x, -exp_bound, exp_bound)), 0.0)
@@ -124,7 +122,7 @@ def validate_evidence(e) -> np.ndarray:
     arr = np.asarray(e, dtype=np.float64)
     if arr.ndim == 0 or arr.shape[-1] < 2:
         raise ValueError(f"evidence needs at least 2 classes on the last axis, got shape {arr.shape}")
-    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
+    if not np.isfinite(arr).all():
         raise NonFiniteInputError(f"non-finite evidence at index {_first_bad_index(~np.isfinite(arr))}")
     if np.any(arr < 0.0):
         raise ValueError(f"negative evidence at index {_first_bad_index(arr < 0.0)}")

@@ -54,13 +54,13 @@ def _as_feature_matrix(x, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be 2-D (samples, features), got shape {arr.shape}")
     if arr.shape[0] < 2:
         raise ValueError(f"{name} needs at least 2 samples, got {arr.shape[0]}")
-    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
+    if not np.isfinite(arr).all():
         raise NonFiniteInputError(f"{name} contains non-finite values")
     return arr
 
 
 def _sq_dists(x: np.ndarray) -> np.ndarray:
-    sq = np.add.reduce(x * x, axis=1)
+    sq = (x * x).sum(axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
     return np.maximum(d2, 0.0)
 
@@ -135,7 +135,7 @@ def hsic_biased(gram_x, gram_y) -> float:
 
 
 def _value(kx: np.ndarray, m: np.ndarray, scale: float) -> float:
-    return float(np.add.reduce(kx * m, axis=None) * scale)
+    return float((kx * m).sum() * scale)
 
 
 def centered_gram(y, params: KernelParams = KernelParams()) -> np.ndarray:

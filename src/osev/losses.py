@@ -93,7 +93,7 @@ def _edl_loss(y: np.ndarray, ev: np.ndarray, with_grad: bool) -> tuple[np.ndarra
     rows = np.arange(y.size)
     alpha = ev + 1.0
     alpha_y = alpha[rows, y]
-    strength = np.add.reduce(alpha, axis=1)
+    strength = alpha.sum(axis=1)
     losses = np.log(strength) - np.log(alpha_y)
     if not with_grad:
         return losses, None
@@ -173,7 +173,7 @@ def _euc_loss(
     grad_p[~((p_raw > CLAMP_EPS) & (p_raw < 1.0 - CLAMP_EPS))] = 0.0
     grad_u[~((u_raw > CLAMP_EPS) & (u_raw < 1.0 - CLAMP_EPS))] = 0.0
     alpha = ev + 1.0
-    strength = np.add.reduce(alpha, axis=1)
+    strength = alpha.sum(axis=1)
     k = ev.shape[1]
     alpha_star = alpha[rows, predicted]
     # Shared component for all coordinates, then the argmax coordinate's extra.

@@ -403,6 +403,7 @@ class TestExitCodes:
             ("epochs = three", "config field 'epochs' must be an integer, got 'three'"),
             ("use_euc = maybe", "config field 'use_euc' must be a boolean, got 'maybe'"),
             ("exp_bound = nan", "exp_bound: must be positive, got nan"),
+            ("use_ced = true\nbatch_size = 1", "batch_size: must be >= 2 with use_ced, got 1"),
         ],
     )
     @pytest.mark.parametrize("command", ["train", "gradcheck", "sweep"])
@@ -418,10 +419,12 @@ class TestExitCodes:
             assert main(["sweep", "--configs", str(cfg_dir), "--seeds", "1", "--out", out]) == 0
             summary = json.loads((tmp_path / "out" / "summary.json").read_text())
             assert summary["failures"] == [{"config": "run", "seed": None, "error": f"{cfg}: {message}"}]
+            assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["summary.csv", "summary.json"]
             return
         argv = ["--out", out] if command == "train" else ["--instances", "1"]
         assert main([command, "--config", str(cfg), *argv]) == 2
         assert f"error: {cfg}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_divergent_training_is_3(self, tmp_path, dataset_dir):
         cfg = tmp_path / "diverge.cfg"

@@ -160,5 +160,16 @@ class TestValidation:
         with pytest.raises(ConfigError, match=match):
             cfg.validate()
 
+    def test_ced_needs_two_samples_per_batch(self):
+        """HSIC needs >= 2 samples, so use_ced rejects single-sample batches up front."""
+        with pytest.raises(ConfigError) as err:
+            RunConfig(use_ced=True, batch_size=1).validate()
+        assert str(err.value) == "batch_size: must be >= 2 with use_ced, got 1"
+        with pytest.raises(ConfigError) as err:
+            RunConfig(use_ced=True, batch_size=0).validate()
+        assert str(err.value) == "batch_size: must be >= 1, got 0"
+        RunConfig(use_ced=True, batch_size=2).validate()
+        RunConfig(batch_size=1).validate()
+
     def test_infinite_exp_bound_is_accepted(self):
         RunConfig(exp_bound=float("inf")).validate()

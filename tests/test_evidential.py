@@ -18,7 +18,7 @@ from osev.evidential import (
     threshold_from_train_scores,
     validate_evidence,
 )
-from osev.hsic import _as_feature_matrix, hsic_value_and_grad
+from osev.hsic import hsic_value_and_grad
 from osev.losses import CLAMP_EPS, euc_loss_grad_evidence
 
 
@@ -237,32 +237,3 @@ def test_non_finite_values_are_reported_at_their_first_index(shape, data):
     with pytest.raises(NonFiniteInputError) as evidence:
         validate_evidence(x)
     assert str(evidence.value) == f"non-finite evidence at index {first}"
-
-
-@settings(deadline=None, max_examples=150)
-@given(
-    shape=st.tuples(st.integers(2, 4), st.integers(2, 5)),
-    data=st.data(),
-    kind=st.sampled_from(list(EvidenceFunction)),
-)
-def test_finiteness_checks_and_enum_kinds_keep_every_bit(shape, data, kind):
-    """The ufunc finiteness checks pass and fail where ``np.isfinite(x).all()`` does, naming
-    the same index; an enum kind gives the bits of its string."""
-    size = shape[0] * shape[1]
-    value = st.floats(allow_nan=False, allow_infinity=False, width=32) | st.sampled_from([np.nan, np.inf, -np.inf])
-    x = np.array(data.draw(st.lists(value, min_size=size, max_size=size))).reshape(shape)
-    if not np.isfinite(x).all():
-        first = tuple(int(i) for i in np.argwhere(~np.isfinite(x))[0])
-        for check, message in [
-            (lambda: evidence_from_logits(x, kind), f"non-finite logit at index {first}"),
-            (lambda: validate_evidence(np.abs(x)), f"non-finite evidence at index {first}"),
-            (lambda: _as_feature_matrix(x, "x"), "x contains non-finite values"),
-        ]:
-            with pytest.raises(NonFiniteInputError) as err:
-                check()
-            assert str(err.value) == message
-        return
-    assert validate_evidence(np.abs(x)).tobytes() == np.abs(x).tobytes()
-    assert _as_feature_matrix(x, "x").tobytes() == x.tobytes()
-    assert bits(evidence_from_logits(x, kind)) == bits(evidence_from_logits(x, kind.value))
-    assert bits(evidence_grad_wrt_logits(x, kind)) == bits(evidence_grad_wrt_logits(x, kind.value))
