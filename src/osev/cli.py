@@ -73,12 +73,17 @@ def _cmd_eval(args) -> int:
 def _cmd_gradcheck(args) -> int:
     config = RunConfig.from_file(args.config)
     entries, ok = run_gradcheck(config, tol=args.tol, instances=args.instances)
-    for entry in entries:
-        status = "ok" if entry["max_rel_err"] < args.tol else "FAIL"
-        print(f"{status:4s} {entry['check']:22s} max_rel_err={entry['max_rel_err']:.3e}")
+    failing = []
+    for e in entries:
+        line = f"{e['check']:22s} max_rel_err={e['max_rel_err']:.3e}"
+        if e["max_rel_err"] < args.tol:
+            print(f"ok   {line}")
+        else:
+            where = f"{e['name']}.flat[{e['worst_coord']}]: analytic={e['analytic']:.9e} numeric={e['numeric']:.9e}"
+            print(f"FAIL {line} at {where}")
+            failing.append(f"{e['check']} ({where})")
     if not ok:
-        failing = ", ".join(e["check"] for e in entries if e["max_rel_err"] >= args.tol)
-        print(f"gradient check failed: {failing}", file=sys.stderr)
+        print(f"gradient check failed: {', '.join(failing)}", file=sys.stderr)
         return EXIT_GRADCHECK
     return EXIT_OK
 

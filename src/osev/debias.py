@@ -29,12 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evidential import EvidenceFunction, _probs_and_uncertainty
+from .evidential import EvidenceFunction
 from .hsic import KernelParams, _hsic_values, centered_gram, hsic_value_and_grad, hsic_values
 from .losses import (
     LossWeights,
     _edl_loss,
-    _euc_loss,
+    _euc_losses,
     _validate_labels,
     edl_loss_batch,
     euc_loss_grad_evidence,
@@ -314,7 +314,7 @@ def branch_losses(
     *,
     lambda_t: float = 0.0,
     use_euc: bool = False,
-) -> dict[str, tuple[Callable[[np.ndarray, np.ndarray], float], Callable[[np.ndarray], float]]]:
+) -> dict[str, tuple[Callable[[np.ndarray, np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]]:
     """One side's objective loss as a function of one branch's output.
 
     Side "f" maps "f" to the loss of :func:`debias_objective`; side "h" maps
@@ -328,26 +328,25 @@ def branch_losses(
     its features in ``fwd``, which the evidence-only loss reads instead of
     recomputing them, and, for "h", each biased branch's (L_cls, HSIC) term for
     the other's loss.  The labels are checked once, here, with
-    :func:`~osev.losses.edl_loss_batch`'s messages; a call takes the features
-    and evidence of the branch's own forward as valid, computes only the given
-    branch's own term, values only, through the formulas the objectives
-    differentiate, and returns the objective's loss bit for bit.
+    :func:`~osev.losses.edl_loss_batch`'s messages.  A call takes the
+    (P, batch, ...) stacks of features and evidence that P copies of the
+    branch's forward give, as valid, computes only the given branch's own
+    term, values only, through the formulas the objectives differentiate, and
+    returns the P objective losses, each that of its copy bit for bit.
     """
     if side not in ("f", "h"):
         raise ValueError(f"side must be f or h, got {side!r}")
     y = _validate_labels(labels, *fwd.e_f.shape)
 
-    def edl(evidence: np.ndarray) -> float:
+    def edl(evidence: np.ndarray):
         losses = _edl_loss(y, evidence, with_grad=False)[0]
-        return float(np.add.reduce(losses) / losses.size)
+        return np.add.reduce(losses, axis=-1) / losses.shape[-1]
 
     if side == "f":
         held = [centered_gram(fwd.h_shuffled, kernel), centered_gram(fwd.h_static, kernel)]
 
-        def main_loss(hsic_pair: list[float], evidence: np.ndarray) -> float:
-            euc = 0.0
-            if use_euc:
-                euc = _euc_loss(y, evidence, *_probs_and_uncertainty(evidence), lambda_t, with_grad=False)[0]
+        def main_loss(hsic_pair: list, evidence: np.ndarray):
+            euc = _euc_losses(y, evidence, lambda_t) if use_euc else 0.0
             return _debias_loss(edl(evidence), euc, *hsic_pair, weights)
 
         at_fwd = _hsic_values(fwd.f, held, kernel)
@@ -359,7 +358,7 @@ def branch_losses(
         }
     held_f = [centered_gram(fwd.f, kernel)]
 
-    def hsic(feats: np.ndarray) -> float:
+    def hsic(feats: np.ndarray):
         return _hsic_values(feats, held_f, kernel)[0]
 
     hs_sh, hs_st = hsic(fwd.h_shuffled), hsic(fwd.h_static)

@@ -109,12 +109,20 @@ def evidence_grad_wrt_logits(
         inside = np.abs(x) < exp_bound
         return np.where(inside, np.exp(_clamp(x, -exp_bound, exp_bound)), 0.0)
     if kind is EvidenceFunction.SOFTPLUS:
-        # scipy costs more import time and memory than all of osev besides,
-        # and only softplus evidence needs it
-        from scipy.special import expit
-
-        return expit(x)
+        return np.fromiter(map(_logistic, x.ravel().tolist()), np.float64, count=x.size).reshape(x.shape)
     return np.where(x > 0.0, 1.0, 0.0)
+
+
+def _logistic(v: float) -> float:
+    """The logistic function 1 / (1 + exp(-v)), the derivative of softplus; 0.0 where exp(-v) overflows.
+
+    It runs per element on ``math.exp`` because numpy's vectorised exp differs
+    from libm's in the last bits for some inputs, which would change run bytes.
+    """
+    try:
+        return 1.0 / (1.0 + math.exp(-v))
+    except OverflowError:
+        return 0.0
 
 
 def validate_evidence(e) -> np.ndarray:

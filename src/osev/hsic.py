@@ -60,8 +60,8 @@ def _as_feature_matrix(x, name: str) -> np.ndarray:
 
 
 def _sq_dists(x: np.ndarray) -> np.ndarray:
-    sq = (x * x).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    sq = (x * x).sum(axis=-1)
+    d2 = sq[..., :, None] + sq[..., None, :] - 2.0 * (x @ x.swapaxes(-1, -2))
     return np.maximum(d2, 0.0)
 
 
@@ -96,12 +96,17 @@ def median_bandwidth(x) -> float:
 def _kernel(arr: np.ndarray, params: KernelParams) -> tuple[np.ndarray, float]:
     """The Gaussian Gram matrix of validated features and its squared bandwidth.
 
-    Every Gram is built here, so one matrix always gets the same bits.
+    Every Gram is built here, so one matrix always gets the same bits.  A
+    (P, n, d) stack of feature matrices gives the (P, n, n) stack of their
+    Grams, each with its own median bandwidth when ``sigma`` is None.
     """
-    sigma = params.sigma if params.sigma is not None else median_bandwidth(arr)
+    sigma = params.sigma
+    if sigma is None:
+        sigma = median_bandwidth(arr) if arr.ndim == 2 else np.array([median_bandwidth(a) for a in arr])[:, None, None]
     sigma_sq = sigma * sigma
     gram = np.exp(-_sq_dists(arr) / (2.0 * sigma_sq))
-    np.fill_diagonal(gram, 1.0)
+    diagonal = np.arange(gram.shape[-1])
+    gram[..., diagonal, diagonal] = 1.0
     return gram, sigma_sq
 
 
@@ -134,8 +139,9 @@ def hsic_biased(gram_x, gram_y) -> float:
     return float((kx * _center(ky)).sum() / (n - 1) ** 2)
 
 
-def _value(kx: np.ndarray, m: np.ndarray, scale: float) -> float:
-    return float((kx * m).sum() * scale)
+def _value(kx: np.ndarray, m: np.ndarray, scale: float):
+    """HSIC from x's Gram and y's centred Gram; one value per Gram of a (P, n, n) stack."""
+    return (kx * m).sum(axis=(-2, -1)) * scale
 
 
 def centered_gram(y, params: KernelParams = KernelParams()) -> np.ndarray:
@@ -155,13 +161,14 @@ def hsic_values(x, centered, params: KernelParams = KernelParams()) -> list[floa
     for m in centered:
         if np.shape(m) != (n, n):
             raise ValueError(f"a centred Gram must be ({n}, {n}) to pair with x, got shape {np.shape(m)}")
-    return _hsic_values(ax, centered, params)
+    return [float(v) for v in _hsic_values(ax, centered, params)]
 
 
-def _hsic_values(ax: np.ndarray, centered, params: KernelParams) -> list[float]:
-    """:func:`hsic_values` of validated features and centred Grams that pair with them."""
+def _hsic_values(ax: np.ndarray, centered, params: KernelParams) -> list:
+    """:func:`hsic_values` of validated features and centred Grams that pair with them; a
+    (P, n, d) stack of features gives per Gram the (P,) values, each with its own call's bits."""
     kx, _ = _kernel(ax, params)
-    scale = 1.0 / (ax.shape[0] - 1) ** 2
+    scale = 1.0 / (ax.shape[-2] - 1) ** 2
     return [_value(kx, m, scale) for m in centered]
 
 
@@ -186,4 +193,4 @@ def hsic_value_and_grad(
     scale = 1.0 / (ax.shape[0] - 1) ** 2
     w = m * kx
     grad = (-2.0 * scale / sigma_x_sq) * (w.sum(axis=1)[:, None] * ax - w @ ax)
-    return _value(kx, m, scale), grad
+    return float(_value(kx, m, scale)), grad

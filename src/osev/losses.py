@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evidential import _clamp, batch_probs_and_uncertainty, validate_evidence
+from .evidential import _clamp, _probs_and_uncertainty, batch_probs_and_uncertainty, validate_evidence
 
 __all__ = [
     "CLAMP_EPS",
@@ -89,11 +89,12 @@ def _validate_labels(labels, batch_size: int, num_classes: int) -> np.ndarray:
 
 
 def _edl_loss(y: np.ndarray, ev: np.ndarray, with_grad: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """:func:`edl_loss_batch` on validated arrays; the gradients are None without ``with_grad``."""
+    """:func:`edl_loss_batch` on validated arrays; the gradients are None without ``with_grad``.
+    A (P, B, K) stack of evidence gives (P, B) losses, each copy's the bits of its own call."""
     rows = np.arange(y.size)
     alpha = ev + 1.0
-    alpha_y = alpha[rows, y]
-    strength = alpha.sum(axis=1)
+    alpha_y = alpha[..., rows, y]
+    strength = alpha.sum(axis=-1)
     losses = np.log(strength) - np.log(alpha_y)
     if not with_grad:
         return losses, None
@@ -181,6 +182,13 @@ def _euc_loss(
     grad_e = np.repeat(common[:, None], k, axis=1)
     grad_e[rows, predicted] += grad_p / strength
     return float(loss), grad_e
+
+
+def _euc_losses(y: np.ndarray, ev: np.ndarray, lambda_t: float) -> np.ndarray:
+    """The calibration loss of each copy in a (P, B, K) stack of validated evidence, each its own
+    :func:`_euc_loss` call: means over masked subsets of a stack would not keep the per-copy bits."""
+    probs, u = _probs_and_uncertainty(ev)
+    return np.array([_euc_loss(y, *copy, lambda_t, with_grad=False)[0] for copy in zip(ev, probs, u)])
 
 
 @dataclass(frozen=True)

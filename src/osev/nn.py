@@ -23,11 +23,13 @@ from .evidential import (
 )
 
 __all__ = [
+    "GRADCHECK_CHUNK",
     "GRADCHECK_EPS",
     "GRADCHECK_MAX_COORDS",
     "Dense",
     "EvidenceHead",
     "EvidentialNet",
+    "GradcheckEntry",
     "GradcheckReport",
     "NonFiniteGradientError",
     "Parameter",
@@ -83,7 +85,12 @@ def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -
 
 
 class Layer:
-    """Base class: forward caches, backward consumes the cache additively."""
+    """Base class: forward caches, backward consumes the cache additively.
+
+    ``forward_copies(x, (parameter, stack))`` is the forward once per value in the
+    (P, *parameter.shape) stack, as if the parameter held it: the P outputs, each with
+    its own forward's bits, on a leading axis that x may carry too.  It caches nothing.
+    """
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -100,19 +107,29 @@ class Layer:
         return cache
 
 
+def _substitute(copies, *params: Parameter) -> list[np.ndarray]:
+    """Each parameter's value, or the stack of values ``copies`` = (parameter, stack) gives it."""
+    return [copies[1] if p is copies[0] else p.value for p in params]
+
+
 def _correlate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Valid cross-correlation over time.
 
-    (B, c_in, T) correlated with (c_out, c_in, k) gives (B, c_out, T - k + 1).
+    (B, c_in, T) correlated with (c_out, c_in, k) gives (B, c_out, T - k + 1),
+    and with a (P, c_out, c_in, k) stack of kernels (P, B, c_out, T - k + 1):
+    each copy's products are the single kernel's (c_out, c_in) @ (c_in, T')
+    matmuls, so it keeps their bits at every shape.
 
     One matmul per kernel tap, accumulated in place, so the only temporary is
     one output-sized product; no (B, c_in, T', k) window copy is made.
     """
-    k = w.shape[2]
+    if w.ndim == 4:
+        w = w[:, None]
+    k = w.shape[-1]
     t_out = x.shape[2] - k + 1
-    out = np.matmul(w[:, :, 0], x[:, :, :t_out])
+    out = np.matmul(w[..., 0], x[:, :, :t_out])
     for j in range(1, k):
-        out += np.matmul(w[:, :, j], x[:, :, j : j + t_out])
+        out += np.matmul(w[..., j], x[:, :, j : j + t_out])
     return out
 
 
@@ -152,6 +169,10 @@ class TemporalConv(Layer):
         out += self.bias.value[None, :, None]
         self._cache = x
         return out
+
+    def forward_copies(self, x: np.ndarray, copies) -> np.ndarray:  # an input layer: x has no copies axis
+        weight, bias = _substitute(copies, self.weight, self.bias)
+        return _correlate(x, weight) + bias[..., None, :, None]
 
     def backward(self, grad_out: np.ndarray) -> None:
         x = self._require_cache(self._cache, self.weight.name)
@@ -194,6 +215,10 @@ class Dense(Layer):
         self._cache = x
         return x @ self.weight.value + self.bias.value
 
+    def forward_copies(self, x: np.ndarray, copies) -> np.ndarray:
+        weight, bias = _substitute(copies, self.weight, self.bias)
+        return x @ weight + bias[..., None, :]
+
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         x = self._require_cache(self._cache, self.weight.name)
         g = np.asarray(grad_out, dtype=np.float64)
@@ -218,6 +243,9 @@ class ReLU(Layer):
         self._mask = x > 0.0
         return np.where(self._mask, x, 0.0)
 
+    def forward_copies(self, x: np.ndarray, copies) -> np.ndarray:
+        return np.where(x > 0.0, x, 0.0)
+
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         mask = self._require_cache(self._mask, "relu")
         g = np.asarray(grad_out, dtype=np.float64)
@@ -239,6 +267,9 @@ class TemporalMeanPool(Layer):
         self._shape = x.shape
         return np.add.reduce(x, axis=2) / x.shape[2]  # x.mean(axis=2) without its Python-level wrapper
 
+    def forward_copies(self, x: np.ndarray, copies) -> np.ndarray:
+        return np.add.reduce(x, axis=-1) / x.shape[-1]
+
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         shape = self._require_cache(self._shape, "mean-pool")
         g = np.asarray(grad_out, dtype=np.float64)
@@ -255,6 +286,12 @@ class Sequential(Layer):
         out = x
         for layer in self.layers:
             out = layer.forward(out)
+        return out
+
+    def forward_copies(self, x: np.ndarray, copies) -> np.ndarray:
+        out = x
+        for layer in self.layers:
+            out = layer.forward_copies(out, copies)
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray | None:
@@ -292,6 +329,9 @@ class EvidenceHead(Layer):
         self._logits = logits
         return evidence_from_logits(logits, self.kind, self.exp_bound)
 
+    def forward_copies(self, features: np.ndarray, copies) -> np.ndarray:
+        return evidence_from_logits(self.dense.forward_copies(features, copies), self.kind, self.exp_bound)
+
     def backward(self, grad_evidence: np.ndarray) -> np.ndarray:
         logits = self._require_cache(self._logits, "evidence head")
         local = evidence_grad_wrt_logits(logits, self.kind, self.exp_bound)
@@ -317,6 +357,10 @@ class EvidentialNet:
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         features = self.backbone.forward(x)
         return features, self.head.forward(features)
+
+    def forward_copies(self, x: np.ndarray, copies) -> tuple[np.ndarray, np.ndarray]:
+        features = self.backbone.forward_copies(x, copies)
+        return features, self.head.forward_copies(features, copies)
 
     def backward(self, grad_head_out: np.ndarray, extra_feature_grad: np.ndarray | None = None) -> None:
         grad_f = self.head.backward(grad_head_out)
@@ -400,49 +444,61 @@ class GradcheckReport:
     def max_rel_err(self) -> float:
         return max((e.max_rel_err for e in self.entries), default=0.0)
 
+    @property
+    def worst(self) -> GradcheckEntry:
+        """The entry with the largest relative error, the first of equals."""
+        return max(self.entries, key=lambda e: e.max_rel_err)
+
 
 #: Central-difference step of :func:`gradcheck`.
 GRADCHECK_EPS = 1e-5
 #: Coordinates :func:`gradcheck` samples from a parameter larger than this.
 GRADCHECK_MAX_COORDS = 64
+#: Perturbed copies :func:`gradcheck` hands its loss per call: enough to spread
+#: each forward's per-call cost, few enough to keep the stacked arrays small.
+GRADCHECK_CHUNK = 16
 
 
 def gradcheck(loss_fn, params, rng: np.random.Generator | None = None) -> GradcheckReport:
     """Central-difference check of the gradients already stored on ``params``.
 
-    ``loss_fn`` must be a deterministic zero-argument callable that
-    re-evaluates the loss from current parameter values without mutating them
-    (re-running layer forwards is fine), and the caller must have populated
-    each ``Parameter.grad`` with exactly one analytic backward pass.  Large
-    parameters are checked on a sampled coordinate subset.  The relative error
-    uses a unit floor: |fd - an| / max(|fd|, |an|, 1); a coordinate where it is
-    NaN (a NaN gradient or loss, or infinities) counts as infinitely wrong.
+    ``loss_fn(p, values)`` maps a (P, *p.shape) stack of values of one of
+    ``params`` to the P losses with p at each value and every other parameter
+    at its own; it must be deterministic and change no parameter (a
+    :meth:`Layer.forward_copies` evaluates such a stack).  The caller must have
+    populated each ``Parameter.grad`` with exactly one analytic backward pass.
+    Large parameters are checked on a sampled coordinate subset.  Each
+    coordinate gives two copies, +eps then -eps there, evaluated
+    :data:`GRADCHECK_CHUNK` at a time.  The relative error uses a unit floor:
+    |fd - an| / max(|fd|, |an|, 1); a coordinate where it is NaN (a NaN
+    gradient or loss, or infinities) counts as infinitely wrong.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     entries = []
     for p in params:
-        analytic = p.grad.reshape(-1).copy()
         flat = p.value.reshape(-1)
         n = flat.size
         if n <= GRADCHECK_MAX_COORDS:
             coords = np.arange(n)
         else:
             coords = np.sort(rng.choice(n, size=GRADCHECK_MAX_COORDS, replace=False))
-        worst = GradcheckEntry(p.name, 0.0, -1, 0.0, 0.0)
-        for i in coords:
-            orig = flat[i]
-            flat[i] = orig + GRADCHECK_EPS
-            up = loss_fn()
-            flat[i] = orig - GRADCHECK_EPS
-            down = loss_fn()
-            flat[i] = orig
-            fd = (up - down) / (2.0 * GRADCHECK_EPS)
-            an = analytic[i]
-            rel = abs(fd - an) / max(abs(fd), abs(an), 1.0)
-            if math.isnan(rel):
-                rel = math.inf
-            if rel > worst.max_rel_err:
-                worst = GradcheckEntry(p.name, float(rel), int(i), float(an), float(fd))
-        entries.append(worst)
+        at = np.repeat(coords, 2)  # copy 2i moves coordinate i up by eps, copy 2i + 1 down
+        moved = np.column_stack([flat[coords] + GRADCHECK_EPS, flat[coords] - GRADCHECK_EPS]).reshape(-1)
+        losses = []
+        for start in range(0, at.size, GRADCHECK_CHUNK):
+            rows = slice(start, start + GRADCHECK_CHUNK)
+            copies = np.tile(flat, (len(at[rows]), 1))
+            copies[np.arange(len(copies)), at[rows]] = moved[rows]
+            losses.append(loss_fn(p, copies.reshape(-1, *p.shape)))
+        losses = np.concatenate(losses)
+        fd = (losses[0::2] - losses[1::2]) / (2.0 * GRADCHECK_EPS)
+        an = p.grad.reshape(-1)[coords]
+        rel = np.abs(fd - an) / np.maximum(np.maximum(np.abs(fd), np.abs(an)), 1.0)
+        rel[np.isnan(rel)] = math.inf
+        i = int(np.argmax(rel))
+        if rel[i] > 0.0:
+            entries.append(GradcheckEntry(p.name, float(rel[i]), int(coords[i]), float(an[i]), float(fd[i])))
+        else:
+            entries.append(GradcheckEntry(p.name, 0.0, -1, 0.0, 0.0))
     return GradcheckReport(tuple(entries))

@@ -43,11 +43,13 @@ from .debias import (
     vanilla_train_step,
 )
 from .evidential import NonFiniteInputError, batch_probs_and_uncertainty, threshold_from_train_scores
-from .hsic import KernelParams, centered_gram, hsic_value_and_grad, hsic_values, median_bandwidth
+from .hsic import KernelParams, _hsic_values, centered_gram, hsic_value_and_grad, median_bandwidth
 from .losses import (
     AnnealingSchedule,
     LossWeights,
     NonFiniteLossError,
+    _edl_loss,
+    _euc_losses,
     annealing_lambda,
     edl_loss_batch,
     euc_loss_grad_evidence,
@@ -575,7 +577,7 @@ def run_evaluation(
 
 
 def _quadratic_layer_check(layer, x: np.ndarray):
-    """The job that returns the max relative FD error under the loss 0.5 * sum(out^2).
+    """The job that returns the worst gradcheck entry under the loss 0.5 * sum(out^2).
 
     The upstream gradient of that loss is the output itself, so one forward
     feeds one backward directly; both run here, and the job runs only the
@@ -583,7 +585,12 @@ def _quadratic_layer_check(layer, x: np.ndarray):
     """
     out = layer.forward(x)
     layer.backward(out.copy())
-    return lambda: gradcheck(lambda: float(0.5 * np.sum(layer.forward(x) ** 2)), layer.parameters()).max_rel_err
+
+    def loss(p: Parameter, values: np.ndarray) -> np.ndarray:
+        squares = layer.forward_copies(x, (p, values)) ** 2
+        return 0.5 * np.add.reduce(squares.reshape(len(values), -1), axis=1)
+
+    return lambda: gradcheck(loss, layer.parameters()).worst
 
 
 #: Finite differences are invalid within eps of a kink (a ReLU zero crossing,
@@ -633,23 +640,18 @@ def _branch_gradchecks(
     kernel: KernelParams,
     side: str,
     **options,
-) -> list[GradcheckReport]:
+) -> GradcheckReport:
     """Difference one side's objective one branch at a time, backbone and head apart.
 
-    Perturbing a branch's parameter can only change that branch's output, and
-    the side's loss is evaluated through :func:`~osev.debias.branch_losses`,
-    which builds the held branches' parts from ``fwd`` once and computes
-    values only.  A backbone coordinate's quotient re-forwards the branch
-    alone, on the input it already has.  A head parameter cannot change the
-    features, so a head coordinate's quotient re-forwards only the head, on
-    the branch's features in ``fwd``, and reads the branch's HSIC term at
-    those features from ``branch_losses`` instead of recomputing it.  Each
-    quotient thus computes only what the perturbed parameter can change and
-    equals the objective's loss of a full forward bit for bit.
-    One coordinate generator runs through the side's branches in parameter
-    order (f; or h_shuffled, then h_static; backbone before head), so the
-    coordinates sampled are exactly those of one gradcheck over all of the
-    side's parameters.  Returns two reports per branch, backbone then head.
+    A parameter can only change its own branch's output, so each stack of
+    perturbed copies re-forwards that branch alone on the input it already
+    has (a head parameter: only the head, on the branch's features in
+    ``fwd``), and :func:`~osev.debias.branch_losses` turns the outputs into
+    the objective's losses, values only, with the held parts built once.
+    Each loss equals the objective's of a full forward bit for bit.  One
+    coordinate generator runs through the side's parameters in order (f; or
+    h_shuffled, then h_static; backbone before head), so the coordinates and
+    entries are those of one gradcheck over all of them.
     """
     if side == "f":
         parts = [("f", branches.f_branch, fwd.x, fwd.f)]
@@ -660,19 +662,19 @@ def _branch_gradchecks(
         ]
     losses = branch_losses(side, fwd, labels, weights, kernel, **options)
     coords = np.random.default_rng(0)
-    reports = []
+    entries = []
     for name, branch, inp, feats in parts:
         branch_loss, evidence_loss = losses[name]
 
-        def backbone_loss() -> float:
-            return branch_loss(*branch.forward(inp))
+        def backbone_loss(p: Parameter, values: np.ndarray) -> np.ndarray:
+            return branch_loss(*branch.forward_copies(inp, (p, values)))
 
-        def head_loss() -> float:
-            return evidence_loss(branch.head.forward(feats))
+        def head_loss(p: Parameter, values: np.ndarray) -> np.ndarray:
+            return evidence_loss(branch.head.forward_copies(feats, (p, values)))
 
-        reports.append(gradcheck(backbone_loss, branch.backbone.parameters(), rng=coords))
-        reports.append(gradcheck(head_loss, branch.head.parameters(), rng=coords))
-    return reports
+        entries += gradcheck(backbone_loss, branch.backbone.parameters(), rng=coords).entries
+        entries += gradcheck(head_loss, branch.head.parameters(), rng=coords).entries
+    return GradcheckReport(tuple(entries))
 
 
 def run_gradcheck(config: RunConfig, tol: float = 1e-4, instances: int = 20) -> tuple[list[dict], bool]:
@@ -686,25 +688,21 @@ def run_gradcheck(config: RunConfig, tol: float = 1e-4, instances: int = 20) -> 
     gradient of its own objective with the other side's features held
     constant (there is no single scalar both updates descend).  Kernel
     bandwidths and shuffle permutations are frozen during differencing, which
-    is exactly how the training step treats them.  Each side's branches are
-    differenced separately: all three branches are forwarded once per
-    instance, a forward the kink test reads too, and each difference
-    quotient re-forwards only the perturbed branch (only its head, for a
-    head parameter, which also holds the branch's HSIC term) and recomputes
-    only the value of its term, while the others' contributions stay cached
-    and the labels are checked once (see :func:`_branch_gradchecks`).  A
-    coordinate whose relative error is NaN (a NaN gradient or loss) counts
-    as infinitely wrong (see :func:`~osev.nn.gradcheck`), so its check
-    fails.  Returns (entries, ok).
+    is exactly how the training step treats them.  All three branches are
+    forwarded once per instance, a forward the kink test reads too, and each
+    side's branches are differenced separately (see :func:`_branch_gradchecks`).
+    A NaN relative error counts as infinitely wrong, so its check fails.
+    Returns (entries, ok); an entry holds the check's name under "check" and
+    the fields of its worst instance's :class:`~osev.nn.GradcheckEntry`.
 
     The audit runs in two phases.  First every instance of every check is
     prepared here, in check order: its draws from the audit's one random
     stream (kink redraws included), its bandwidth and its analytic gradient.
     Each prepared instance is a job that only runs its difference quotients,
     which draw nothing from that stream, so :func:`_run_jobs` may spread the
-    jobs over forked processes.  Each check's worst error is then folded in
-    job order, so the entries are the same floats however the jobs ran, and
-    the first job in that order that raised re-raises here.
+    jobs over forked processes.  Each check's worst entry is then folded in
+    job order, so the entries are the same however the jobs ran, and the
+    first job in that order that raised re-raises here.
 
     Raises :class:`ConfigError` for fewer than one instance or a ``tol`` that
     is not positive and finite: such an audit would pass without checking
@@ -764,7 +762,7 @@ def run_gradcheck(config: RunConfig, tol: float = 1e-4, instances: int = 20) -> 
         e = Parameter("edl.evidence", rng.uniform(0.5, 4.0, size=(batch, k)))
         _, grads = edl_loss_batch(labels, e.value)
         e.grad += grads / batch
-        return lambda: gradcheck(lambda: float(edl_loss_batch(labels, e.value)[0].mean()), [e]).max_rel_err
+        return lambda: gradcheck(lambda _, values: _edl_loss(labels, values, False)[0].mean(axis=-1), [e]).worst
 
     add("loss.edl", edl_instance)
 
@@ -776,7 +774,7 @@ def run_gradcheck(config: RunConfig, tol: float = 1e-4, instances: int = 20) -> 
                 break
         _, grad_e = euc_loss_grad_evidence(labels, e.value, lam_t)
         e.grad += grad_e
-        return lambda: gradcheck(lambda: euc_loss_grad_evidence(labels, e.value, lam_t)[0], [e]).max_rel_err
+        return lambda: gradcheck(lambda _, values: _euc_losses(labels, values, lam_t), [e]).worst
 
     add("loss.euc", euc_instance)
 
@@ -787,7 +785,7 @@ def run_gradcheck(config: RunConfig, tol: float = 1e-4, instances: int = 20) -> 
         _, grad_x = hsic_value_and_grad(x.value, y, frozen)
         x.grad += grad_x
         held = [centered_gram(y, frozen)]
-        return lambda: gradcheck(lambda: hsic_values(x.value, held, frozen)[0], [x]).max_rel_err
+        return lambda: gradcheck(lambda _, values: _hsic_values(values, held, frozen)[0], [x]).worst
 
     add("loss.hsic", hsic_instance)
 
@@ -833,25 +831,21 @@ def run_gradcheck(config: RunConfig, tol: float = 1e-4, instances: int = 20) -> 
         else:
             objective = debias_objective if side == "f" else bias_objective
             objective(branches, fwd, labels, weights, sigma, apply_grads=True, **options)
-        return lambda: max(
-            report.max_rel_err
-            for report in _branch_gradchecks(branches, fwd, labels, weights, sigma, side, **options)
-        )
+        return lambda: _branch_gradchecks(branches, fwd, labels, weights, sigma, side, **options).worst
 
     add("objective.debias", lambda: side_instance("f", objective_weights, False))
     add("objective.bias", lambda: side_instance("h", objective_weights, False))
     add("composed.main_side", lambda: side_instance("f", weights, True, lambda_t=lam_t, use_euc=True))
     add("composed.biased_side", lambda: side_instance("h", weights, True))
 
-    outcomes = iter(_run_jobs(jobs))
-    entries: list[dict] = []
-    for name in names:
-        worst = 0.0
-        for _ in range(instances):
-            outcome = next(outcomes)
-            if isinstance(outcome, Exception):
-                raise outcome
-            worst = max(worst, outcome)
-        entries.append({"check": name, "max_rel_err": worst})
+    outcomes = _run_jobs(jobs)
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    # each check's worst instance: its max_rel_err, and the parameter name, worst_coord, analytic and numeric there
+    entries = [
+        {"check": name, **asdict(GradcheckReport(tuple(outcomes[i * instances : (i + 1) * instances])).worst)}
+        for i, name in enumerate(names)
+    ]
     ok = all(entry["max_rel_err"] < tol for entry in entries)
     return entries, ok

@@ -125,9 +125,10 @@ class TestStopGradients:
     delta=st.floats(-0.5, 0.5),
 )
 def test_branch_losses_equal_the_objective_on_a_fresh_forward(seed, branch, batch, use_euc, lambda_hsic, sigma, delta):
-    """Held pieces built before one coordinate of one branch moves still give
-    objective(...).loss of a full forward after the move, bit for bit; so does the
-    evidence-only loss on the held features when the coordinate is in the head."""
+    """Held pieces built before one coordinate of one branch moves still give, for each
+    copy of a stack of moves, objective(...).loss of a full forward after that move,
+    bit for bit; so does the evidence-only loss on the held features when the
+    coordinate is in the head."""
     branches = make_branches(seed)
     rng = np.random.default_rng([seed, 4])
     x, labels = rng.normal(size=(batch, CHANNELS, 10)), rng.integers(0, CLASSES, size=batch)
@@ -143,13 +144,21 @@ def test_branch_losses_equal_the_objective_on_a_fresh_forward(seed, branch, batc
 
     params = net.parameters()
     param = params[rng.integers(len(params))]
-    param.value.flat[rng.integers(param.value.size)] += delta
+    coord = rng.integers(param.value.size)
+    stack = np.repeat(param.value[None], 3, axis=0)
+    for copy, move in zip(stack, (delta, -delta, delta / 3.0)):
+        copy.flat[coord] += move
+    expected = []
+    original = param.value.copy()
+    for copy in stack:
+        param.assign(copy)
+        full = ced_forward(branches, x, perms=perms)
+        expected.append(objective(branches, full, labels, weights, kernel, apply_grads=False, **options).loss)
+    param.assign(original)
     inp = apply_time_permutations(x, perms) if branch == "h_shuffled" else x
-    full = ced_forward(branches, x, perms=perms)
-    expected = objective(branches, full, labels, weights, kernel, apply_grads=False, **options).loss
-    assert branch_loss(*net.forward(inp)) == expected
+    assert branch_loss(*net.forward_copies(inp, (param, stack))).tolist() == expected
     if any(param is p for p in net.head.parameters()):
-        assert evidence_loss(net.head.forward(getattr(fwd, branch))) == expected
+        assert evidence_loss(net.head.forward_copies(getattr(fwd, branch), (param, stack))).tolist() == expected
 
 
 def test_branch_losses_rejects_an_unknown_side():

@@ -93,6 +93,10 @@ def test_softplus_gradient_is_sigmoid():
     x = np.linspace(-4, 4, 9)
     grad = evidence_grad_wrt_logits(x, EvidenceFunction.SOFTPLUS)
     np.testing.assert_allclose(grad, 1.0 / (1.0 + np.exp(-x)), atol=1e-12)
+    wide = np.array([[-800.0, -709.9, -709.0], [0.0, 709.9, 800.0]])  # exp(709.9) overflows a float
+    grad = evidence_grad_wrt_logits(wide, EvidenceFunction.SOFTPLUS)
+    assert grad.shape == (2, 3) and grad[0, :2].tolist() == [0.0, 0.0] and grad[1].tolist() == [0.5, 1.0, 1.0]
+    assert 0.0 < grad[0, 2] < 2.3e-308  # a subnormal, not flushed to zero
 
 
 def test_validate_evidence_rejects_bad_input():

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from osev.checkpoint import load_checkpoint, save_checkpoint, sidecar_path
 from osev.nn import (
+    GRADCHECK_CHUNK,
+    GRADCHECK_EPS,
     Dense,
     EvidenceHead,
     EvidentialNet,
@@ -26,38 +28,40 @@ from osev.nn import (
     gradcheck,
     sgd_step,
 )
+from test_runner_gradcheck import serial_gradcheck
 
 
 def quadratic_gradcheck(layer, x):
-    """Populate grads for loss = 0.5 * sum(out^2), then finite-difference them."""
+    """Populate grads for loss = 0.5 * sum(out^2), then finite-difference them with
+    stacked forwards; every entry equals, with ==, the serial differencer's over the
+    plain forward."""
     out = layer.forward(x)
     layer.backward(out.copy())
 
-    def loss():
-        return 0.5 * float((layer.forward(x) ** 2).sum())
+    def loss(p, values):
+        squares = layer.forward_copies(x, (p, values)) ** 2
+        return 0.5 * squares.reshape(len(values), -1).sum(axis=1)
 
-    return gradcheck(loss, layer.parameters())
+    report = gradcheck(loss, layer.parameters())
+    assert report == serial_gradcheck(lambda: 0.5 * float((layer.forward(x) ** 2).sum()), layer.parameters())
+    return report
+
+
+def half_squares(p, values):
+    return 0.5 * (values**2).sum(axis=1)
 
 
 class TestGradcheckHarness:
     def test_exact_quadratic_passes(self):
         p = Parameter("theta", np.array([1.5, -2.0, 0.25, 3.0]))
         p.grad[...] = p.value
-
-        def loss():
-            return 0.5 * float((p.value**2).sum())
-
-        report = gradcheck(loss, [p])
+        report = gradcheck(half_squares, [p])
         assert report.max_rel_err < 1e-8
 
     def test_corrupted_gradient_is_caught(self):
         p = Parameter("theta", np.array([1.0, 2.0]))
         p.grad[...] = p.value + 0.5
-
-        def loss():
-            return 0.5 * float((p.value**2).sum())
-
-        report = gradcheck(loss, [p])
+        report = gradcheck(half_squares, [p])
         assert report.max_rel_err >= 1e-4
         assert [e.name for e in report.entries if e.max_rel_err >= 1e-4] == ["theta"]
 
@@ -65,15 +69,43 @@ class TestGradcheckHarness:
         w = Parameter("w", np.array([1.0, -2.0, 0.5]))
         w.grad[...] = 2.0 * w.value
         w.grad[1] = np.nan
-        report = gradcheck(lambda: float((w.value**2).sum()), [w])
+        report = gradcheck(lambda p, values: (values**2).sum(axis=1), [w])
         assert report.max_rel_err == math.inf
         assert report.entries[0].worst_coord == 1
 
     def test_nan_loss_is_caught(self):
         w = Parameter("w", np.array([1.0, -2.0, 0.5]))
         w.grad[...] = 2.0 * w.value
-        report = gradcheck(lambda: float("nan"), [w])
+        report = gradcheck(lambda p, values: np.full(len(values), np.nan), [w])
         assert report.max_rel_err == math.inf
+
+    def test_copies_come_in_chunks_up_then_down(self):
+        """Each sampled coordinate gives two copies, +eps then -eps there and the value
+        elsewhere, in coordinate order; the loss sees them GRADCHECK_CHUNK at a time, and
+        no parameter value changes."""
+        rng = np.random.default_rng(5)
+        big = Parameter("big", rng.standard_normal((10, 10)))  # 100 coordinates: 64 are sampled
+        small = Parameter("small", rng.standard_normal(3))
+        before = [big.value.copy(), small.value.copy()]
+        seen = {"big": [], "small": []}
+
+        def loss(p, values):
+            seen[p.name].append(values.copy())
+            return np.zeros(len(values))
+
+        gradcheck(loss, [big, small])
+        assert [len(v) for v in seen["big"]] == [min(GRADCHECK_CHUNK, 128 - i) for i in range(0, 128, GRADCHECK_CHUNK)]
+        assert [len(v) for v in seen["small"]] == [6]
+        for p, orig in zip((big, small), before):
+            assert np.array_equal(p.value, orig)
+            flat = orig.reshape(-1)
+            copies = np.concatenate(seen[p.name]).reshape(-1, flat.size)
+            coords = np.argmax(copies[0::2] != flat, axis=1)
+            assert (np.diff(coords) > 0).all() and len(coords) == min(flat.size, 64)
+            expected = np.tile(flat, (len(copies), 1))
+            expected[0::2][np.arange(len(coords)), coords] += GRADCHECK_EPS
+            expected[1::2][np.arange(len(coords)), coords] -= GRADCHECK_EPS
+            assert np.array_equal(copies, expected)
 
 
 @settings(deadline=None, max_examples=100)
@@ -246,6 +278,12 @@ class TestLayerMechanics:
             conv.forward(np.zeros((1, 3, 5)))
         with pytest.raises(ValueError, match="shorter than kernel"):
             conv.forward(np.zeros((1, 2, 2)))
+        conv.forward(np.zeros((2, 2, 5)))
+        message = r"upstream gradient shape \(2, 2, 4\) does not match output shape \(2, 2, 3\)"
+        with pytest.raises(ValueError, match=message):
+            conv.backward(np.zeros((2, 2, 4)))
+        with pytest.raises(ValueError, match="expected"):
+            TemporalMeanPool().forward(np.zeros((3, 2, 2, 5)))  # a copies axis passes only through forward_copies
         dense = Dense(4, 2, rng)
         with pytest.raises(ValueError, match="expected input"):
             dense.forward(np.zeros((1, 5)))
@@ -374,6 +412,8 @@ class TestTemporalShuffle:
     def test_apply_permutations_validates_shape(self):
         with pytest.raises(ValueError, match="permutation shape"):
             apply_time_permutations(np.zeros((2, 3, 4)), np.zeros((2, 5), dtype=np.int64))
+        with pytest.raises(ValueError, match=r"expected \(batch, channels, time\), got shape \(2, 4\)"):
+            apply_time_permutations(np.zeros((2, 4)), np.zeros((2, 4), dtype=np.int64))
 
 
 def permutations_by_loop(rng, batch, timesteps):

@@ -1,4 +1,5 @@
-"""osev gradcheck differences each CED branch alone and checks what one full-forward call would."""
+"""osev gradcheck differences stacks of perturbed copies, each CED branch alone, and
+checks what a serial loop over coordinates of full-forward calls would."""
 
 import math
 from dataclasses import replace
@@ -6,11 +7,21 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from osev import debias, losses, runner
+from osev import debias, losses, nn, runner
 from osev.cli import main
 from osev.config import ConfigError, RunConfig
 from osev.data import SyntheticSpec, generate, save_dataset
-from osev.nn import GRADCHECK_MAX_COORDS, EvidenceHead, EvidentialNet
+from osev.hsic import hsic_values
+from osev.losses import edl_loss_batch, euc_loss_grad_evidence
+from osev.nn import (
+    GRADCHECK_CHUNK,
+    GRADCHECK_EPS,
+    GRADCHECK_MAX_COORDS,
+    EvidenceHead,
+    EvidentialNet,
+    GradcheckEntry,
+    GradcheckReport,
+)
 
 SIDE_CHECKS = ("objective.debias", "objective.bias", "composed.main_side", "composed.biased_side")
 
@@ -23,13 +34,47 @@ def dataset_dir(tmp_path_factory):
     return str(out)
 
 
-def acceptance_config(dataset_dir, seed):
-    return replace(RunConfig(dataset=dataset_dir, seed=seed), feature_width=12, kernel_width=9)
+def acceptance_config(dataset_dir, seed, evidence="exp"):
+    return replace(RunConfig(dataset=dataset_dir, seed=seed), feature_width=12, kernel_width=9, evidence=evidence)
+
+
+def serial_gradcheck(loss, params, rng=None):
+    """The reference differencer: per sampled coordinate, set the parameter to
+    value + eps, then value - eps, in place, and evaluate the zero-argument ``loss``
+    at each, one coordinate after another."""
+    if rng is None:
+        rng = np.random.default_rng(0)
+    entries = []
+    for p in params:
+        analytic = p.grad.reshape(-1).copy()
+        flat = p.value.reshape(-1)
+        n = flat.size
+        if n <= GRADCHECK_MAX_COORDS:
+            coords = np.arange(n)
+        else:
+            coords = np.sort(rng.choice(n, size=GRADCHECK_MAX_COORDS, replace=False))
+        worst = GradcheckEntry(p.name, 0.0, -1, 0.0, 0.0)
+        for i in coords:
+            orig = flat[i]
+            flat[i] = orig + GRADCHECK_EPS
+            up = loss()
+            flat[i] = orig - GRADCHECK_EPS
+            down = loss()
+            flat[i] = orig
+            fd = (up - down) / (2.0 * GRADCHECK_EPS)
+            an = analytic[i]
+            rel = abs(fd - an) / max(abs(fd), abs(an), 1.0)
+            if math.isnan(rel):
+                rel = math.inf
+            if rel > worst.max_rel_err:
+                worst = GradcheckEntry(p.name, float(rel), int(i), float(an), float(fd))
+        entries.append(worst)
+    return GradcheckReport(tuple(entries))
 
 
 def oracle_gradchecks(branches, fwd, labels, weights, kernel, side, **options):
     """Reference differencing: all three branches re-run per quotient, and one
-    gradcheck covers all of the side's parameters."""
+    serial gradcheck covers all of the side's parameters."""
     params = branches.parameters(side)
     objective = runner.debias_objective if side == "f" else runner.bias_objective
 
@@ -37,7 +82,20 @@ def oracle_gradchecks(branches, fwd, labels, weights, kernel, side, **options):
         full = runner.ced_forward(branches, fwd.x, perms=fwd.perms)
         return objective(branches, full, labels, weights, kernel, apply_grads=False, **options).loss
 
-    return [runner.gradcheck(loss, params)]
+    return serial_gradcheck(loss, params)
+
+
+def oracle_layer_check(layer, x):
+    """The layer checks' job, differenced serially through the plain forward."""
+    out = layer.forward(x)
+    layer.backward(out.copy())
+    return lambda: serial_gradcheck(lambda: float(0.5 * np.sum(layer.forward(x) ** 2)), layer.parameters()).worst
+
+
+def oracle_loss_check(loss_fn, params, rng=None):
+    """The loss checks' gradcheck, differenced serially: each quotient evaluates one copy."""
+    (p,) = params
+    return serial_gradcheck(lambda: loss_fn(p, p.value[None].copy())[0], params, rng)
 
 
 def serial(monkeypatch):
@@ -45,8 +103,32 @@ def serial(monkeypatch):
     monkeypatch.setattr(runner, "_usable_cpus", lambda: 1)
 
 
-def recording(inner, perturbed):
-    """gradcheck that logs the (parameter, coordinate) each loss evaluation perturbs."""
+def recorded(inner, reports):
+    """A gradcheck that appends each report it returns to ``reports``."""
+
+    def wrapped(*args, **kwargs):
+        reports.append(inner(*args, **kwargs))
+        return reports[-1]
+
+    return wrapped
+
+
+def copies_recording(inner, perturbed):
+    """gradcheck that logs the (parameter, coordinate) at which each copy it evaluates differs from the parameter."""
+
+    def wrapped(loss_fn, params, **kwargs):
+        def loss(p, values):
+            for copy in values:
+                perturbed.extend((p.name, int(i)) for i in np.flatnonzero(copy != p.value))
+            return loss_fn(p, values)
+
+        return inner(loss, params, **kwargs)
+
+    return wrapped
+
+
+def in_place_recording(inner, perturbed):
+    """serial_gradcheck that logs the (parameter, coordinate) each loss evaluation perturbs."""
 
     def wrapped(loss_fn, params, **kwargs):
         originals = [p.value.copy() for p in params]
@@ -63,7 +145,8 @@ def recording(inner, perturbed):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_branch_reports_equal_one_full_forward_gradcheck(dataset_dir, monkeypatch, seed):
-    """Every side check's per-branch entries equal, with ==, those of the oracle's single call."""
+    """Every side check's per-branch entries equal, with ==, those of the oracle's single
+    call, and its copies perturb the coordinates the oracle perturbs, in its order."""
     serial(monkeypatch)
     branch_gradchecks = runner._branch_gradchecks
     perturbed = []
@@ -71,26 +154,53 @@ def test_branch_reports_equal_one_full_forward_gradcheck(dataset_dir, monkeypatc
 
     def both(*args, **options):
         del perturbed[:]
-        reports = branch_gradchecks(*args, **options)
+        report = branch_gradchecks(*args, **options)
         branch_coords = perturbed[:]
         del perturbed[:]
-        (oracle,) = oracle_gradchecks(*args, **options)
-        compared.append((args[5], tuple(e for r in reports for e in r.entries), oracle.entries))
+        compared.append((args[5], report.entries, oracle_gradchecks(*args, **options).entries))
         assert branch_coords == perturbed, f"side {args[5]} sampled other coordinates than the oracle"
-        return reports
+        return report
 
     monkeypatch.setattr(runner, "_branch_gradchecks", both)
-    monkeypatch.setattr(runner, "gradcheck", recording(runner.gradcheck, perturbed))
+    monkeypatch.setattr(runner, "gradcheck", copies_recording(runner.gradcheck, perturbed))
+    monkeypatch.setitem(globals(), "serial_gradcheck", in_place_recording(serial_gradcheck, perturbed))
     entries, ok = runner.run_gradcheck(acceptance_config(dataset_dir, seed), instances=1)
     assert ok
     assert [side for side, _, _ in compared] == ["f", "h", "f", "h"]
     for side, branch_entries, oracle_entries in compared:
         assert branch_entries == oracle_entries, side
         assert len(oracle_entries) == (8 if side == "h" else 4)
-    # the max over per-branch reports is the check's value
-    worst = {e["check"]: e["max_rel_err"] for e in entries}
+    # the worst over per-branch reports is the check's entry
+    worst = {e["check"]: e for e in entries}
     for name, (_, branch_entries, _) in zip(SIDE_CHECKS, compared):
-        assert worst[name] == max(e.max_rel_err for e in branch_entries)
+        top = max(branch_entries, key=lambda e: e.max_rel_err)
+        assert (worst[name]["max_rel_err"], worst[name]["name"], worst[name]["worst_coord"]) == (
+            top.max_rel_err, top.name, top.worst_coord
+        )
+
+
+@pytest.mark.parametrize("evidence, seed", [("exp", 3), ("softplus", 4), ("relu", 5)])
+def test_every_report_equals_the_serial_differencer(dataset_dir, monkeypatch, evidence, seed):
+    """Each layer, loss and side report of the stacked checker equals, with ==, that of
+    the serial differencer over the plain forwards, the public losses and, for the
+    sides, the full CED forward and objective."""
+    serial(monkeypatch)
+    config = acceptance_config(dataset_dir, seed, evidence)
+    stacked, reference = [], []
+    monkeypatch.setattr(runner, "gradcheck", recorded(nn.gradcheck, stacked))
+    runner.run_gradcheck(config, instances=1)
+    monkeypatch.setitem(globals(), "serial_gradcheck", recorded(serial_gradcheck, reference))
+    monkeypatch.setattr(runner, "_quadratic_layer_check", oracle_layer_check)
+    monkeypatch.setattr(runner, "_branch_gradchecks", oracle_gradchecks)
+    monkeypatch.setattr(runner, "gradcheck", oracle_loss_check)
+    # each stacked loss of the loss checks evaluates its copies one by one through the public entry
+    monkeypatch.setattr(runner, "_edl_loss", lambda y, ev, _: (np.array([edl_loss_batch(y, e)[0] for e in ev]), None))
+    monkeypatch.setattr(runner, "_euc_losses", lambda y, ev, lam: [euc_loss_grad_evidence(y, e, lam)[0] for e in ev])
+    monkeypatch.setattr(runner, "_hsic_values", lambda x, *rest: np.array([hsic_values(c, *rest) for c in x]).T)
+    runner.run_gradcheck(config, instances=1)
+    assert len(stacked) == 5 + 3 + 2 * (2 + 4)  # layers, losses, then per side check two reports per branch
+    assert len(reference) == 5 + 3 + 4
+    assert [e for r in stacked for e in r.entries] == [e for r in reference for e in r.entries]
 
 
 def test_run_gradcheck_entries_equal_the_oracle_run(dataset_dir, monkeypatch):
@@ -106,20 +216,27 @@ def _coords(params):
     return sum(min(p.value.size, GRADCHECK_MAX_COORDS) for p in params)
 
 
+def _chunks(params):
+    """Stacked evaluations per gradcheck: each parameter's 2 copies per coordinate, a chunk at a time."""
+    return sum(math.ceil(2 * min(p.value.size, GRADCHECK_MAX_COORDS) / GRADCHECK_CHUNK) for p in params)
+
+
 def test_quotients_forward_only_the_perturbed_branch(dataset_dir, monkeypatch):
-    """Per sampled backbone coordinate: two forwards of the perturbed branch; per head
-    coordinate: two forwards of its head alone, on the branch's held features, and no
-    HSIC value.  Each quotient evaluates the perturbed branch's terms, values only, on
-    what that forward returned: no CED forward, time permutation, objective, centred
-    Gram, validation, gradient-carrying loss or held branch's term inside a difference
-    quotient; the held pieces, each branch's own HSIC terms among them, are built, and
-    the labels checked, once per side instance.  Each drawn instance is forwarded once,
-    and its kink test reads that forward; no permutation is made outside a CED forward."""
+    """Per chunk of a backbone parameter's perturbed copies: one stacked forward of the
+    perturbed branch; per chunk of a head parameter's: one stacked forward of its head
+    alone, on the branch's held features, and no HSIC value.  Each chunk evaluates the
+    perturbed branch's terms, values only, on what that forward returned, and the
+    calibration term once per copy: no CED forward, time permutation, objective, centred
+    Gram, validation, gradient-carrying loss or held branch's term while differencing;
+    the held pieces, each branch's own HSIC terms among them, are built, and the labels
+    checked, once per side instance.  Each drawn instance is forwarded once, and its kink
+    test reads that forward; no permutation is made outside a CED forward."""
     serial(monkeypatch)
     counts = dict.fromkeys(
         ("ced_forward", "apply_time_permutations", "_branch_kink_distance", "objective", "centered_gram",
-         "hsic_values", "_hsic_values", "_edl_loss", "_euc_loss", "_probs_and_uncertainty", "_validate_labels",
-         "edl_loss_batch", "euc_loss_grad_evidence", "validate_evidence", "batch_probs_and_uncertainty"),
+         "hsic_values", "_hsic_values", "_edl_loss", "_euc_losses", "_euc_loss", "_validate_labels",
+         "edl_loss_batch", "euc_loss_grad_evidence", "validate_evidence", "batch_probs_and_uncertainty",
+         "plain_forward"),
         0,
     )
     counts["forward"] = {}
@@ -128,9 +245,10 @@ def test_quotients_forward_only_the_perturbed_branch(dataset_dir, monkeypatch):
     phase = []  # the branch being differenced, while its gradcheck runs
 
     def counting(module, name, key=None, perturbed=None):
-        """Count calls; inside a quotient, fail unless ``perturbed`` = (argument getter,
+        """Count calls; while differencing, fail unless ``perturbed`` = (argument getter,
         output index) says which argument must be the perturbed branch's latest output,
-        and unless a ``with_grad`` flag passed is off."""
+        or is True for a call the stacked terms make, and unless a ``with_grad`` flag
+        passed is off."""
         fn = getattr(module, name)
 
         def wrapped(*args, **kwargs):
@@ -138,8 +256,9 @@ def test_quotients_forward_only_the_perturbed_branch(dataset_dir, monkeypatch):
             if phase:
                 if perturbed is None:
                     raise AssertionError(f"{name} called during differencing")
-                argument, output = perturbed
-                assert argument(args) is latest[phase[-1]][output], f"{name} evaluated a held branch"
+                if perturbed is not True:
+                    argument, output = perturbed
+                    assert argument(args) is latest[phase[-1]][output], f"{name} evaluated a held branch"
                 assert kwargs.get("with_grad", False) is False, f"{name} computed a gradient"
             return fn(*args, **kwargs)
 
@@ -156,8 +275,8 @@ def test_quotients_forward_only_the_perturbed_branch(dataset_dir, monkeypatch):
         counting(losses, name)
     counting(debias, "_hsic_values", perturbed=(lambda args: args[0], 0))  # the perturbed branch's features
     counting(debias, "_edl_loss", perturbed=(lambda args: args[1], 1))  # ... and its evidence
-    counting(debias, "_probs_and_uncertainty", perturbed=(lambda args: args[0], 1))
-    counting(debias, "_euc_loss", perturbed=(lambda args: args[1], 1))
+    counting(debias, "_euc_losses", perturbed=(lambda args: args[1], 1))
+    counting(losses, "_euc_loss", perturbed=True)  # once per copy, inside _euc_losses
 
     builds = []  # per side instance: (centred Grams, own HSIC terms, held EDL terms, label checks) by branch_losses
     inner_branch_losses = runner.branch_losses
@@ -170,28 +289,30 @@ def test_quotients_forward_only_the_perturbed_branch(dataset_dir, monkeypatch):
         return losses
 
     monkeypatch.setattr(runner, "branch_losses", branch_losses)
-    branch_forward = EvidentialNet.forward
-    head_forward = EvidenceHead.forward
+    branch_forward = EvidentialNet.forward_copies
+    head_forward = EvidenceHead.forward_copies
 
     def owner(net) -> str:
         return net.parameters()[0].name.split(".")[0]
 
-    def forward(self, x):
+    def forward(self, x, copies):
         branch = owner(self.head)
         counts["forward"][branch] = counts["forward"].get(branch, 0) + 1
-        return branch_forward(self, x)
+        return branch_forward(self, x, copies)
 
-    def head(self, features):
+    def head(self, features, copies):
         branch = owner(self)
         counts["head"][branch] = counts["head"].get(branch, 0) + 1
-        latest[branch] = (features, head_forward(self, features))
+        latest[branch] = (features, head_forward(self, features, copies))
         return latest[branch][1]
 
-    monkeypatch.setattr(EvidentialNet, "forward", forward)
-    monkeypatch.setattr(EvidenceHead, "forward", head)
+    monkeypatch.setattr(EvidentialNet, "forward_copies", forward)
+    monkeypatch.setattr(EvidenceHead, "forward_copies", head)
+    for cls in (EvidentialNet, EvidenceHead):
+        counting(cls, "forward", key="plain_forward")  # none while differencing
     inner_gradcheck = runner.gradcheck
     calls = []
-    terms = ("_hsic_values", "_edl_loss", "_euc_loss")
+    terms = ("_hsic_values", "_edl_loss", "_euc_losses", "_euc_loss")
 
     def tracked_gradcheck(loss_fn, params, **kwargs):
         branches = {p.name.split(".")[0] for p in params}
@@ -208,7 +329,7 @@ def test_quotients_forward_only_the_perturbed_branch(dataset_dir, monkeypatch):
         evaluated = tuple(counts[key] - n for key, n in zip(terms, before[0]))
         forwards, heads = ({b: n - was.get(b, 0) for b, n in counts[k].items() if n != was.get(b, 0)}
                            for k, was in (("forward", before[1]), ("head", before[2])))
-        calls.append((branch, part, _coords(params), evaluated, forwards, heads))
+        calls.append((branch, part, _coords(params), _chunks(params), evaluated, forwards, heads))
         return report
 
     monkeypatch.setattr(runner, "gradcheck", tracked_gradcheck)
@@ -217,13 +338,18 @@ def test_quotients_forward_only_the_perturbed_branch(dataset_dir, monkeypatch):
     f_side, h_side = [("f", "conv"), ("f", "head")], [(b, part) for b in ("h_shuffled", "h_static")
                                                        for part in ("conv", "head")]
     assert [call[:2] for call in calls] == f_side + h_side + f_side + h_side
-    for index, (branch, part, coords, evaluated, forwards, heads) in enumerate(calls):
-        assert coords > 0
+    # at the acceptance shape (6 channels, width 12, kernel 9, 5 classes) a conv samples 64
+    # of its weights (648, or 72 at width 1) and all 12 biases, and a head all 60 weights
+    # and 5 biases; two copies per coordinate, 16 a chunk: 8 + 2 conv and 8 + 1 head chunks
+    assert GRADCHECK_CHUNK == 16
+    assert [call[2:4] for call in calls] == [(76, 10), (65, 9)] * 6
+    for index, (branch, part, coords, chunks, evaluated, forwards, heads) in enumerate(calls):
         with_euc = branch == "f" and index >= len(f_side + h_side)  # composed.main_side runs EUC
-        hsic = 2 * coords if part == "conv" else 0  # a head quotient reads its branch's HSIC term
-        assert evaluated == (hsic, 2 * coords, 2 * coords if with_euc else 0), (branch, part)
-        assert forwards == ({branch: 2 * coords} if part == "conv" else {}), (branch, part)
-        assert heads == {branch: 2 * coords}, (branch, part)
+        hsic = chunks if part == "conv" else 0  # a head quotient reads its branch's HSIC term
+        euc = (chunks, 2 * coords) if with_euc else (0, 0)
+        assert evaluated == (hsic, chunks, *euc), (branch, part)
+        assert forwards == ({branch: chunks} if part == "conv" else {}), (branch, part)
+        assert heads == {branch: chunks}, (branch, part)
     # one build per side instance: the f side holds M(h_shuffled) and M(h_static)
     # and f's own HSIC pair against them; the h side holds M(f) and each biased
     # branch's (EDL, HSIC) term, for its head quotients and the other's quotients;
@@ -264,7 +390,7 @@ def nan_gradient(edl_loss_batch):
 @pytest.mark.parametrize(
     "name, fake, check",
     [("edl_loss_batch", nan_gradient(runner.edl_loss_batch), "loss.edl"),  # NaN analytic gradient
-     ("hsic_values", lambda *args: [math.nan], "loss.hsic")],  # NaN loss, so NaN quotients
+     ("_hsic_values", lambda x, *args: [np.full(len(x), math.nan)], "loss.hsic")],  # NaN loss, so NaN quotients
 )
 def test_a_nan_error_fails_its_check(dataset_dir, tmp_path, monkeypatch, capsys, name, fake, check):
     """A NaN relative error counts as infinite: the check fails and osev gradcheck exits 5."""
@@ -278,3 +404,28 @@ def test_a_nan_error_fails_its_check(dataset_dir, tmp_path, monkeypatch, capsys,
     assert main(["gradcheck", "--config", str(cfg), "--instances", "1"]) == 5
     out, err = capsys.readouterr()
     assert f"FAIL {check}" in out and f"gradient check failed: {check}" in err
+
+
+def test_a_wrong_gradient_is_named_where_it_fails(dataset_dir, tmp_path, monkeypatch, capsys):
+    """The FAIL line and the stderr summary name the worst instance's parameter, its flat
+    coordinate and both derivatives there."""
+
+    def wrong_gradient(labels, e):
+        losses, grads = edl_loss_batch(labels, e)
+        grads = grads.copy()
+        grads[2, 3] += 0.5  # flat coordinate 2 * 5 + 3 of the (8, 5) evidence
+        return losses, grads
+
+    monkeypatch.setattr(runner, "edl_loss_batch", wrong_gradient)
+    entries, ok = runner.run_gradcheck(acceptance_config(dataset_dir, 0), instances=2)
+    (entry,) = [e for e in entries if e["max_rel_err"] >= 1e-4]
+    assert (entry["check"], entry["name"], entry["worst_coord"]) == ("loss.edl", "edl.evidence", 13)
+    assert entry["analytic"] - entry["numeric"] == pytest.approx(0.5 / 8)  # the loss is a batch mean
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"dataset = {dataset_dir}\nseed = 0\nfeature_width = 12\nkernel_width = 9\n")
+    assert main(["gradcheck", "--config", str(cfg), "--instances", "2"]) == 5
+    out, err = capsys.readouterr()
+    where = f"edl.evidence.flat[13]: analytic={entry['analytic']:.9e} numeric={entry['numeric']:.9e}"
+    assert f"FAIL loss.edl               max_rel_err={entry['max_rel_err']:.3e} at {where}\n" in out
+    assert [line[:4] for line in out.splitlines()].count("ok  ") == len(entries) - 1
+    assert err == f"gradient check failed: loss.edl ({where})\n"
