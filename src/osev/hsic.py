@@ -98,11 +98,9 @@ def _kernel(arr: np.ndarray, params: KernelParams) -> tuple[np.ndarray, float]:
 
     Every Gram is built here, so one matrix always gets the same bits.  A
     (P, n, d) stack of feature matrices gives the (P, n, n) stack of their
-    Grams, each with its own median bandwidth when ``sigma`` is None.
+    Grams; it needs a frozen ``sigma``, as the median takes one matrix.
     """
-    sigma = params.sigma
-    if sigma is None:
-        sigma = median_bandwidth(arr) if arr.ndim == 2 else np.array([median_bandwidth(a) for a in arr])[:, None, None]
+    sigma = params.sigma if params.sigma is not None else median_bandwidth(arr)
     sigma_sq = sigma * sigma
     gram = np.exp(-_sq_dists(arr) / (2.0 * sigma_sq))
     diagonal = np.arange(gram.shape[-1])

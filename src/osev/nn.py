@@ -89,7 +89,8 @@ class Layer:
 
     ``forward_copies(x, (parameter, stack))`` is the forward once per value in the
     (P, *parameter.shape) stack, as if the parameter held it: the P outputs, each with
-    its own forward's bits, on a leading axis that x may carry too.  It caches nothing.
+    its own forward's bits, on a leading axis that x may carry too.  It caches nothing;
+    a layer's ``forward`` validates and caches, then runs it with ``_NO_COPIES``.
     """
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -107,18 +108,16 @@ class Layer:
         return cache
 
 
-def _substitute(copies, *params: Parameter) -> list[np.ndarray]:
-    """Each parameter's value, or the stack of values ``copies`` = (parameter, stack) gives it."""
-    return [copies[1] if p is copies[0] else p.value for p in params]
+#: The ``copies`` of a plain forward: it substitutes no parameter.
+_NO_COPIES = (None, None)
 
 
 def _correlate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Valid cross-correlation over time.
 
     (B, c_in, T) correlated with (c_out, c_in, k) gives (B, c_out, T - k + 1),
-    and with a (P, c_out, c_in, k) stack of kernels (P, B, c_out, T - k + 1):
-    each copy's products are the single kernel's (c_out, c_in) @ (c_in, T')
-    matmuls, so it keeps their bits at every shape.
+    and with a (P, c_out, c_in, k) stack of kernels (P, B, c_out, T - k + 1),
+    each copy through the single kernel's matmuls and so with their bits.
 
     One matmul per kernel tap, accumulated in place, so the only temporary is
     one output-sized product; no (B, c_in, T', k) window copy is made.
@@ -165,14 +164,16 @@ class TemporalConv(Layer):
             )
         if x.shape[2] < self.kernel:
             raise ValueError(f"time axis {x.shape[2]} shorter than kernel {self.kernel}")
-        out = _correlate(x, self.weight.value)
-        out += self.bias.value[None, :, None]
         self._cache = x
-        return out
+        return self.forward_copies(x, _NO_COPIES)
 
     def forward_copies(self, x: np.ndarray, copies) -> np.ndarray:  # an input layer: x has no copies axis
-        weight, bias = _substitute(copies, self.weight, self.bias)
-        return _correlate(x, weight) + bias[..., None, :, None]
+        p, stack = copies
+        out = _correlate(x, stack if p is self.weight else self.weight.value)
+        if p is self.bias:  # a stack of biases widens the output
+            return out + stack[:, None, :, None]
+        out += self.bias.value[:, None]
+        return out
 
     def backward(self, grad_out: np.ndarray) -> None:
         x = self._require_cache(self._cache, self.weight.name)
@@ -213,11 +214,13 @@ class Dense(Layer):
         if x.ndim != 2 or x.shape[1] != self.d_in:
             raise ValueError(f"expected input (batch, {self.d_in}), got shape {x.shape}")
         self._cache = x
-        return x @ self.weight.value + self.bias.value
+        return self.forward_copies(x, _NO_COPIES)
 
     def forward_copies(self, x: np.ndarray, copies) -> np.ndarray:
-        weight, bias = _substitute(copies, self.weight, self.bias)
-        return x @ weight + bias[..., None, :]
+        p, stack = copies
+        if p is self.bias:
+            return x @ self.weight.value + stack[:, None, :]
+        return x @ (stack if p is self.weight else self.weight.value) + self.bias.value
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         x = self._require_cache(self._cache, self.weight.name)
@@ -236,22 +239,21 @@ class Dense(Layer):
 
 class ReLU(Layer):
     def __init__(self) -> None:
-        self._mask = None
+        self._out = None  # backward's mask is out > 0.0, exactly x > 0.0; inference builds none
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        self._mask = x > 0.0
-        return np.where(self._mask, x, 0.0)
+        self._out = self.forward_copies(np.asarray(x, dtype=np.float64), _NO_COPIES)
+        return self._out
 
     def forward_copies(self, x: np.ndarray, copies) -> np.ndarray:
         return np.where(x > 0.0, x, 0.0)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        mask = self._require_cache(self._mask, "relu")
+        out = self._require_cache(self._out, "relu")
         g = np.asarray(grad_out, dtype=np.float64)
-        if g.shape != mask.shape:
-            raise ValueError(f"upstream gradient shape {g.shape} does not match output shape {mask.shape}")
-        return np.where(mask, g, 0.0)
+        if g.shape != out.shape:
+            raise ValueError(f"upstream gradient shape {g.shape} does not match output shape {out.shape}")
+        return np.where(out > 0.0, g, 0.0)
 
 
 class TemporalMeanPool(Layer):
@@ -265,10 +267,10 @@ class TemporalMeanPool(Layer):
         if x.ndim != 3:
             raise ValueError(f"expected (batch, channels, time), got shape {x.shape}")
         self._shape = x.shape
-        return np.add.reduce(x, axis=2) / x.shape[2]  # x.mean(axis=2) without its Python-level wrapper
+        return self.forward_copies(x, _NO_COPIES)
 
     def forward_copies(self, x: np.ndarray, copies) -> np.ndarray:
-        return np.add.reduce(x, axis=-1) / x.shape[-1]
+        return np.add.reduce(x, axis=-1) / x.shape[-1]  # x.mean(axis=-1) without its Python-level wrapper
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         shape = self._require_cache(self._shape, "mean-pool")
@@ -463,14 +465,13 @@ def gradcheck(loss_fn, params, rng: np.random.Generator | None = None) -> Gradch
     """Central-difference check of the gradients already stored on ``params``.
 
     ``loss_fn(p, values)`` maps a (P, *p.shape) stack of values of one of
-    ``params`` to the P losses with p at each value and every other parameter
-    at its own; it must be deterministic and change no parameter (a
-    :meth:`Layer.forward_copies` evaluates such a stack).  The caller must have
-    populated each ``Parameter.grad`` with exactly one analytic backward pass.
-    Large parameters are checked on a sampled coordinate subset.  Each
-    coordinate gives two copies, +eps then -eps there, evaluated
-    :data:`GRADCHECK_CHUNK` at a time.  The relative error uses a unit floor:
-    |fd - an| / max(|fd|, |an|, 1); a coordinate where it is NaN (a NaN
+    ``params`` to the P losses at those values, every other parameter at its
+    own (see :meth:`Layer.forward_copies`); it must be deterministic and change
+    no parameter.  The caller must have populated each ``Parameter.grad`` with
+    exactly one analytic backward pass.  Large parameters are checked on a
+    sampled coordinate subset; each coordinate gives a +eps then a -eps copy,
+    evaluated :data:`GRADCHECK_CHUNK` at a time.  The relative error uses a unit
+    floor: |fd - an| / max(|fd|, |an|, 1); a coordinate where it is NaN (a NaN
     gradient or loss, or infinities) counts as infinitely wrong.
     """
     if rng is None:

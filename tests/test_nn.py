@@ -271,6 +271,17 @@ class TestLayerMechanics:
         g = pool.backward(np.ones((2, 3)))
         np.testing.assert_allclose(g, np.full((2, 3, 4), 0.25), atol=0.0)
 
+    def test_relu_passes_gradient_exactly_where_its_input_is_positive(self):
+        x = np.array([[-0.0, 0.0, 5e-324, -5e-324, 2.5, -1.0, np.nan, np.inf, -np.inf]])
+        relu = ReLU()
+        out = relu.forward(x)
+        assert out.tolist() == [[0.0, 0.0, 5e-324, 0.0, 2.5, 0.0, 0.0, np.inf, 0.0]]
+        assert not np.signbit(out).any()
+        g = np.arange(1.0, 10.0)[None]
+        assert relu.backward(g).tolist() == np.where(x > 0.0, g, 0.0).tolist()
+        with pytest.raises(ValueError, match=r"upstream gradient shape \(9,\) does not match output shape \(1, 9\)"):
+            relu.backward(g[0])
+
     def test_shape_validation(self):
         rng = np.random.default_rng(3)
         conv = TemporalConv(2, 2, 3, rng)
