@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evidential import EvidenceFunction
-from .hsic import KernelParams, _hsic_values, centered_gram, hsic_value_and_grad, hsic_values
+from .hsic import KernelParams, _as_feature_matrix, _hsic_values, centered_gram, hsic_value_and_grad
 from .losses import (
     LossWeights,
     _edl_loss,
@@ -190,7 +190,7 @@ def _hsic(x, y, kernel: KernelParams, with_grad: bool) -> tuple[float, np.ndarra
     """HSIC(x, y) and its gradient in x; the gradient is None when nothing reads it."""
     if with_grad:
         return hsic_value_and_grad(x, y, kernel)
-    return hsic_values(x, [centered_gram(y, kernel)], kernel)[0], None
+    return float(_hsic_values(_as_feature_matrix(x, "x"), [centered_gram(y, kernel)], kernel)[0]), None
 
 
 @dataclass(frozen=True)

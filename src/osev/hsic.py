@@ -26,7 +26,6 @@ __all__ = [
     "centered_gram",
     "hsic_biased",
     "hsic_value_and_grad",
-    "hsic_values",
     "median_bandwidth",
     "rbf_gram",
 ]
@@ -145,26 +144,17 @@ def _value(kx: np.ndarray, m: np.ndarray, scale: float):
 def centered_gram(y, params: KernelParams = KernelParams()) -> np.ndarray:
     """M = H Ky H, the part of HSIC(x, y) that depends on y alone.
 
-    Hand it to :func:`hsic_values` to evaluate HSIC against many x without
+    Hand it to :func:`_hsic_values` to evaluate HSIC against many x without
     rebuilding it.
     """
     return _center(_kernel(_as_feature_matrix(y, "y"), params)[0])
 
 
-def hsic_values(x, centered, params: KernelParams = KernelParams()) -> list[float]:
-    """[HSIC(x, y) for each M = centered_gram(y, params) in centered], bit for bit
-    equal to the value of :func:`hsic_value_and_grad`, with x's Gram built once."""
-    ax = _as_feature_matrix(x, "x")
-    n = ax.shape[0]
-    for m in centered:
-        if np.shape(m) != (n, n):
-            raise ValueError(f"a centred Gram must be ({n}, {n}) to pair with x, got shape {np.shape(m)}")
-    return [float(v) for v in _hsic_values(ax, centered, params)]
-
-
 def _hsic_values(ax: np.ndarray, centered, params: KernelParams) -> list:
-    """:func:`hsic_values` of validated features and centred Grams that pair with them; a
-    (P, n, d) stack of features gives per Gram the (P,) values, each with its own call's bits."""
+    """[HSIC(x, y) for each M = centered_gram(y, params) in centered] of validated
+    features x, bit for bit equal to the value of :func:`hsic_value_and_grad`, with
+    x's Gram built once.  Each M must pair with x's samples.  A (P, n, d) stack of
+    features gives per Gram the (P,) values, each with its own call's bits."""
     kx, _ = _kernel(ax, params)
     scale = 1.0 / (ax.shape[-2] - 1) ** 2
     return [_value(kx, m, scale) for m in centered]

@@ -443,10 +443,6 @@ class GradcheckReport:
     entries: tuple[GradcheckEntry, ...]
 
     @property
-    def max_rel_err(self) -> float:
-        return max((e.max_rel_err for e in self.entries), default=0.0)
-
-    @property
     def worst(self) -> GradcheckEntry:
         """The entry with the largest relative error, the first of equals."""
         return max(self.entries, key=lambda e: e.max_rel_err)

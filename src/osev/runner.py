@@ -118,10 +118,6 @@ def _log(fh, message: str) -> None:
     fh.flush()
 
 
-def _float_repr(v: float) -> str:
-    return repr(float(v))
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -333,7 +329,7 @@ def run_training(config: RunConfig, out_dir) -> dict:
 
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join([str(int(row[0]))] + [_float_repr(v) for v in row[1:]]))
+        lines.append(",".join([str(int(row[0]))] + [data_mod._float_repr(v) for v in row[1:]]))
     (out / "losses.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     base_meta = {
@@ -428,12 +424,7 @@ def run_evaluation(
     checkpoint_path,
     data_dir,
     report_path,
-    *,
-    coverage: float | None = None,
-    ece_bins: int | None = None,
-    num_selections: int | None = None,
-    seed: int | None = None,
-    avu_threshold: float | None = None,
+    **overrides,
 ) -> dict:
     """Score all test splits against a checkpoint and write the report.
 
@@ -444,11 +435,16 @@ def run_evaluation(
     deterministic and appears in no other output.  No other file is written,
     so a ``report.json`` beside a report of another name keeps its bytes.
     Returns the report dict.  A ``report_path`` named like a sibling raises
-    :class:`ConfigError` before anything is read or written.  An override
+    :class:`ConfigError` before anything is read or written.  ``overrides``
+    may set the config keys ``coverage``, ``ece_bins``, ``num_selections``,
+    ``seed`` and ``avu_threshold``; any other raises TypeError.  An override
     left None keeps the checkpoint config's value; one that breaks that key's
     rule raises :class:`ConfigError`.  Raises :class:`CheckpointDataMismatch`
     when the checkpoint and dataset disagree.
     """
+    unknown = overrides.keys() - {"coverage", "ece_bins", "num_selections", "seed", "avu_threshold"}
+    if unknown:
+        raise TypeError(f"run_evaluation() got unexpected overrides {sorted(unknown)}")
     start = time.perf_counter()
     report_path = Path(report_path)
     if report_path.name in _EVAL_SIBLINGS:
@@ -457,13 +453,6 @@ def run_evaluation(
             f"the report may not be named {', '.join(_EVAL_SIBLINGS)}"
         )
     net, config, meta = load_model(checkpoint_path)
-    overrides = {
-        "coverage": coverage,
-        "ece_bins": ece_bins,
-        "num_selections": num_selections,
-        "seed": seed,
-        "avu_threshold": avu_threshold,
-    }
     # overrides obey the config keys' rules; the report keeps the checkpoint's config
     chosen = replace(config, **{key: value for key, value in overrides.items() if value is not None})
     chosen.validate()
@@ -559,9 +548,8 @@ def run_evaluation(
         fh.write("\n")
     curve_lines = ["i,omega,f1_mean,f1_std"]
     for pt in points:
-        curve_lines.append(
-            f"{pt.num_unknown},{_float_repr(pt.omega)},{_float_repr(pt.f1_mean)},{_float_repr(pt.f1_std)}"
-        )
+        floats = (pt.omega, pt.f1_mean, pt.f1_std)
+        curve_lines.append(",".join([str(pt.num_unknown)] + [data_mod._float_repr(v) for v in floats]))
     curve_path, dump_path, unbiased_dump_path, timings_path = (out / name for name in _EVAL_SIBLINGS)
     curve_path.write_text("\n".join(curve_lines) + "\n", encoding="utf-8")
     write_score_dump(dump_path, probs, scores, labels)

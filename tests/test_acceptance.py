@@ -22,7 +22,6 @@ import pytest
 
 from osev.checkpoint import load_checkpoint
 from osev.config import RunConfig
-from osev.data import SyntheticSpec, generate, save_dataset
 from osev.debias import build_branches, ced_forward, strip_for_inference
 from osev.evidential import batch_probs_and_uncertainty
 from osev.hsic import KernelParams, hsic_biased, hsic_value_and_grad, rbf_gram
@@ -56,14 +55,6 @@ def train_eval(dataset: str, out_dir, seed: int, **overrides) -> dict:
     return run_evaluation(paths["checkpoint"], dataset, out_dir / "report.json")
 
 
-@pytest.fixture(scope="module")
-def acceptance_dataset(tmp_path_factory):
-    spec = SyntheticSpec()  # 5 known / 5 unknown classes, default sizes
-    out = tmp_path_factory.mktemp("acc_data")
-    save_dataset(spec, generate(spec), out)
-    return str(out)
-
-
 def run_jobs_timed(jobs) -> tuple[list, float, float]:
     """Outcomes of ``jobs`` through the job helper, raising the first failure, with wall and CPU seconds.
 
@@ -78,18 +69,24 @@ def run_jobs_timed(jobs) -> tuple[list, float, float]:
     return outcomes, wall, cpu
 
 
+#: Variant of each shared run, in job order; each variant takes SEEDS in turn.  Job i
+#: runs on worker i mod W.  A CED run costs about 3x an EUC run and 5x a plain one,
+#: so on two workers one takes 2 CED, 5 EUC and 1 plain run, the other 3 CED and 4
+#: plain runs, where plain, EUC, CED repeated gave one worker 3 of the 5 CED runs.
+SHARED_ORDER = ("ced",) * 4 + ("euc", "ced") + ("euc", "plain") * 4 + ("plain",)
+
+
 @pytest.fixture(scope="module")
-def shared_runs(tmp_path_factory, acceptance_dataset):
+def shared_runs(tmp_path_factory, default_dataset):
     """Five-seed runs reused across criteria 8 and 9: ({name: reports}, wall seconds, CPU seconds)."""
     root = tmp_path_factory.mktemp("shared")
-    variants = (("plain", {}), ("euc", {"use_euc": True}), ("ced", {"use_ced": True}))
-    jobs = [
-        partial(train_eval, acceptance_dataset, root / name / f"s{s}", s, epochs=400, **BASE, **extra)
-        for name, extra in variants
-        for s in SEEDS
-    ]
+    variants = {"plain": {}, "euc": {"use_euc": True}, "ced": {"use_ced": True}}
+    seeds = {name: iter(SEEDS) for name in variants}
+    keys = [(name, next(seeds[name])) for name in SHARED_ORDER]
+    jobs = [partial(train_eval, default_dataset, root / name / f"s{s}", s, epochs=400, **BASE, **variants[name])
+            for name, s in keys]
     reports, wall, cpu = run_jobs_timed(jobs)
-    per_variant = {name: reports[i * len(SEEDS) : (i + 1) * len(SEEDS)] for i, (name, _) in enumerate(variants)}
+    per_variant = {name: [r for (n, _), r in zip(keys, reports) if n == name] for name in variants}
     return per_variant, wall, cpu
 
 
@@ -146,9 +143,9 @@ def test_criterion_02_edl_loss_monte_carlo():
     )
 
 
-def test_criterion_03_gradient_suite(acceptance_dataset):
+def test_criterion_03_gradient_suite(default_dataset):
     t0 = time.monotonic()
-    cfg = replace(RunConfig(dataset=acceptance_dataset, seed=0), **BASE)
+    cfg = replace(RunConfig(dataset=default_dataset, seed=0), **BASE)
     entries, ok = run_gradcheck(cfg, tol=1e-4, instances=20)
     dt = time.monotonic() - t0
     names = {e["check"] for e in entries}
@@ -300,13 +297,13 @@ def test_criterion_06_metrics_oracles():
     )
 
 
-def test_criterion_07_open_set_auc_direction(tmp_path_factory, acceptance_dataset):
+def test_criterion_07_open_set_auc_direction(tmp_path_factory, default_dataset):
     root = tmp_path_factory.mktemp("auc")
     jobs = []
     for s in SEEDS:
-        jobs.append(partial(train_eval, acceptance_dataset, root / f"edl{s}", s, epochs=1000, **BASE))
+        jobs.append(partial(train_eval, default_dataset, root / f"edl{s}", s, epochs=1000, **BASE))
         jobs.append(
-            partial(train_eval, acceptance_dataset, root / f"soft{s}", s, epochs=1000, loss_type="softmax", **BASE)
+            partial(train_eval, default_dataset, root / f"soft{s}", s, epochs=1000, loss_type="softmax", **BASE)
         )
     reports, dt, cpu = run_jobs_timed(jobs)
     edl = [r["open_auc"] for r in reports[0::2]]
@@ -352,11 +349,11 @@ def test_criterion_09_debiasing_direction(shared_runs):
     )
 
 
-def test_criterion_10_ablation_decoupling(tmp_path, acceptance_dataset):
+def test_criterion_10_ablation_decoupling(tmp_path, default_dataset):
     zero = train_eval(
-        acceptance_dataset, tmp_path / "zero", 5, epochs=40, use_ced=True, lambda_hsic=0.0, **BASE
+        default_dataset, tmp_path / "zero", 5, epochs=40, use_ced=True, lambda_hsic=0.0, **BASE
     )
-    vanilla = train_eval(acceptance_dataset, tmp_path / "vanilla", 5, epochs=40, **BASE)
+    vanilla = train_eval(default_dataset, tmp_path / "vanilla", 5, epochs=40, **BASE)
     params_zero, _ = load_checkpoint(tmp_path / "zero" / "model.ckpt")
     params_vanilla, _ = load_checkpoint(tmp_path / "vanilla" / "model.ckpt")
     bit_identical = set(params_zero) == set(params_vanilla) and all(
@@ -399,12 +396,12 @@ def test_criterion_10_ablation_decoupling(tmp_path, acceptance_dataset):
     )
 
 
-def test_criterion_11_determinism(tmp_path, acceptance_dataset):
+def test_criterion_11_determinism(tmp_path, default_dataset):
     cfg = dict(epochs=60, **BASE)
     outs = []
     for tag in ("a", "b"):
         out = tmp_path / tag
-        train_eval(acceptance_dataset, out, 3, **cfg)
+        train_eval(default_dataset, out, 3, **cfg)
         outs.append(out)
     same = {
         name: (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

@@ -651,6 +651,13 @@ class TestExitCodes:
         assert f"error: {key}: must be" in capsys.readouterr().err
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize("key", ["epochs", "use_ced", "selections"])
+    def test_an_eval_override_outside_the_five_keys_is_a_type_error(self, tmp_path, dataset_dir, run_dir, key):
+        out = tmp_path / "eval" / "report.json"
+        with pytest.raises(TypeError, match=rf"^run_evaluation\(\) got unexpected overrides \['{key}'\]$"):
+            runner.run_evaluation(run_dir / "model.ckpt", dataset_dir, out, coverage=0.9, **{key: 1})
+        assert not out.parent.exists()
+
     def test_negative_config_seed_is_2(self, tmp_path, dataset_dir, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(CONFIG_TEMPLATE.format(dataset=dataset_dir).replace("seed = 0", "seed = -1"))

@@ -56,13 +56,13 @@ class TestGradcheckHarness:
         p = Parameter("theta", np.array([1.5, -2.0, 0.25, 3.0]))
         p.grad[...] = p.value
         report = gradcheck(half_squares, [p])
-        assert report.max_rel_err < 1e-8
+        assert report.worst.max_rel_err < 1e-8
 
     def test_corrupted_gradient_is_caught(self):
         p = Parameter("theta", np.array([1.0, 2.0]))
         p.grad[...] = p.value + 0.5
         report = gradcheck(half_squares, [p])
-        assert report.max_rel_err >= 1e-4
+        assert report.worst.max_rel_err >= 1e-4
         assert [e.name for e in report.entries if e.max_rel_err >= 1e-4] == ["theta"]
 
     def test_nan_gradient_is_caught(self):
@@ -70,14 +70,14 @@ class TestGradcheckHarness:
         w.grad[...] = 2.0 * w.value
         w.grad[1] = np.nan
         report = gradcheck(lambda p, values: (values**2).sum(axis=1), [w])
-        assert report.max_rel_err == math.inf
+        assert report.worst.max_rel_err == math.inf
         assert report.entries[0].worst_coord == 1
 
     def test_nan_loss_is_caught(self):
         w = Parameter("w", np.array([1.0, -2.0, 0.5]))
         w.grad[...] = 2.0 * w.value
         report = gradcheck(lambda p, values: np.full(len(values), np.nan), [w])
-        assert report.max_rel_err == math.inf
+        assert report.worst.max_rel_err == math.inf
 
     def test_copies_come_in_chunks_up_then_down(self):
         """Each sampled coordinate gives two copies, +eps then -eps there and the value
@@ -127,19 +127,19 @@ class TestLayerGradients:
         rng = np.random.default_rng(42)
         layer = TemporalConv(3, 4, 3, rng)
         x = rng.normal(size=(5, 3, 9))
-        assert quadratic_gradcheck(layer, x).max_rel_err < 1e-6
+        assert quadratic_gradcheck(layer, x).worst.max_rel_err < 1e-6
 
     def test_pointwise_conv(self):
         rng = np.random.default_rng(43)
         layer = TemporalConv(3, 4, 1, rng)
         x = rng.normal(size=(5, 3, 7))
-        assert quadratic_gradcheck(layer, x).max_rel_err < 1e-6
+        assert quadratic_gradcheck(layer, x).worst.max_rel_err < 1e-6
 
     def test_dense(self):
         rng = np.random.default_rng(44)
         layer = Dense(6, 4, rng)
         x = rng.normal(size=(8, 6))
-        assert quadratic_gradcheck(layer, x).max_rel_err < 1e-6
+        assert quadratic_gradcheck(layer, x).worst.max_rel_err < 1e-6
 
     @pytest.mark.parametrize("kind", ["exp", "softplus", "relu"])
     def test_evidence_head(self, kind):
@@ -150,7 +150,7 @@ class TestLayerGradients:
         logits = layer.dense.forward(x)
         assert np.abs(logits).min() > 1e-3
         assert np.abs(logits).max() < layer.exp_bound - 1e-3
-        assert quadratic_gradcheck(layer, x).max_rel_err < 1e-6
+        assert quadratic_gradcheck(layer, x).worst.max_rel_err < 1e-6
 
     def test_full_backbone_chain(self):
         rng = np.random.default_rng(48)
@@ -158,7 +158,7 @@ class TestLayerGradients:
         x = rng.normal(size=(4, 3, 10))
         preact = net.layers[0].forward(x)
         assert np.abs(preact).min() > 1e-3  # clear of the ReLU corner
-        assert quadratic_gradcheck(net, x).max_rel_err < 1e-6
+        assert quadratic_gradcheck(net, x).worst.max_rel_err < 1e-6
 
     def test_input_gradient_of_dense(self):
         rng = np.random.default_rng(47)

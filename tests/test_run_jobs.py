@@ -9,7 +9,6 @@ import pytest
 from osev import runner
 from osev.cli import main
 from osev.config import RunConfig
-from osev.data import SyntheticSpec, generate, save_dataset
 
 
 @pytest.fixture
@@ -115,18 +114,10 @@ def test_one_cpu_or_one_job_runs_here_in_order(cpus):
     assert order == [1, 2, 3]
 
 
-@pytest.fixture(scope="module")
-def dataset_dir(tmp_path_factory):
-    spec = SyntheticSpec()
-    out = tmp_path_factory.mktemp("jobs_data")
-    save_dataset(spec, generate(spec), out)
-    return str(out)
-
-
 @pytest.mark.parametrize("evidence", ["exp", "softplus", "relu"])
 @pytest.mark.parametrize("seed", [0, 7, 11])
-def test_forked_gradcheck_entries_equal_the_serial_ones(dataset_dir, cpus, seed, evidence):
-    config = replace(RunConfig(dataset=dataset_dir, seed=seed), feature_width=12, kernel_width=9, evidence=evidence)
+def test_forked_gradcheck_entries_equal_the_serial_ones(default_dataset, cpus, seed, evidence):
+    config = replace(RunConfig(dataset=default_dataset, seed=seed), feature_width=12, kernel_width=9, evidence=evidence)
     cpus(1)
     serial = runner.run_gradcheck(config, instances=2)
     cpus(2)
@@ -134,7 +125,7 @@ def test_forked_gradcheck_entries_equal_the_serial_ones(dataset_dir, cpus, seed,
     assert repr(forked) == repr(serial)
 
 
-def test_a_gradcheck_job_that_raises_exits_as_the_serial_run_does(dataset_dir, tmp_path, cpus, monkeypatch, capsys):
+def test_a_gradcheck_job_that_raises_exits_as_the_serial_run_does(default_dataset, tmp_path, cpus, monkeypatch, capsys):
     """objective.bias is job 9 at one instance, a child's job on two workers; the serial run raises there too."""
 
     def bias_side_raises(*args, **options):
@@ -145,7 +136,7 @@ def test_a_gradcheck_job_that_raises_exits_as_the_serial_run_does(dataset_dir, t
     branch_gradchecks = runner._branch_gradchecks
     monkeypatch.setattr(runner, "_branch_gradchecks", bias_side_raises)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"dataset = {dataset_dir}\nseed = 0\nfeature_width = 12\nkernel_width = 9\n")
+    cfg.write_text(f"dataset = {default_dataset}\nseed = 0\nfeature_width = 12\nkernel_width = 9\n")
     results = []
     for n in (1, 2):
         cpus(n)

@@ -10,8 +10,7 @@ import pytest
 from osev import debias, losses, nn, runner
 from osev.cli import main
 from osev.config import ConfigError, RunConfig
-from osev.data import SyntheticSpec, generate, save_dataset
-from osev.hsic import hsic_values
+from osev.hsic import _hsic_values
 from osev.losses import edl_loss_batch, euc_loss_grad_evidence
 from osev.nn import (
     GRADCHECK_CHUNK,
@@ -26,16 +25,8 @@ from osev.nn import (
 SIDE_CHECKS = ("objective.debias", "objective.bias", "composed.main_side", "composed.biased_side")
 
 
-@pytest.fixture(scope="module")
-def dataset_dir(tmp_path_factory):
-    spec = SyntheticSpec()
-    out = tmp_path_factory.mktemp("gradcheck_data")
-    save_dataset(spec, generate(spec), out)
-    return str(out)
-
-
-def acceptance_config(dataset_dir, seed, evidence="exp"):
-    return replace(RunConfig(dataset=dataset_dir, seed=seed), feature_width=12, kernel_width=9, evidence=evidence)
+def acceptance_config(default_dataset, seed, evidence="exp"):
+    return replace(RunConfig(dataset=default_dataset, seed=seed), feature_width=12, kernel_width=9, evidence=evidence)
 
 
 def serial_gradcheck(loss, params, rng=None):
@@ -144,7 +135,7 @@ def in_place_recording(inner, perturbed):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_branch_reports_equal_one_full_forward_gradcheck(dataset_dir, monkeypatch, seed):
+def test_branch_reports_equal_one_full_forward_gradcheck(default_dataset, monkeypatch, seed):
     """Every side check's per-branch entries equal, with ==, those of the oracle's single
     call, and its copies perturb the coordinates the oracle perturbs, in its order."""
     serial(monkeypatch)
@@ -164,7 +155,7 @@ def test_branch_reports_equal_one_full_forward_gradcheck(dataset_dir, monkeypatc
     monkeypatch.setattr(runner, "_branch_gradchecks", both)
     monkeypatch.setattr(runner, "gradcheck", copies_recording(runner.gradcheck, perturbed))
     monkeypatch.setitem(globals(), "serial_gradcheck", in_place_recording(serial_gradcheck, perturbed))
-    entries, ok = runner.run_gradcheck(acceptance_config(dataset_dir, seed), instances=1)
+    entries, ok = runner.run_gradcheck(acceptance_config(default_dataset, seed), instances=1)
     assert ok
     assert [side for side, _, _ in compared] == ["f", "h", "f", "h"]
     for side, branch_entries, oracle_entries in compared:
@@ -180,12 +171,12 @@ def test_branch_reports_equal_one_full_forward_gradcheck(dataset_dir, monkeypatc
 
 
 @pytest.mark.parametrize("evidence, seed", [("exp", 3), ("softplus", 4), ("relu", 5)])
-def test_every_report_equals_the_serial_differencer(dataset_dir, monkeypatch, evidence, seed):
+def test_every_report_equals_the_serial_differencer(default_dataset, monkeypatch, evidence, seed):
     """Each layer, loss and side report of the stacked checker equals, with ==, that of
     the serial differencer over the plain forwards, the public losses and, for the
     sides, the full CED forward and objective."""
     serial(monkeypatch)
-    config = acceptance_config(dataset_dir, seed, evidence)
+    config = acceptance_config(default_dataset, seed, evidence)
     stacked, reference = [], []
     monkeypatch.setattr(runner, "gradcheck", recorded(nn.gradcheck, stacked))
     runner.run_gradcheck(config, instances=1)
@@ -196,16 +187,16 @@ def test_every_report_equals_the_serial_differencer(dataset_dir, monkeypatch, ev
     # each stacked loss of the loss checks evaluates its copies one by one through the public entry
     monkeypatch.setattr(runner, "_edl_loss", lambda y, ev, _: (np.array([edl_loss_batch(y, e)[0] for e in ev]), None))
     monkeypatch.setattr(runner, "_euc_losses", lambda y, ev, lam: [euc_loss_grad_evidence(y, e, lam)[0] for e in ev])
-    monkeypatch.setattr(runner, "_hsic_values", lambda x, *rest: np.array([hsic_values(c, *rest) for c in x]).T)
+    monkeypatch.setattr(runner, "_hsic_values", lambda x, *rest: np.array([_hsic_values(c, *rest) for c in x]).T)
     runner.run_gradcheck(config, instances=1)
     assert len(stacked) == 5 + 3 + 2 * (2 + 4)  # layers, losses, then per side check two reports per branch
     assert len(reference) == 5 + 3 + 4
     assert [e for r in stacked for e in r.entries] == [e for r in reference for e in r.entries]
 
 
-def test_run_gradcheck_entries_equal_the_oracle_run(dataset_dir, monkeypatch):
+def test_run_gradcheck_entries_equal_the_oracle_run(default_dataset, monkeypatch):
     """run_gradcheck's entries are the same floats with the oracle differencing in its place."""
-    config = acceptance_config(dataset_dir, 2)
+    config = acceptance_config(default_dataset, 2)
     entries, _ = runner.run_gradcheck(config, instances=1)
     monkeypatch.setattr(runner, "_branch_gradchecks", oracle_gradchecks)
     oracle_entries, _ = runner.run_gradcheck(config, instances=1)
@@ -221,7 +212,7 @@ def _chunks(params):
     return sum(math.ceil(2 * min(p.value.size, GRADCHECK_MAX_COORDS) / GRADCHECK_CHUNK) for p in params)
 
 
-def test_quotients_forward_only_the_perturbed_branch(dataset_dir, monkeypatch):
+def test_quotients_forward_only_the_perturbed_branch(default_dataset, monkeypatch):
     """Per chunk of a backbone parameter's perturbed copies: one stacked forward of the
     perturbed branch; per chunk of a head parameter's: one stacked forward of its head
     alone, on the branch's held features, and no HSIC value.  Each chunk evaluates the
@@ -234,7 +225,7 @@ def test_quotients_forward_only_the_perturbed_branch(dataset_dir, monkeypatch):
     serial(monkeypatch)
     counts = dict.fromkeys(
         ("ced_forward", "apply_time_permutations", "_branch_kink_distance", "objective", "centered_gram",
-         "hsic_values", "_hsic_values", "_edl_loss", "_euc_losses", "_euc_loss", "_validate_labels",
+         "_hsic_values", "_edl_loss", "_euc_losses", "_euc_loss", "_validate_labels",
          "edl_loss_batch", "euc_loss_grad_evidence", "validate_evidence", "batch_probs_and_uncertainty",
          "plain_forward"),
         0,
@@ -269,7 +260,7 @@ def test_quotients_forward_only_the_perturbed_branch(dataset_dir, monkeypatch):
     counting(debias, "apply_time_permutations")  # the only binding that permutes: ced_forward's
     for name in ("debias_objective", "bias_objective"):
         counting(runner, name, key="objective")
-    for name in ("centered_gram", "hsic_values", "_validate_labels", "edl_loss_batch", "euc_loss_grad_evidence"):
+    for name in ("centered_gram", "_validate_labels", "edl_loss_batch", "euc_loss_grad_evidence"):
         counting(debias, name)
     for name in ("validate_evidence", "batch_probs_and_uncertainty"):
         counting(losses, name)
@@ -333,7 +324,7 @@ def test_quotients_forward_only_the_perturbed_branch(dataset_dir, monkeypatch):
         return report
 
     monkeypatch.setattr(runner, "gradcheck", tracked_gradcheck)
-    runner.run_gradcheck(acceptance_config(dataset_dir, 0), instances=1)
+    runner.run_gradcheck(acceptance_config(default_dataset, 0), instances=1)
 
     f_side, h_side = [("f", "conv"), ("f", "head")], [(b, part) for b in ("h_shuffled", "h_static")
                                                        for part in ("conv", "head")]
@@ -356,9 +347,10 @@ def test_quotients_forward_only_the_perturbed_branch(dataset_dir, monkeypatch):
     # each checks the labels once
     assert builds == [(2, 1, 0, 1), (1, 2, 2, 1), (2, 1, 0, 1), (1, 2, 2, 1)]
     # besides those 6, each composed check's step records the other side's two
-    # HSIC values, each through one centred Gram and the checked hsic_values
+    # HSIC values, each through one centred Gram and one _hsic_values; the 6 builds
+    # evaluate 6 HSIC values, and the 6 conv quotients one per chunk of 10
     assert counts["centered_gram"] == 6 + 4
-    assert counts["hsic_values"] == 4
+    assert counts["_hsic_values"] == 6 + 6 * 10 + 4
     assert counts["objective"] == 2  # the objective checks' analytic gradients
     # one CED forward per drawn instance, which its kink test reads (4 side
     # instances, 4 redrawn at seed 0); each permutes once, as does each
@@ -372,9 +364,9 @@ def test_quotients_forward_only_the_perturbed_branch(dataset_dir, monkeypatch):
     [({"instances": 0}, "--instances must be >= 1, got 0"), ({"tol": float("nan")}, "--tol must be positive"),
      ({"tol": 0.0}, "--tol must be positive"), ({"tol": float("inf")}, "--tol must be positive")],
 )
-def test_an_audit_that_checks_nothing_is_a_config_error(dataset_dir, options, message):
+def test_an_audit_that_checks_nothing_is_a_config_error(default_dataset, options, message):
     with pytest.raises(ConfigError, match=message):
-        runner.run_gradcheck(acceptance_config(dataset_dir, 0), **options)
+        runner.run_gradcheck(acceptance_config(default_dataset, 0), **options)
 
 
 def nan_gradient(edl_loss_batch):
@@ -392,21 +384,21 @@ def nan_gradient(edl_loss_batch):
     [("edl_loss_batch", nan_gradient(runner.edl_loss_batch), "loss.edl"),  # NaN analytic gradient
      ("_hsic_values", lambda x, *args: [np.full(len(x), math.nan)], "loss.hsic")],  # NaN loss, so NaN quotients
 )
-def test_a_nan_error_fails_its_check(dataset_dir, tmp_path, monkeypatch, capsys, name, fake, check):
+def test_a_nan_error_fails_its_check(default_dataset, tmp_path, monkeypatch, capsys, name, fake, check):
     """A NaN relative error counts as infinite: the check fails and osev gradcheck exits 5."""
     monkeypatch.setattr(runner, name, fake)
-    entries, ok = runner.run_gradcheck(acceptance_config(dataset_dir, 0), instances=2)
+    entries, ok = runner.run_gradcheck(acceptance_config(default_dataset, 0), instances=2)
     assert not ok
     assert [e["check"] for e in entries if e["max_rel_err"] == math.inf] == [check]
     assert all(e["max_rel_err"] < 1e-4 for e in entries if e["check"] != check)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"dataset = {dataset_dir}\nseed = 0\nfeature_width = 12\nkernel_width = 9\n")
+    cfg.write_text(f"dataset = {default_dataset}\nseed = 0\nfeature_width = 12\nkernel_width = 9\n")
     assert main(["gradcheck", "--config", str(cfg), "--instances", "1"]) == 5
     out, err = capsys.readouterr()
     assert f"FAIL {check}" in out and f"gradient check failed: {check}" in err
 
 
-def test_a_wrong_gradient_is_named_where_it_fails(dataset_dir, tmp_path, monkeypatch, capsys):
+def test_a_wrong_gradient_is_named_where_it_fails(default_dataset, tmp_path, monkeypatch, capsys):
     """The FAIL line and the stderr summary name the worst instance's parameter, its flat
     coordinate and both derivatives there."""
 
@@ -417,12 +409,12 @@ def test_a_wrong_gradient_is_named_where_it_fails(dataset_dir, tmp_path, monkeyp
         return losses, grads
 
     monkeypatch.setattr(runner, "edl_loss_batch", wrong_gradient)
-    entries, ok = runner.run_gradcheck(acceptance_config(dataset_dir, 0), instances=2)
+    entries, ok = runner.run_gradcheck(acceptance_config(default_dataset, 0), instances=2)
     (entry,) = [e for e in entries if e["max_rel_err"] >= 1e-4]
     assert (entry["check"], entry["name"], entry["worst_coord"]) == ("loss.edl", "edl.evidence", 13)
     assert entry["analytic"] - entry["numeric"] == pytest.approx(0.5 / 8)  # the loss is a batch mean
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"dataset = {dataset_dir}\nseed = 0\nfeature_width = 12\nkernel_width = 9\n")
+    cfg.write_text(f"dataset = {default_dataset}\nseed = 0\nfeature_width = 12\nkernel_width = 9\n")
     assert main(["gradcheck", "--config", str(cfg), "--instances", "2"]) == 5
     out, err = capsys.readouterr()
     where = f"edl.evidence.flat[13]: analytic={entry['analytic']:.9e} numeric={entry['numeric']:.9e}"
