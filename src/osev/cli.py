@@ -29,7 +29,7 @@ from .config import ConfigError, RunConfig, _from_kv_file
 from .data import SyntheticSpec, generate, save_dataset
 from .losses import NonFiniteLossError
 from .nn import NonFiniteGradientError
-from .runner import CheckpointDataMismatch, _run_jobs, run_evaluation, run_gradcheck, run_training
+from .runner import CheckpointDataMismatch, _DatasetRulesOut, _run_jobs, run_evaluation, run_gradcheck, run_training
 
 __all__ = ["main"]
 
@@ -47,9 +47,18 @@ def _cmd_generate_data(args) -> int:
     return EXIT_OK
 
 
+def _naming(config_path, run, *args, **kwargs):
+    """``run(*args, **kwargs)``, with the config file put in front of a rejection
+    of the config's values by its dataset."""
+    try:
+        return run(*args, **kwargs)
+    except _DatasetRulesOut as exc:
+        raise ConfigError(f"{config_path}: {exc}") from None
+
+
 def _cmd_train(args) -> int:
     config = RunConfig.from_file(args.config)
-    paths = run_training(config, args.out)
+    paths = _naming(args.config, run_training, config, args.out)
     print(f"wrote checkpoint {paths['checkpoint']} after {paths['epochs']} epochs")
     return EXIT_OK
 
@@ -72,7 +81,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     config = RunConfig.from_file(args.config)
-    entries, ok = run_gradcheck(config, tol=args.tol, instances=args.instances)
+    entries, ok = _naming(args.config, run_gradcheck, config, tol=args.tol, instances=args.instances)
     failing = []
     for e in entries:
         line = f"{e['check']:22s} max_rel_err={e['max_rel_err']:.3e}"
@@ -129,12 +138,13 @@ def _cmd_sweep(args) -> int:
             continue
         for offset in range(args.seeds):
             run_config = replace(base, seed=base.seed + offset)
-            tasks.append((path.stem, run_config, out / path.stem / f"seed{run_config.seed}"))
+            tasks.append((path, run_config, out / path.stem / f"seed{run_config.seed}"))
 
     per_config: dict[str, dict] = {}
     # a failed run must not kill the sweep: its exception comes back as its outcome
-    outcomes = _run_jobs(partial(_sweep_one, run_config, run_dir) for _, run_config, run_dir in tasks)
-    for (stem, run_config, _), report in zip(tasks, outcomes):
+    outcomes = _run_jobs(partial(_naming, cfg, _sweep_one, run_config, run_dir) for cfg, run_config, run_dir in tasks)
+    for (cfg, run_config, _), report in zip(tasks, outcomes):
+        stem = cfg.stem
         if isinstance(report, Exception):
             failures.append({"config": stem, "seed": run_config.seed, "error": f"{type(report).__name__}: {report}"})
             continue

@@ -81,9 +81,9 @@ def _validate_labels(labels, batch_size: int, num_classes: int) -> np.ndarray:
     lab = np.asarray(labels)
     if lab.shape != (batch_size,):
         raise ValueError(f"labels shape {lab.shape} does not match batch size {batch_size}")
-    if not np.issubdtype(lab.dtype, np.integer):
+    if lab.dtype.kind not in "iu":
         raise ValueError(f"labels must be integer class indices, got dtype {lab.dtype}")
-    if np.any(lab < 0) or np.any(lab >= num_classes):
+    if ((lab < 0) | (lab >= num_classes)).any():
         raise ValueError(f"label index out of range for {num_classes} classes")
     return lab.astype(np.int64, copy=False)
 
@@ -155,24 +155,26 @@ def _euc_loss(
     grad_p = np.zeros_like(p) if with_grad else None
     grad_u = np.zeros_like(u) if with_grad else None
     loss = 0.0
-    if acc.any():
-        log_one_minus_u = np.log1p(-u[acc])
-        loss -= lambda_t * float(np.add.reduce(p[acc] * log_one_minus_u) / log_one_minus_u.size)
+    p_acc, u_acc = p[acc], u[acc]
+    if u_acc.size:
+        n = u_acc.size
+        log_one_minus_u = np.log1p(-u_acc)
+        loss -= lambda_t * float(np.add.reduce(p_acc * log_one_minus_u) / n)
         if with_grad:
-            n = float(acc.sum())
             grad_p[acc] = -lambda_t * log_one_minus_u / n
-            grad_u[acc] = lambda_t * p[acc] / ((1.0 - u[acc]) * n)
-    if inacc.any():
-        log_u = np.log(u[inacc])
-        loss -= (1.0 - lambda_t) * float(np.add.reduce((1.0 - p[inacc]) * log_u) / log_u.size)
+            grad_u[acc] = lambda_t * p_acc / ((1.0 - u_acc) * n)
+    p_inacc, u_inacc = p[inacc], u[inacc]
+    if u_inacc.size:
+        m = u_inacc.size
+        log_u = np.log(u_inacc)
+        loss -= (1.0 - lambda_t) * float(np.add.reduce((1.0 - p_inacc) * log_u) / m)
         if with_grad:
-            m = float(inacc.sum())
             grad_p[inacc] = (1.0 - lambda_t) * log_u / m
-            grad_u[inacc] = -(1.0 - lambda_t) * (1.0 - p[inacc]) / (u[inacc] * m)
+            grad_u[inacc] = -(1.0 - lambda_t) * (1.0 - p_inacc) / (u_inacc * m)
     if not with_grad:
         return float(loss), None
-    grad_p[~((p_raw > CLAMP_EPS) & (p_raw < 1.0 - CLAMP_EPS))] = 0.0
-    grad_u[~((u_raw > CLAMP_EPS) & (u_raw < 1.0 - CLAMP_EPS))] = 0.0
+    grad_p[(p_raw <= CLAMP_EPS) | (p_raw >= 1.0 - CLAMP_EPS)] = 0.0
+    grad_u[(u_raw <= CLAMP_EPS) | (u_raw >= 1.0 - CLAMP_EPS)] = 0.0
     alpha = ev + 1.0
     strength = alpha.sum(axis=1)
     k = ev.shape[1]

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .evidential import (
     DEFAULT_EXP_BOUND,
@@ -52,22 +51,25 @@ class NonFiniteGradientError(RuntimeError):
 
 class Parameter:
     """Named, shape-frozen float64 array with a gradient accumulator and a
-    momentum buffer for SGD."""
+    momentum buffer for SGD.
 
-    __slots__ = ("name", "value", "grad", "momentum")
+    The first :func:`sgd_step` that updates a parameter rebinds its three
+    arrays to views into one flat arena shared with the other parameters of
+    that step, so hold the ``Parameter``, not its arrays.
+    """
+
+    __slots__ = ("name", "value", "grad", "momentum", "_arena")
 
     def __init__(self, name: str, value) -> None:
         self.name = name
         self.value = np.array(value, dtype=np.float64)
         self.grad = np.zeros_like(self.value)
         self.momentum = np.zeros_like(self.value)
+        self._arena = None  # (arena, index) once sgd_step has packed this parameter
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
-
-    def zero_grad(self) -> None:
-        self.grad[...] = 0.0
 
     def assign(self, new) -> None:
         arr = np.asarray(new, dtype=np.float64)
@@ -164,7 +166,7 @@ class TemporalConv(Layer):
             )
         if x.shape[2] < self.kernel:
             raise ValueError(f"time axis {x.shape[2]} shorter than kernel {self.kernel}")
-        self._cache = x
+        self._cache = np.ascontiguousarray(x)  # backward views it by its own strides
         return self.forward_copies(x, _NO_COPIES)
 
     def forward_copies(self, x: np.ndarray, copies) -> np.ndarray:  # an input layer: x has no copies axis
@@ -186,9 +188,11 @@ class TemporalConv(Layer):
                 f"{(batch, self.c_out, t_out)}"
             )
         # weight gradient as one GEMM against the im2col matrix of the cached
-        # input; built here rather than in forward, so inference never pays for it
-        windows = sliding_window_view(x, k, axis=2)  # (B, c_in, T', k) view
-        cols = windows.transpose(0, 2, 1, 3).reshape(batch * t_out, self.c_in * k)
+        # input; built here rather than in forward, so inference never pays for it.
+        # windows[b, t, c, j] is x[b, c, t + j], a view over the contiguous cache
+        s0, s1, s2 = x.strides
+        windows = np.ndarray((batch, t_out, self.c_in, k), x.dtype, x, 0, (s0, s2, s1, s2))
+        cols = windows.reshape(batch * t_out, self.c_in * k)
         g_rows = g.transpose(1, 0, 2).reshape(self.c_out, batch * t_out)
         self.weight.grad += (g_rows @ cols).reshape(self.weight.shape)
         self.bias.grad += g.sum(axis=(0, 2))
@@ -277,7 +281,7 @@ class TemporalMeanPool(Layer):
         g = np.asarray(grad_out, dtype=np.float64)
         if g.shape != shape[:2]:
             raise ValueError(f"upstream gradient shape {g.shape} does not match output shape {shape[:2]}")
-        return np.broadcast_to(g[:, :, None] / shape[2], shape).copy()
+        return np.broadcast_to(g[:, :, None] / shape[2], shape)  # a read-only view
 
 
 class Sequential(Layer):
@@ -385,6 +389,35 @@ def build_feature_net(
     return Sequential([TemporalConv(channels, width, kernel, rng, name=f"{name}.conv"), ReLU(), TemporalMeanPool()])
 
 
+class _Arena:
+    """The values, gradients and momenta of ``params``, back to back in three
+    flat float64 arrays; parameter i owns elements ``offsets[i]:offsets[i + 1]``.
+    An arena dies when any of its parameters is packed into another."""
+
+    __slots__ = ("params", "offsets", "value", "grad", "momentum", "live")
+
+    def __init__(self, params: tuple[Parameter, ...]) -> None:
+        seen = set()
+        self.offsets = [0]
+        for p in params:
+            if id(p) in seen:
+                raise ValueError(f"parameter {p.name} appears twice in one step")
+            seen.add(id(p))
+            self.offsets.append(self.offsets[-1] + p.value.size)
+        self.params = params
+        self.live = True
+        for field in ("value", "grad", "momentum"):
+            setattr(self, field, np.concatenate([getattr(p, field).reshape(-1) for p in params]))
+        for i, p in enumerate(params):
+            if p._arena is not None:
+                p._arena[0].live = False
+            lo, hi, shape = self.offsets[i], self.offsets[i + 1], p.value.shape
+            p.value = self.value[lo:hi].reshape(shape)
+            p.grad = self.grad[lo:hi].reshape(shape)
+            p.momentum = self.momentum[lo:hi].reshape(shape)
+            p._arena = (self, i)
+
+
 def sgd_step(
     params,
     lr: float,
@@ -394,20 +427,32 @@ def sgd_step(
 ) -> None:
     """One SGD update: v <- m*v + g + wd*theta; theta <- theta - lr*v.
 
-    Rejects the whole step if any gradient is non-finite, then zeroes every
-    gradient buffer after applying the update.
+    Rejects the whole step if any gradient is non-finite, naming the first
+    such parameter in list order, then zeroes every gradient buffer after
+    applying the update.  The update runs once over flat views of all the
+    parameters' values, gradients and momenta (see :class:`Parameter`);
+    every element gets the bits of its own parameter-by-parameter update.
+    A parameter named twice raises ValueError; an empty list does nothing.
     """
-    params = list(params)
-    for p in params:
-        if not np.all(np.isfinite(p.grad)):
-            raise NonFiniteGradientError(f"non-finite gradient in {p.name}")
-    for p in params:
-        g = p.grad + weight_decay * p.value
-        p.momentum *= momentum
-        p.momentum += g
-        update = g + momentum * p.momentum if nesterov else p.momentum
-        p.value -= lr * update
-        p.zero_grad()
+    params = tuple(params)
+    if not params:
+        return
+    arena, start = params[0]._arena or (None, 0)
+    stop = start + len(params)
+    if arena is None or not arena.live or arena.params[start:stop] != params:  # not one run of a live arena
+        arena, start, stop = _Arena(params), 0, len(params)
+    lo, hi = arena.offsets[start], arena.offsets[stop]
+    value, grad, mom = arena.value[lo:hi], arena.grad[lo:hi], arena.momentum[lo:hi]
+    if not np.isfinite(grad).all():
+        for p in params:
+            if not np.isfinite(p.grad).all():
+                raise NonFiniteGradientError(f"non-finite gradient in {p.name}")
+    g = grad + weight_decay * value
+    mom *= momentum
+    mom += g
+    update = g + momentum * mom if nesterov else mom
+    value -= lr * update
+    grad.fill(0.0)
 
 
 def draw_time_permutations(rng: np.random.Generator, batch: int, timesteps: int) -> np.ndarray:

@@ -108,6 +108,21 @@ class CheckpointDataMismatch(RuntimeError):
     """Checkpoint and dataset disagree on shapes or class counts."""
 
 
+class _DatasetRulesOut(ConfigError):
+    """A config value that its dataset rules out; the message names the key, and
+    the command line puts the config file in front of it."""
+
+
+def _load_train(config: RunConfig):
+    """The dataset's spec and train split, once the config's kernel fits its time axis."""
+    spec, splits = data_mod.load_dataset(config.dataset, names=("train",))
+    if config.kernel_width > spec.timesteps:
+        raise _DatasetRulesOut(
+            f"kernel_width: must be <= the dataset's {spec.timesteps} timesteps, got {config.kernel_width}"
+        )
+    return spec, splits["train"]
+
+
 def derived_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng([seed, stream])
 
@@ -276,12 +291,13 @@ def run_training(config: RunConfig, out_dir) -> dict:
     """Train per config; writes losses.csv, run.log and two checkpoints.
 
     Returns {"checkpoint", "checkpoint_full", "losses", "epochs"} with paths.
+    The dataset is read before anything is written; a ``kernel_width`` wider
+    than its timesteps raises :class:`ConfigError` naming the key.
     """
     config.validate()
+    spec, train = _load_train(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    spec, splits = data_mod.load_dataset(config.dataset, names=("train",))
-    train = splits["train"]
     num_classes = spec.known_classes
 
     model = build_model(config, spec.channels, num_classes)
@@ -696,14 +712,15 @@ def run_gradcheck(config: RunConfig, tol: float = 1e-4, instances: int = 20) -> 
     is not positive and finite: such an audit would pass without checking
     anything.  The dataset is loaded as :func:`run_training` loads it (the
     manifest and the train split), so a manifest or train split that
-    ``osev train`` cannot read fails here too.
+    ``osev train`` cannot read, or a kernel wider than its time axis, fails
+    here too.
     """
     if instances < 1:
         raise ConfigError(f"--instances must be >= 1, got {instances}")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ConfigError(f"--tol must be positive and finite, got {tol}")
     config.validate()
-    spec, _ = data_mod.load_dataset(config.dataset, names=("train",))
+    spec, _ = _load_train(config)
     rng = derived_rng(config.seed, STREAM_GRADCHECK)
     channels, timesteps, k = spec.channels, spec.timesteps, spec.known_classes
     batch = 8

@@ -426,6 +426,39 @@ class TestExitCodes:
         assert f"error: {cfg}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["train", "gradcheck", "sweep"])
+    def test_a_kernel_wider_than_the_dataset_is_2_before_anything_is_written(
+        self, tmp_path, dataset_dir, command, capsys
+    ):
+        cfg_dir = tmp_path / "cfgs"
+        cfg_dir.mkdir()
+        cfg = cfg_dir / "run.cfg"
+        cfg.write_text(CONFIG_TEMPLATE.format(dataset=dataset_dir).replace("kernel_width = 3", "kernel_width = 17"))
+        message = f"{cfg}: kernel_width: must be <= the dataset's 16 timesteps, got 17"
+        out = tmp_path / "out"
+        if command == "sweep":
+            assert main(["sweep", "--configs", str(cfg_dir), "--seeds", "2", "--out", str(out)]) == 0
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["configs"] == {}
+            assert summary["failures"] == [
+                {"config": "run", "seed": seed, "error": f"ConfigError: {message}"} for seed in (0, 1)
+            ]
+            assert sorted(p.name for p in out.iterdir()) == ["summary.csv", "summary.json"]
+            return
+        argv = ["--out", str(out)] if command == "train" else ["--instances", "1"]
+        assert main([command, "--config", str(cfg), *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+        assert not out.exists()
+
+    def test_a_kernel_as_wide_as_the_dataset_trains(self, tmp_path, dataset_dir):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            CONFIG_TEMPLATE.format(dataset=dataset_dir).replace("kernel_width = 3", "kernel_width = 16")
+            .replace("epochs = 2", "epochs = 1")
+        )
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
     def test_divergent_training_is_3(self, tmp_path, dataset_dir):
         cfg = tmp_path / "diverge.cfg"
         cfg.write_text(

@@ -21,6 +21,7 @@ from osev.losses import (
     NonFiniteLossError,
     _edl_loss,
     _euc_loss,
+    _validate_labels,
     annealing_lambda,
     edl_loss_batch,
     euc_loss_grad_evidence,
@@ -326,8 +327,8 @@ def euc_edges() -> list[float]:
 @settings(deadline=None, max_examples=150)
 @given(data=st.data(), n=st.integers(1, 8), lambda_t=st.floats(0.0, 1.0), with_grad=st.booleans())
 def test_euc_clamps_are_np_clip_bit_for_bit(data, n, lambda_t, with_grad):
-    """_euc_loss against itself with np.clip as its clamp, and its value against the
-    np.clip and ndarray.mean expression it replaces.
+    """_euc_loss against itself with np.clip as its clamp, against the two-mask form,
+    and its value against the np.clip and ndarray.mean expression it replaces.
 
     One probability column makes p the max probability and argmax 0, so label 0
     is accurate and label 1 is not, and p, u and accuracy are independent edge
@@ -344,6 +345,7 @@ def test_euc_clamps_are_np_clip_bit_for_bit(data, n, lambda_t, with_grad):
         clipped = _euc_loss(*args)
     assert repr(got[0]) == repr(clipped[0])
     assert (got[1] is None and clipped[1] is None) or got[1].tobytes() == clipped[1].tobytes()
+    assert_same_euc(args)
     pc, uc = np.clip(p, CLAMP_EPS, 1.0 - CLAMP_EPS), np.clip(u, CLAMP_EPS, 1.0 - CLAMP_EPS)
     expected = 0.0
     if acc.any():
@@ -351,3 +353,120 @@ def test_euc_clamps_are_np_clip_bit_for_bit(data, n, lambda_t, with_grad):
     if (~acc).any():
         expected -= (1.0 - lambda_t) * float(((1.0 - pc[~acc]) * np.log(uc[~acc])).mean())
     assert repr(got[0]) == repr(expected)
+
+
+def two_mask_euc_loss(y, ev, probs, u_raw, lambda_t, with_grad):
+    """The calibration loss as it was written before one pass per subset: each
+    subset's rows picked again for every use, ``.any()`` and ``.sum()`` for its
+    presence and size, and the clamp masks negated: the reference."""
+    rows = np.arange(y.size)
+    predicted = np.argmax(probs, axis=1)
+    p_raw = probs[rows, predicted]
+    p = losses_module._clamp(p_raw, CLAMP_EPS, 1.0 - CLAMP_EPS)
+    u = losses_module._clamp(u_raw, CLAMP_EPS, 1.0 - CLAMP_EPS)
+    acc = predicted == y
+    inacc = ~acc
+    grad_p = np.zeros_like(p) if with_grad else None
+    grad_u = np.zeros_like(u) if with_grad else None
+    loss = 0.0
+    if acc.any():
+        log_one_minus_u = np.log1p(-u[acc])
+        loss -= lambda_t * float(np.add.reduce(p[acc] * log_one_minus_u) / log_one_minus_u.size)
+        if with_grad:
+            n = float(acc.sum())
+            grad_p[acc] = -lambda_t * log_one_minus_u / n
+            grad_u[acc] = lambda_t * p[acc] / ((1.0 - u[acc]) * n)
+    if inacc.any():
+        log_u = np.log(u[inacc])
+        loss -= (1.0 - lambda_t) * float(np.add.reduce((1.0 - p[inacc]) * log_u) / log_u.size)
+        if with_grad:
+            m = float(inacc.sum())
+            grad_p[inacc] = (1.0 - lambda_t) * log_u / m
+            grad_u[inacc] = -(1.0 - lambda_t) * (1.0 - p[inacc]) / (u[inacc] * m)
+    if not with_grad:
+        return float(loss), None
+    grad_p[~((p_raw > CLAMP_EPS) & (p_raw < 1.0 - CLAMP_EPS))] = 0.0
+    grad_u[~((u_raw > CLAMP_EPS) & (u_raw < 1.0 - CLAMP_EPS))] = 0.0
+    alpha = ev + 1.0
+    strength = alpha.sum(axis=1)
+    k = ev.shape[1]
+    alpha_star = alpha[rows, predicted]
+    common = -(grad_p * alpha_star + grad_u * k) / strength**2
+    grad_e = np.repeat(common[:, None], k, axis=1)
+    grad_e[rows, predicted] += grad_p / strength
+    return float(loss), grad_e
+
+
+def assert_same_euc(args):
+    got, want = _euc_loss(*args), two_mask_euc_loss(*args)
+    assert repr(got[0]) == repr(want[0])
+    assert (got[1] is None and want[1] is None) or got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("with_grad", [True, False])
+@pytest.mark.parametrize("lambda_t", [0.0, 0.37, 1.0])
+@pytest.mark.parametrize("accurate", ["all", "none", "mixed"])
+def test_euc_one_pass_per_subset_equals_the_two_mask_form(accurate, lambda_t, with_grad):
+    """Random evidence, whose p and u are then set exactly at, just inside and
+    just beyond each clamp bound in turn."""
+    rng = np.random.default_rng(21)
+    ev = rng.exponential(2.0, size=(12, 4))
+    probs, u = _probs_and_uncertainty(ev)
+    predicted = np.argmax(probs, axis=1)
+    y = {"all": predicted, "none": (predicted + 1) % 4, "mixed": np.where(np.arange(12) % 3, predicted, 0)}[accurate]
+    assert_same_euc((y, ev, probs, u, lambda_t, with_grad))
+    lo, hi = CLAMP_EPS, 1.0 - CLAMP_EPS
+    for edge in (lo, hi, np.nextafter(lo, 1.0), np.nextafter(hi, 0.0), np.nextafter(lo, 0.0), np.nextafter(hi, 1.0)):
+        edged_u = u.copy()
+        edged_u[::2] = edge
+        assert_same_euc((y, ev, probs, edged_u, lambda_t, with_grad))
+        # one probability column: p is that column, so it can sit at either bound;
+        # label 0 is accurate and label 1 is not
+        column = np.where(np.arange(12) % 2, edge, probs[:, 0])[:, None]
+        column_labels = {"all": np.zeros(12, int), "none": np.ones(12, int), "mixed": np.arange(12) % 2}[accurate]
+        assert_same_euc((column_labels, ev[:, :1], column, u, lambda_t, with_grad))
+
+
+
+def issubdtype_validate_labels(labels, batch_size, num_classes):
+    """Label validation as written before the dtype-kind test and the one combined reduce: the reference."""
+    lab = np.asarray(labels)
+    if lab.shape != (batch_size,):
+        raise ValueError(f"labels shape {lab.shape} does not match batch size {batch_size}")
+    if not np.issubdtype(lab.dtype, np.integer):
+        raise ValueError(f"labels must be integer class indices, got dtype {lab.dtype}")
+    if np.any(lab < 0) or np.any(lab >= num_classes):
+        raise ValueError(f"label index out of range for {num_classes} classes")
+    return lab.astype(np.int64, copy=False)
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        np.array([True, False, True]),
+        np.array([0, 2, 1], dtype=np.uint8),
+        np.array([0, 3, 1], dtype=np.uint8),
+        np.array([255, 0, 1], dtype=np.uint8),
+        np.array([0, 2, 1], dtype=np.int32),
+        np.array([0, -1, 1], dtype=np.int32),
+        np.array([0, 2, 1], dtype=np.uint64),
+        np.array([0.0, 2.0, 1.0]),
+        np.array([0, 2, 1], dtype=object),
+        np.array(["0", "2", "1"]),
+        [0, 2, 1],
+        [0, 2, 3],
+        np.array([[0, 1, 2]]),
+    ],
+    ids=["bool", "uint8", "uint8_too_large", "uint8_255", "int32", "int32_negative", "uint64", "float", "object",
+         "str", "list", "list_too_large", "two_d"],
+)
+def test_label_validation_gives_the_reference_outcome(labels):
+    try:
+        want = issubdtype_validate_labels(labels, 3, 3)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            _validate_labels(labels, 3, 3)
+        assert str(got.value) == str(exc)
+        return
+    got = _validate_labels(labels, 3, 3)
+    assert got.dtype == want.dtype == np.int64 and got.tobytes() == want.tobytes()

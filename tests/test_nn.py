@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from osev.checkpoint import load_checkpoint, save_checkpoint, sidecar_path
 from osev.nn import (
@@ -222,6 +223,59 @@ class TestTemporalConvOracle:
         np.testing.assert_allclose(layer.bias.grad, ref_gb, rtol=0, atol=1e-12)
 
 
+def sliding_window_grads(x, g, kernel):
+    """The weight and bias gradients of one backward from zero, by the
+    ``sliding_window_view`` plus transpose im2col the conv backward used to build."""
+    batch, c_in, _ = x.shape
+    c_out, t_out = g.shape[1], g.shape[2]
+    cols = sliding_window_view(x, kernel, axis=2).transpose(0, 2, 1, 3).reshape(batch * t_out, c_in * kernel)
+    g_rows = g.transpose(1, 0, 2).reshape(c_out, batch * t_out)
+    grad_w, grad_b = np.zeros((c_out, c_in, kernel)), np.zeros(c_out)
+    grad_w += (g_rows @ cols).reshape(grad_w.shape)
+    grad_b += g.sum(axis=(0, 2))
+    return grad_w, grad_b
+
+
+def conv_inputs(rng, batch, c_in, t):
+    """Inputs of one shape in the layouts training and callers hand the conv."""
+    base = rng.normal(size=(batch + 3, c_in, t + 2))
+    perms = draw_time_permutations(rng, batch, t)
+    return {
+        "contiguous": rng.normal(size=(batch, c_in, t)),
+        "fancy_indexed": base[rng.permutation(batch + 3)[:batch], :, :t],
+        "take_along_axis": apply_time_permutations(base[:batch, :, :t], perms),
+        "transposed": rng.normal(size=(t, c_in, batch)).transpose(2, 1, 0),
+        "sliced": base[1 : batch + 1, :, 2:],
+        "fortran": np.asfortranarray(rng.normal(size=(batch, c_in, t))),
+    }
+
+
+class TestIm2colView:
+    @pytest.mark.parametrize(
+        "batch,c_in,c_out,t,kernel",
+        [(32, 6, 12, 24, 9), (4, 3, 5, 11, 1), (3, 2, 4, 7, 7), (1, 3, 4, 9, 3), (1, 1, 1, 5, 5)],
+        ids=["train_shape", "k1", "t_out1", "b1", "all_ones"],
+    )
+    def test_gradients_equal_the_sliding_window_form(self, batch, c_in, c_out, t, kernel):
+        rng = np.random.default_rng(batch * 100 + kernel)
+        g = rng.normal(size=(batch, c_out, t - kernel + 1))
+        for layout, x in conv_inputs(rng, batch, c_in, t).items():
+            layer = TemporalConv(c_in, c_out, kernel, np.random.default_rng(1))
+            layer.forward(x)
+            layer.backward(g)
+            grad_w, grad_b = sliding_window_grads(x, g, kernel)
+            assert layer.weight.grad.tobytes() == grad_w.tobytes(), layout
+            assert layer.bias.grad.tobytes() == grad_b.tobytes(), layout
+
+    def test_backward_leaves_the_input_untouched(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(5, 3, 10))
+        before = x.copy()
+        layer = TemporalConv(3, 4, 3, rng)
+        layer.backward(np.ones_like(layer.forward(x)))
+        assert x.tobytes() == before.tobytes()
+
+
 class TestLayerMechanics:
     def test_backward_before_forward_rejected(self):
         rng = np.random.default_rng(0)
@@ -383,6 +437,138 @@ class TestSgd:
         # validation runs before any parameter moves
         assert good.value[0] == 1.0
         assert good.grad[0] == 1.0
+
+
+def serial_sgd_step(params, lr, momentum=0.9, weight_decay=1e-4, nesterov=False):
+    """The parameter-by-parameter update sgd_step made before its flat arena: the reference."""
+    params = list(params)
+    for p in params:
+        if not np.all(np.isfinite(p.grad)):
+            raise NonFiniteGradientError(f"non-finite gradient in {p.name}")
+    for p in params:
+        g = p.grad + weight_decay * p.value
+        p.momentum *= momentum
+        p.momentum += g
+        update = g + momentum * p.momentum if nesterov else p.momentum
+        p.value -= lr * update
+        p.grad[...] = 0.0
+
+
+ARENA_SHAPES = {"a": (3, 2, 4), "b": (3,), "c": (2, 5), "d": (), "e": (4, 1)}
+
+
+def twin_parameters(seed):
+    """Two lists of equal parameters: one for sgd_step, one for the serial reference."""
+    rng = np.random.default_rng(seed)
+    values = {name: rng.normal(size=shape) for name, shape in ARENA_SHAPES.items()}
+    return ({name: Parameter(name, v) for name, v in values.items()} for _ in range(2))
+
+
+def state_bytes(params):
+    return {name: (p.value.tobytes(), p.grad.tobytes(), p.momentum.tobytes()) for name, p in params.items()}
+
+
+def fill_grads(params, names, rng):
+    for name in names:
+        params[name].grad[...] = rng.normal(size=params[name].grad.shape)
+
+
+class TestSgdArena:
+    """sgd_step's flat arena against :func:`serial_sgd_step`, every bit compared."""
+
+    def run_twins(self, sides, seed=0, **options):
+        """Step each list of names in ``sides`` through both twins with the same gradients."""
+        arena, serial = twin_parameters(seed)
+        for step, names in enumerate(sides):
+            for params, step_fn in ((arena, sgd_step), (serial, serial_sgd_step)):
+                fill_grads(params, names, np.random.default_rng([seed, step]))
+                step_fn([params[n] for n in names], 0.05, **options)
+            assert state_bytes(arena) == state_bytes(serial), (step, names)
+        return arena
+
+    @pytest.mark.parametrize(
+        "options",
+        [dict(momentum=0.0, weight_decay=0.0), dict(momentum=0.0, weight_decay=0.1), dict(),
+         dict(momentum=0.9, weight_decay=1e-3, nesterov=True), dict(momentum=0.5, weight_decay=0.0, nesterov=True)],
+        ids=["plain", "decay_only", "default", "nesterov", "nesterov_no_decay"],
+    )
+    def test_equals_the_serial_update(self, options):
+        self.run_twins([list(ARENA_SHAPES)] * 4, **options)
+
+    def test_lists_spanning_two_arenas_or_part_of_one(self):
+        sides = [
+            ["a", "b", "c", "d", "e"],  # one arena
+            ["b", "c"],  # a run inside it
+            ["c", "d", "e"],
+            ["a", "c"],  # not back to back: packed anew
+            ["b", "c"],  # a run of the first arena, which died when c left it
+            ["b", "d", "e"],
+            ["a", "c", "b", "d"],  # spans two arenas
+            ["a", "c", "b", "d"],
+            ["e"],
+            ["e", "d", "c", "b", "a"],
+            ["a", "b", "c", "d", "e"],
+        ]
+        self.run_twins(sides, seed=3, nesterov=True)
+
+    def test_a_packed_list_shares_one_arena_and_layers_see_it(self):
+        layer = Dense(3, 2, np.random.default_rng(0))
+        x = np.random.default_rng(1).normal(size=(4, 3))
+        layer.backward(np.ones_like(layer.forward(x)))
+        sgd_step(layer.parameters(), 0.1)
+        for field in ("value", "grad", "momentum"):
+            weight, bias = getattr(layer.weight, field), getattr(layer.bias, field)
+            assert weight.base is not None and weight.base is bias.base, field
+            assert weight.base.shape == (weight.size + bias.size,), field
+        expected = x @ layer.weight.value + layer.bias.value
+        assert layer.forward(x).tobytes() == expected.tobytes()
+
+    def test_empty_list_is_a_noop(self):
+        sgd_step([], 0.1)
+        sgd_step(iter([]), 0.1, nesterov=True)
+
+    def test_a_parameter_named_twice_is_rejected_and_nothing_moves(self):
+        arena, _ = twin_parameters(5)
+        fill_grads(arena, list(ARENA_SHAPES), np.random.default_rng(6))
+        before = state_bytes(arena)
+        with pytest.raises(ValueError, match="parameter b appears twice in one step"):
+            sgd_step([arena["a"], arena["b"], arena["c"], arena["b"]], 0.1)
+        assert state_bytes(arena) == before
+
+    @pytest.mark.parametrize("packed", [False, True], ids=["first_step", "packed"])
+    def test_first_bad_parameter_in_list_order_and_nothing_moves(self, packed):
+        arena, serial = twin_parameters(7)
+        order = ["e", "c", "a", "b", "d"]
+        if packed:
+            for params, step_fn in ((arena, sgd_step), (serial, serial_sgd_step)):
+                fill_grads(params, order, np.random.default_rng(8))
+                step_fn([params[n] for n in order], 0.1)
+        for params in (arena, serial):
+            fill_grads(params, order, np.random.default_rng(9))
+            params["a"].grad[1, 0, 2] = np.inf
+            params["b"].grad[0] = np.nan
+        before = state_bytes(arena)
+        with pytest.raises(NonFiniteGradientError) as got:
+            sgd_step([arena[n] for n in order], 0.1)
+        with pytest.raises(NonFiniteGradientError) as want:
+            serial_sgd_step([serial[n] for n in order], 0.1)
+        assert str(got.value) == str(want.value) == "non-finite gradient in a"
+        assert state_bytes(arena) == before == state_bytes(serial)
+
+    def test_alternating_sides_leave_the_off_side_untouched(self):
+        """f then h, as an alternating run steps, after one joint step that packs both."""
+        f, h = ["a", "b"], ["c", "d", "e"]
+        arena, serial = twin_parameters(11)
+        for step, side in enumerate([f + h, f, h, f, f, h, h, f + h]):
+            off = [n for n in ARENA_SHAPES if n not in side]
+            for params, step_fn in ((arena, sgd_step), (serial, serial_sgd_step)):
+                fill_grads(params, ARENA_SHAPES, np.random.default_rng([11, step]))
+                before = {n: state_bytes(params)[n] for n in off}
+                step_fn([params[n] for n in side], 0.05, nesterov=True)
+                assert {n: state_bytes(params)[n] for n in off} == before, (step, side)
+                for n in off:
+                    params[n].grad[...] = 0.0
+            assert state_bytes(arena) == state_bytes(serial), step
 
 
 class TestTemporalShuffle:
