@@ -79,8 +79,12 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     if len(blob) != total:
         raise ValueError(f"checkpoint size mismatch: sidecar says {total} bytes, file has {len(blob)}")
     arrays: dict[str, np.ndarray] = {}
-    for entry in entries:
+    for index, entry in enumerate(entries):
         name, shape, offset = entry.get("name"), entry.get("shape"), entry.get("offset")
+        if not isinstance(name, str):
+            raise ValueError(f"checkpoint {p}: array entry {index} has name {name!r}, not a string")
+        if name in arrays:
+            raise ValueError(f"checkpoint {p}: array entry {index} repeats the name {name!r}")
         if not (isinstance(shape, list) and all(map(_is_count, shape)) and _is_count(offset)):
             raise ValueError(f"checkpoint {p}: array {name!r} has invalid shape {shape!r} or offset {offset!r}")
         count = math.prod(shape)

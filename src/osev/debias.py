@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evidential import EvidenceFunction
-from .hsic import KernelParams, _as_feature_matrix, _hsic_values, centered_gram, hsic_value_and_grad
+from .hsic import KernelParams, _hsic_values, centered_gram, hsic_value_and_grad
 from .losses import (
     LossWeights,
     _edl_loss,
@@ -186,13 +186,6 @@ def ced_forward(
     )
 
 
-def _hsic(x, y, kernel: KernelParams, with_grad: bool) -> tuple[float, np.ndarray | None]:
-    """HSIC(x, y) and its gradient in x; the gradient is None when nothing reads it."""
-    if with_grad:
-        return hsic_value_and_grad(x, y, kernel)
-    return float(_hsic_values(_as_feature_matrix(x, "x"), [centered_gram(y, kernel)], kernel)[0]), None
-
-
 @dataclass(frozen=True)
 class DebiasResult:
     loss: float
@@ -225,19 +218,17 @@ def debias_objective(
     """Main-branch objective: L_cls + w_euc * L_cal + w_ced * lam * sum_h HSIC(f, h).
 
     Gradients flow into the main branch's parameters only; both biased
-    branches' features are constants here.  The dependence values are always
-    computed; their gradient only when it is applied.  With w_ced * lam = 0
-    it is skipped, not multiplied by zero, so the main branch's gradient
-    equals the plain run's bit for bit.
+    branches' features are constants here.  Every term is computed with its
+    gradient, which is added only when it is applied.  With w_ced * lam = 0
+    the dependence gradient is skipped, not multiplied by zero, so the main
+    branch's gradient equals the plain run's bit for bit.
     """
     edl, euc, grad_e = _f_losses_and_grad_e(labels, fwd.e_f, lambda_t, use_euc, weights.w_euc)
-    coeff = weights.w_ced * weights.lambda_hsic
-    with_grad = apply_grads and coeff != 0.0
-    hs_sh, g_sh = _hsic(fwd.f, fwd.h_shuffled, kernel, with_grad)
-    hs_st, g_st = _hsic(fwd.f, fwd.h_static, kernel, with_grad)
+    hs_sh, g_sh = hsic_value_and_grad(fwd.f, fwd.h_shuffled, kernel)
+    hs_st, g_st = hsic_value_and_grad(fwd.f, fwd.h_static, kernel)
     if apply_grads:
-        extra = coeff * (g_sh + g_st) if with_grad else None
-        branches.f_branch.backward(grad_e, extra_feature_grad=extra)
+        coeff = weights.w_ced * weights.lambda_hsic
+        branches.f_branch.backward(grad_e, extra_feature_grad=coeff * (g_sh + g_st) if coeff != 0.0 else None)
     return DebiasResult(
         loss=_debias_loss(edl, euc, hs_sh, hs_st, weights),
         edl=edl,
@@ -262,21 +253,19 @@ def bias_objective(
     flow into the biased branches' parameters only; the main branch's
     features are constants here (the HSIC gradient is taken with respect to h
     by swapping the argument order).  As on the main side, the dependence
-    gradient is skipped when it is not applied or w_ced * lam = 0.
+    gradient is added only when it is applied and w_ced * lam != 0.
     """
     b = fwd.x.shape[0]
     coeff = weights.w_ced * weights.lambda_hsic
-    with_grad = apply_grads and coeff != 0.0
     terms = []
     for branch, feats, ev in (
         (branches.h_shuffled, fwd.h_shuffled, fwd.e_shuffled),
         (branches.h_static, fwd.h_static, fwd.e_static),
     ):
         edl, grads_e = _edl_term(labels, ev)
-        hs, g_h = _hsic(feats, fwd.f, kernel, with_grad)
+        hs, g_h = hsic_value_and_grad(feats, fwd.f, kernel)
         if apply_grads:
-            extra = -coeff * g_h if with_grad else None
-            branch.backward(weights.w_ced * grads_e / b, extra_feature_grad=extra)
+            branch.backward(weights.w_ced * grads_e / b, extra_feature_grad=-coeff * g_h if coeff != 0.0 else None)
         terms.append((edl, hs))
     (edl_sh, hs_sh), (edl_st, hs_st) = terms
     return BiasResult(
@@ -453,7 +442,7 @@ def accumulate_gradients(
     side's features frozen.  ``side`` restricts which half accumulates ("f",
     "h" or "joint" for both); loss values are always computed for the record.
     With w_ced * lambda_hsic = 0 the main branch's gradient equals the plain
-    run's exactly (the dependence terms are skipped, not multiplied by zero).
+    run's exactly (the dependence gradients are skipped, not multiplied by zero).
     """
     if side not in ("joint", "f", "h"):
         raise ValueError(f"side must be joint, f or h, got {side!r}")

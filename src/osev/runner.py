@@ -483,6 +483,11 @@ def run_evaluation(
         raise CheckpointDataMismatch(
             f"checkpoint expects {meta['channels']} channels, dataset has {spec.channels}"
         )
+    if config.kernel_width > spec.timesteps:
+        raise CheckpointDataMismatch(
+            f"checkpoint {checkpoint_path} has kernel_width {config.kernel_width}, "
+            f"wider than the dataset's {spec.timesteps} timesteps"
+        )
 
     out = report_path.parent
     out.mkdir(parents=True, exist_ok=True)

@@ -628,6 +628,44 @@ class TestExitCodes:
         assert main(argv + ["--out", str(tmp_path / "eval" / "report.json")]) == 2
         assert "model.ckpt: sidecar 'total_bytes' is None" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("problem", ["not a string", "repeated"])
+    def test_sidecar_with_a_bad_array_name_is_2(self, tmp_path, dataset_dir, run_dir, problem, capsys):
+        for name in ("model.ckpt", "model.ckpt.json"):
+            shutil.copy(run_dir / name, tmp_path / name)
+        sidecar = json.loads((tmp_path / "model.ckpt.json").read_text())
+        first = sidecar["arrays"][0]["name"]
+        sidecar["arrays"][1]["name"] = ["x"] if problem == "not a string" else first
+        (tmp_path / "model.ckpt.json").write_text(json.dumps(sidecar))
+        argv = ["eval", "--checkpoint", str(tmp_path / "model.ckpt"), "--data", str(dataset_dir)]
+        assert main(argv + ["--out", str(tmp_path / "eval" / "report.json")]) == 2
+        entry = "has name ['x'], not a string" if problem == "not a string" else f"repeats the name {first!r}"
+        captured = capsys.readouterr()
+        assert captured.err == f"error: checkpoint {tmp_path / 'model.ckpt'}: array entry 1 {entry}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "eval").exists()
+
+    def test_a_checkpoint_kernel_wider_than_the_eval_dataset_is_4(self, tmp_path, dataset_dir, capsys):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text(SPEC_TEXT.replace("timesteps = 16", "timesteps = 24"))
+        longer = tmp_path / "longer_data"
+        assert main(["generate-data", "--spec", str(spec), "--out", str(longer)]) == 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            CONFIG_TEMPLATE.format(dataset=longer).replace("kernel_width = 3", "kernel_width = 20")
+            .replace("epochs = 2", "epochs = 1")
+        )
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        capsys.readouterr()
+        ckpt = tmp_path / "run" / "model.ckpt"
+        out = tmp_path / "eval"
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(dataset_dir), "--out", str(out / "r.json")]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: checkpoint {ckpt} has kernel_width 20, wider than the dataset's 16 timesteps\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("damage", [_truncate_json, _not_utf8], ids=["truncated", "binary"])
     def test_manifest_that_is_not_json_is_2(self, tmp_path, dataset_dir, damage, capsys):
         data = tmp_path / "data"

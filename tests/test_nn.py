@@ -609,8 +609,11 @@ class TestTemporalShuffle:
     def test_apply_permutations_validates_shape(self):
         with pytest.raises(ValueError, match="permutation shape"):
             apply_time_permutations(np.zeros((2, 3, 4)), np.zeros((2, 5), dtype=np.int64))
-        with pytest.raises(ValueError, match=r"expected \(batch, channels, time\), got shape \(2, 4\)"):
-            apply_time_permutations(np.zeros((2, 4)), np.zeros((2, 4), dtype=np.int64))
+        # a 4-D input's (batch, time) would match the permutations; only the 3-D check stops it
+        for shape in ((2, 4), (2, 3, 4, 1)):
+            with pytest.raises(ValueError) as err:
+                apply_time_permutations(np.zeros(shape), np.zeros((2, 4), dtype=np.int64))
+            assert str(err.value) == f"expected (batch, channels, time), got shape {shape}"
 
 
 def permutations_by_loop(rng, batch, timesteps):
