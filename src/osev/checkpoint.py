@@ -59,7 +59,12 @@ def save_checkpoint(path, arrays, meta: dict | None = None) -> Path:
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a checkpoint back into {name: array} plus its metadata."""
+    """Read a checkpoint back into {name: array} plus its metadata.
+
+    Every rejection is a ValueError naming the checkpoint: a sidecar that is not
+    a JSON object of this format and dtype, a blob of another size, a bad array
+    entry, or an array holding a NaN or an infinity.
+    """
     p = Path(path)
     try:
         with open(sidecar_path(p), "r", encoding="utf-8") as fh:
@@ -69,7 +74,9 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     if not isinstance(sidecar, dict):
         raise ValueError(f"checkpoint {p}: sidecar is not a JSON object")
     if sidecar.get("format") != FORMAT_NAME:
-        raise ValueError(f"unrecognized checkpoint format: {sidecar.get('format')!r}")
+        raise ValueError(f"checkpoint {p}: unrecognized checkpoint format: {sidecar.get('format')!r}")
+    if sidecar.get("dtype") != "<f8":
+        raise ValueError(f"checkpoint {p}: sidecar 'dtype' is {sidecar.get('dtype')!r}, not '<f8'")
     total, entries = sidecar.get("total_bytes"), sidecar.get("arrays")
     if not _is_count(total):
         raise ValueError(f"checkpoint {p}: sidecar 'total_bytes' is {total!r}, not a byte count")
@@ -77,7 +84,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         raise ValueError(f"checkpoint {p}: sidecar 'arrays' is not a list of JSON objects")
     blob = p.read_bytes()
     if len(blob) != total:
-        raise ValueError(f"checkpoint size mismatch: sidecar says {total} bytes, file has {len(blob)}")
+        raise ValueError(f"checkpoint {p}: size mismatch: sidecar says {total} bytes, file has {len(blob)}")
     arrays: dict[str, np.ndarray] = {}
     for index, entry in enumerate(entries):
         name, shape, offset = entry.get("name"), entry.get("shape"), entry.get("offset")
@@ -93,5 +100,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
                 f"checkpoint {p}: array {name!r} needs bytes {offset} to {offset + 8 * count}, file has {len(blob)}"
             )
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
+        if not np.isfinite(arr).all():
+            raise ValueError(f"checkpoint {p}: array {name!r} holds a non-finite value")
         arrays[name] = arr.reshape(shape).astype(np.float64)
     return arrays, sidecar.get("meta", {})

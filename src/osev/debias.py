@@ -16,10 +16,10 @@ Each side differentiates only its own parameters; the other side's features
 are treated as constants (stop-gradient).  Each loss is written once, as one
 formula over per-branch terms.  ``debias_objective`` and ``bias_objective``
 compose those terms with their gradients, and the training step calls both;
-``branch_losses`` composes the same terms for the finite-difference audit,
-with the held branches' parts, and each branch's own HSIC terms for its head
-parameters, computed once.  At inference the biased branches are dropped
-entirely.
+``branch_losses`` composes the same terms, values only, into the one loss that
+the finite-difference audit differences over a side's parameters, re-forwarding
+only the perturbed branch (or head), with the held parts computed once.  At
+inference the biased branches are dropped entirely.
 """
 
 from __future__ import annotations
@@ -296,6 +296,7 @@ def _edl_term(labels: np.ndarray, evidence: np.ndarray) -> tuple[float, np.ndarr
 
 def branch_losses(
     side: str,
+    branches: CedBranches,
     fwd: CedForward,
     labels: np.ndarray,
     weights: LossWeights,
@@ -303,25 +304,23 @@ def branch_losses(
     *,
     lambda_t: float = 0.0,
     use_euc: bool = False,
-) -> dict[str, tuple[Callable[[np.ndarray, np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]]:
-    """One side's objective loss as a function of one branch's output.
+) -> Callable[[Parameter, np.ndarray], np.ndarray]:
+    """One side's objective loss as :func:`~osev.nn.gradcheck` takes it, over ``branches.parameters(side)``.
 
-    Side "f" maps "f" to the loss of :func:`debias_objective`; side "h" maps
-    "h_shuffled" and "h_static" to that of :func:`bias_objective` (which takes
-    no ``lambda_t`` or ``use_euc``).  Each name maps to a pair: the loss as a
-    function of the branch's (features, evidence), and the loss as a function
-    of its evidence alone, with its features held at ``fwd`` (all that a head
-    parameter can change).  Every other branch is held at ``fwd``, and what is
-    held is computed here once: the held branches' centred Grams (M(h_shuffled)
-    and M(h_static) for "f", M(f) for "h"), each branch's own HSIC values at
-    its features in ``fwd``, which the evidence-only loss reads instead of
-    recomputing them, and, for "h", each biased branch's (L_cls, HSIC) term for
-    the other's loss.  The labels are checked once, here, with
-    :func:`~osev.losses.edl_loss_batch`'s messages.  A call takes the
-    (P, batch, ...) stacks of features and evidence that P copies of the
-    branch's forward give, as valid, computes only the given branch's own
-    term, values only, through the formulas the objectives differentiate, and
-    returns the P objective losses, each that of its copy bit for bit.
+    Side "f" gives the loss of :func:`debias_objective`, side "h" that of
+    :func:`bias_objective` (which takes no ``lambda_t`` or ``use_euc``).
+    ``loss(p, values)`` maps a (P, *p.shape) stack of values of one of the
+    side's parameters to the P objective losses, each that of a full forward
+    with ``p`` at its copy, bit for bit.  A backbone parameter's stack
+    re-forwards only its branch, on that branch's input in ``fwd``; a head
+    parameter's only its head, on the branch's features in ``fwd``, reading the
+    branch's own HSIC term there.  Each parameter's path is fixed here, and
+    what is held is computed here once: the held branches' centred Grams
+    (M(h_shuffled) and M(h_static) for "f", M(f) for "h"), each branch's own
+    HSIC values at ``fwd``, and, for "h", each biased branch's (L_cls, HSIC)
+    term for the other's loss.  The labels are checked here, once, with
+    :func:`~osev.losses.edl_loss_batch`'s messages.  A call computes only the
+    perturbed branch's terms, values only, through the objectives' formulas.
     """
     if side not in ("f", "h"):
         raise ValueError(f"side must be f or h, got {side!r}")
@@ -339,29 +338,43 @@ def branch_losses(
             return _debias_loss(edl(evidence), euc, *hsic_pair, weights)
 
         at_fwd = _hsic_values(fwd.f, held, kernel)
-        return {
-            "f": (
-                lambda feats, evidence: main_loss(_hsic_values(feats, held, kernel), evidence),
-                lambda evidence: main_loss(at_fwd, evidence),
-            )
-        }
-    held_f = [centered_gram(fwd.f, kernel)]
+        paths = _parameter_paths(
+            branches.f_branch, fwd.x, fwd.f,
+            lambda feats, evidence: main_loss(_hsic_values(feats, held, kernel), evidence),
+            lambda evidence: main_loss(at_fwd, evidence),
+        )
+    else:
+        held_f = [centered_gram(fwd.f, kernel)]
 
-    def hsic(feats: np.ndarray):
-        return _hsic_values(feats, held_f, kernel)[0]
+        def hsic(feats: np.ndarray):
+            return _hsic_values(feats, held_f, kernel)[0]
 
-    hs_sh, hs_st = hsic(fwd.h_shuffled), hsic(fwd.h_static)
-    shuffled, static = (edl(fwd.e_shuffled), hs_sh), (edl(fwd.e_static), hs_st)
-    return {
-        "h_shuffled": (
+        hs_sh, hs_st = hsic(fwd.h_shuffled), hsic(fwd.h_static)
+        shuffled, static = (edl(fwd.e_shuffled), hs_sh), (edl(fwd.e_static), hs_st)
+        paths = _parameter_paths(
+            branches.h_shuffled, fwd.x_shuffled, fwd.h_shuffled,
             lambda feats, evidence: _bias_loss((edl(evidence), hsic(feats)), static, weights),
             lambda evidence: _bias_loss((edl(evidence), hs_sh), static, weights),
-        ),
-        "h_static": (
+        ) | _parameter_paths(
+            branches.h_static, fwd.x, fwd.h_static,
             lambda feats, evidence: _bias_loss(shuffled, (edl(evidence), hsic(feats)), weights),
             lambda evidence: _bias_loss(shuffled, (edl(evidence), hs_st), weights),
-        ),
-    }
+        )
+    return lambda p, values: paths[p](p, values)
+
+
+def _parameter_paths(branch: EvidentialNet, inp: np.ndarray, feats: np.ndarray, branch_loss, evidence_loss) -> dict:
+    """Each of ``branch``'s parameters mapped to its loss of (p, values): a backbone parameter's
+    feeds ``branch_loss`` the branch's (features, evidence) on ``inp``; a head parameter's feeds
+    ``evidence_loss`` the head's evidence on the held ``feats``."""
+
+    def backbone(p: Parameter, values: np.ndarray) -> np.ndarray:
+        return branch_loss(*branch.forward_copies(inp, (p, values)))
+
+    def head(p: Parameter, values: np.ndarray) -> np.ndarray:
+        return evidence_loss(branch.head.forward_copies(feats, (p, values)))
+
+    return {p: backbone for p in branch.backbone.parameters()} | {p: head for p in branch.head.parameters()}
 
 
 def strip_for_inference(model) -> EvidentialNet:

@@ -641,51 +641,6 @@ def _branch_kink_distance(branches: CedBranches, fwd: CedForward, kind: str, bou
     return dist
 
 
-def _branch_gradchecks(
-    branches: CedBranches,
-    fwd: CedForward,
-    labels: np.ndarray,
-    weights: LossWeights,
-    kernel: KernelParams,
-    side: str,
-    **options,
-) -> GradcheckReport:
-    """Difference one side's objective one branch at a time, backbone and head apart.
-
-    A parameter can only change its own branch's output, so each stack of
-    perturbed copies re-forwards that branch alone on the input it already
-    has (a head parameter: only the head, on the branch's features in
-    ``fwd``), and :func:`~osev.debias.branch_losses` turns the outputs into
-    the objective's losses, values only, with the held parts built once.
-    Each loss equals the objective's of a full forward bit for bit.  One
-    coordinate generator runs through the side's parameters in order (f; or
-    h_shuffled, then h_static; backbone before head), so the coordinates and
-    entries are those of one gradcheck over all of them.
-    """
-    if side == "f":
-        parts = [("f", branches.f_branch, fwd.x, fwd.f)]
-    else:
-        parts = [
-            ("h_shuffled", branches.h_shuffled, fwd.x_shuffled, fwd.h_shuffled),
-            ("h_static", branches.h_static, fwd.x, fwd.h_static),
-        ]
-    losses = branch_losses(side, fwd, labels, weights, kernel, **options)
-    coords = np.random.default_rng(0)
-    entries = []
-    for name, branch, inp, feats in parts:
-        branch_loss, evidence_loss = losses[name]
-
-        def backbone_loss(p: Parameter, values: np.ndarray) -> np.ndarray:
-            return branch_loss(*branch.forward_copies(inp, (p, values)))
-
-        def head_loss(p: Parameter, values: np.ndarray) -> np.ndarray:
-            return evidence_loss(branch.head.forward_copies(feats, (p, values)))
-
-        entries += gradcheck(backbone_loss, branch.backbone.parameters(), rng=coords).entries
-        entries += gradcheck(head_loss, branch.head.parameters(), rng=coords).entries
-    return GradcheckReport(tuple(entries))
-
-
 def run_gradcheck(config: RunConfig, tol: float = 1e-4, instances: int = 20) -> tuple[list[dict], bool]:
     """Finite-difference audit of every analytic gradient the trainer uses.
 
@@ -699,7 +654,8 @@ def run_gradcheck(config: RunConfig, tol: float = 1e-4, instances: int = 20) -> 
     bandwidths and shuffle permutations are frozen during differencing, which
     is exactly how the training step treats them.  All three branches are
     forwarded once per instance, a forward the kink test reads too, and each
-    side's branches are differenced separately (see :func:`_branch_gradchecks`).
+    side's quotient re-forwards only the perturbed branch or head (see
+    :func:`~osev.debias.branch_losses`).
     A NaN relative error counts as infinitely wrong, so its check fails.
     Returns (entries, ok); an entry holds the check's name under "check" and
     the fields of its worst instance's :class:`~osev.nn.GradcheckEntry`.
@@ -841,7 +797,8 @@ def run_gradcheck(config: RunConfig, tol: float = 1e-4, instances: int = 20) -> 
         else:
             objective = debias_objective if side == "f" else bias_objective
             objective(branches, fwd, labels, weights, sigma, apply_grads=True, **options)
-        return lambda: _branch_gradchecks(branches, fwd, labels, weights, sigma, side, **options).worst
+        return lambda: gradcheck(branch_losses(side, branches, fwd, labels, weights, sigma, **options),
+                                 branches.parameters(side)).worst
 
     add("objective.debias", lambda: side_instance("f", objective_weights, False))
     add("objective.bias", lambda: side_instance("h", objective_weights, False))

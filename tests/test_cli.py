@@ -98,6 +98,22 @@ def eval_dir(tmp_path_factory, dataset_dir, run_dir):
     return out
 
 
+def _copy_checkpoint(run_dir, tmp_path):
+    """Copy ``model.ckpt`` and its sidecar into tmp_path; return the copy and its parsed sidecar."""
+    for name in ("model.ckpt", "model.ckpt.json"):
+        shutil.copy(run_dir / name, tmp_path / name)
+    return tmp_path / "model.ckpt", json.loads((tmp_path / "model.ckpt.json").read_text())
+
+
+def _assert_eval_rejects(ckpt, dataset_dir, out, capsys, code, message):
+    """osev eval of ``ckpt`` exits ``code`` with exactly ``message``, prints nothing else and makes no ``out``."""
+    argv = ["eval", "--checkpoint", str(ckpt), "--data", str(dataset_dir), "--out", str(out / "report.json")]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 class TestArtifacts:
     def test_dataset_files(self, dataset_dir):
         names = {p.name for p in dataset_dir.iterdir()}
@@ -643,6 +659,53 @@ class TestExitCodes:
         assert captured.err == f"error: checkpoint {tmp_path / 'model.ckpt'}: array entry 1 {entry}\n"
         assert captured.out == ""
         assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("format", "v0", "unrecognized checkpoint format: 'v0'"),
+         ("dtype", "<f4", "sidecar 'dtype' is '<f4', not '<f8'"),
+         ("total_bytes", 8, "size mismatch: sidecar says {} bytes, file has {}")],
+    )
+    def test_a_sidecar_of_another_format_dtype_or_size_is_2(
+        self, tmp_path, dataset_dir, run_dir, key, value, message, capsys
+    ):
+        ckpt, sidecar = _copy_checkpoint(run_dir, tmp_path)
+        size = ckpt.stat().st_size
+        sidecar[key] = size + value if key == "total_bytes" else value
+        (tmp_path / "model.ckpt.json").write_text(json.dumps(sidecar))
+        _assert_eval_rejects(ckpt, dataset_dir, tmp_path / "eval", capsys, 2,
+                             f"checkpoint {ckpt}: {message.format(size + 8, size)}")
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("f.conv.weight", math.nan), ("f.conv.bias", math.nan), ("f.head.weight", math.nan),
+         ("f.conv.weight", math.inf), ("f.head.bias", -math.inf)],
+    )
+    def test_a_non_finite_checkpoint_value_is_2_naming_the_array(
+        self, tmp_path, dataset_dir, run_dir, name, value, capsys
+    ):
+        ckpt, sidecar = _copy_checkpoint(run_dir, tmp_path)
+        (offset,) = [entry["offset"] for entry in sidecar["arrays"] if entry["name"] == name]
+        blob = bytearray(ckpt.read_bytes())
+        blob[offset + 8 : offset + 16] = np.array([value], dtype="<f8").tobytes()  # its second element
+        ckpt.write_bytes(bytes(blob))
+        _assert_eval_rejects(ckpt, dataset_dir, tmp_path / "eval", capsys, 2,
+                             f"checkpoint {ckpt}: array {name!r} holds a non-finite value")
+
+    def test_a_checkpoint_missing_a_parameter_is_4(self, tmp_path, dataset_dir, run_dir, capsys):
+        ckpt, sidecar = _copy_checkpoint(run_dir, tmp_path)
+        (entry,) = [entry for entry in sidecar["arrays"] if entry["name"] == "f.conv.weight"]
+        entry["name"] = "f.conv.renamed"
+        (tmp_path / "model.ckpt.json").write_text(json.dumps(sidecar))
+        _assert_eval_rejects(ckpt, dataset_dir, tmp_path / "eval", capsys, 4,
+                             "checkpoint is missing parameter f.conv.weight")
+
+    def test_a_checkpoint_config_disagreeing_with_its_arrays_is_4(self, tmp_path, dataset_dir, run_dir, capsys):
+        ckpt, sidecar = _copy_checkpoint(run_dir, tmp_path)
+        sidecar["meta"]["config"]["feature_width"] = 9  # the arrays hold width 8
+        (tmp_path / "model.ckpt.json").write_text(json.dumps(sidecar))
+        _assert_eval_rejects(ckpt, dataset_dir, tmp_path / "eval", capsys, 4,
+                             "parameter f.conv.weight has shape (8, 5, 3), model expects (9, 5, 3)")
 
     def test_a_checkpoint_kernel_wider_than_the_eval_dataset_is_4(self, tmp_path, dataset_dir, capsys):
         spec = tmp_path / "spec.cfg"

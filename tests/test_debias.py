@@ -125,11 +125,11 @@ class TestStopGradients:
     delta=st.floats(-0.5, 0.5),
 )
 def test_branch_losses_equal_the_objective_on_a_fresh_forward(seed, branch, batch, use_euc, lambda_hsic, sigma, delta):
-    """Held pieces built before one coordinate of one branch moves still give, for each
-    copy of a stack of moves, objective(...).loss of a full forward after that move,
-    bit for bit; so does the evidence-only loss on the held features when the
-    coordinate is in the head.  A stack of features needs a frozen bandwidth: under
-    the median kernel the branch loss rejects a backbone move's stack."""
+    """The side's loss, built before one coordinate of one branch moves, still gives
+    for each copy of a stack of moves objective(...).loss of a full forward after that
+    move, bit for bit, whether the coordinate is in the backbone or in the head (whose
+    stack re-forwards only the head, on the held features).  A stack of features needs
+    a frozen bandwidth: under the median kernel a backbone move's stack is rejected."""
     branches = make_branches(seed)
     rng = np.random.default_rng([seed, 4])
     x, labels = rng.normal(size=(batch, CHANNELS, 10)), rng.integers(0, CLASSES, size=batch)
@@ -141,7 +141,7 @@ def test_branch_losses_equal_the_objective_on_a_fresh_forward(seed, branch, batc
     else:
         objective, side, options, net = bias_objective, "h", {}, getattr(branches, branch)
     fwd = ced_forward(branches, x, perms=perms)
-    branch_loss, evidence_loss = branch_losses(side, fwd, labels, weights, kernel, **options)[branch]
+    loss = branch_losses(side, branches, fwd, labels, weights, kernel, **options)
 
     params = net.parameters()
     param = params[rng.integers(len(params))]
@@ -156,15 +156,12 @@ def test_branch_losses_equal_the_objective_on_a_fresh_forward(seed, branch, batc
         full = ced_forward(branches, x, perms=perms)
         expected.append(objective(branches, full, labels, weights, kernel, apply_grads=False, **options).loss)
     param.assign(original)
-    inp = apply_time_permutations(x, perms) if branch == "h_shuffled" else x
     in_head = any(param is p for p in net.head.parameters())
     if sigma is None and not in_head:
         with pytest.raises(ValueError, match=r"features must be 2-D \(samples, features\), got shape \(3, "):
-            branch_loss(*net.forward_copies(inp, (param, stack)))
+            loss(param, stack)
     else:
-        assert branch_loss(*net.forward_copies(inp, (param, stack))).tolist() == expected
-    if in_head:
-        assert evidence_loss(net.head.forward_copies(getattr(fwd, branch), (param, stack))).tolist() == expected
+        assert loss(param, stack).tolist() == expected
 
 
 def test_branch_losses_rejects_an_unknown_side():
@@ -172,7 +169,7 @@ def test_branch_losses_rejects_an_unknown_side():
     x, labels = make_batch()
     fwd = ced_forward(branches, x, rng=np.random.default_rng(1))
     with pytest.raises(ValueError, match="side"):
-        branch_losses("joint", fwd, labels, LossWeights(), KernelParams())
+        branch_losses("joint", branches, fwd, labels, LossWeights(), KernelParams())
 
 
 BAD_LABELS = [
@@ -193,7 +190,7 @@ def test_branch_losses_rejects_bad_labels_as_edl_loss_batch_does(side, options, 
     with pytest.raises(ValueError) as training:
         edl_loss_batch(bad(labels), fwd.e_f)
     with pytest.raises(ValueError) as audit:
-        branch_losses(side, fwd, bad(labels), LossWeights(), KernelParams(), **options)
+        branch_losses(side, branches, fwd, bad(labels), LossWeights(), KernelParams(), **options)
     assert str(audit.value) == str(training.value) == message
 
 

@@ -44,7 +44,7 @@ def quadratic_gradcheck(layer, x):
         return 0.5 * squares.reshape(len(values), -1).sum(axis=1)
 
     report = gradcheck(loss, layer.parameters())
-    assert report == serial_gradcheck(lambda: 0.5 * float((layer.forward(x) ** 2).sum()), layer.parameters())
+    assert report == serial_gradcheck(lambda _: 0.5 * float((layer.forward(x) ** 2).sum()), layer.parameters())
     return report
 
 

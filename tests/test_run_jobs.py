@@ -128,13 +128,13 @@ def test_forked_gradcheck_entries_equal_the_serial_ones(default_dataset, cpus, s
 def test_a_gradcheck_job_that_raises_exits_as_the_serial_run_does(default_dataset, tmp_path, cpus, monkeypatch, capsys):
     """objective.bias is job 9 at one instance, a child's job on two workers; the serial run raises there too."""
 
-    def bias_side_raises(*args, **options):
-        if args[5] == "h":
+    def bias_side_raises(side, *args, **options):
+        if side == "h":
             raise ValueError("differencing failed")
-        return branch_gradchecks(*args, **options)
+        return branch_losses(side, *args, **options)
 
-    branch_gradchecks = runner._branch_gradchecks
-    monkeypatch.setattr(runner, "_branch_gradchecks", bias_side_raises)
+    branch_losses = runner.branch_losses
+    monkeypatch.setattr(runner, "branch_losses", bias_side_raises)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"dataset = {default_dataset}\nseed = 0\nfeature_width = 12\nkernel_width = 9\n")
     results = []

@@ -1,7 +1,9 @@
 """osev gradcheck differences stacks of perturbed copies, each CED branch alone, and
 checks what a serial loop over coordinates of full-forward calls would."""
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -31,8 +33,8 @@ def acceptance_config(default_dataset, seed, evidence="exp"):
 
 def serial_gradcheck(loss, params, rng=None):
     """The reference differencer: per sampled coordinate, set the parameter to
-    value + eps, then value - eps, in place, and evaluate the zero-argument ``loss``
-    at each, one coordinate after another."""
+    value + eps, then value - eps, in place, and evaluate ``loss(p)`` at each, one
+    coordinate after another."""
     if rng is None:
         rng = np.random.default_rng(0)
     entries = []
@@ -48,9 +50,9 @@ def serial_gradcheck(loss, params, rng=None):
         for i in coords:
             orig = flat[i]
             flat[i] = orig + GRADCHECK_EPS
-            up = loss()
+            up = loss(p)
             flat[i] = orig - GRADCHECK_EPS
-            down = loss()
+            down = loss(p)
             flat[i] = orig
             fd = (up - down) / (2.0 * GRADCHECK_EPS)
             an = analytic[i]
@@ -63,30 +65,34 @@ def serial_gradcheck(loss, params, rng=None):
     return GradcheckReport(tuple(entries))
 
 
-def oracle_gradchecks(branches, fwd, labels, weights, kernel, side, **options):
-    """Reference differencing: all three branches re-run per quotient, and one
-    serial gradcheck covers all of the side's parameters."""
-    params = branches.parameters(side)
+def oracle_branch_losses(side, branches, fwd, labels, weights, kernel, **options):
+    """The reference side loss: per copy, the parameter set to it in place, all three
+    branches re-run, and the side's objective's loss."""
     objective = runner.debias_objective if side == "f" else runner.bias_objective
 
-    def loss():
-        full = runner.ced_forward(branches, fwd.x, perms=fwd.perms)
-        return objective(branches, full, labels, weights, kernel, apply_grads=False, **options).loss
+    def loss(p, values):
+        original = p.value.copy()
+        out = []
+        for copy in values:
+            p.assign(copy)
+            full = runner.ced_forward(branches, fwd.x, perms=fwd.perms)
+            out.append(objective(branches, full, labels, weights, kernel, apply_grads=False, **options).loss)
+        p.assign(original)
+        return np.array(out)
 
-    return serial_gradcheck(loss, params)
+    return loss
 
 
 def oracle_layer_check(layer, x):
     """The layer checks' job, differenced serially through the plain forward."""
     out = layer.forward(x)
     layer.backward(out.copy())
-    return lambda: serial_gradcheck(lambda: float(0.5 * np.sum(layer.forward(x) ** 2)), layer.parameters()).worst
+    return lambda: serial_gradcheck(lambda _: float(0.5 * np.sum(layer.forward(x) ** 2)), layer.parameters()).worst
 
 
 def oracle_loss_check(loss_fn, params, rng=None):
-    """The loss checks' gradcheck, differenced serially: each quotient evaluates one copy."""
-    (p,) = params
-    return serial_gradcheck(lambda: loss_fn(p, p.value[None].copy())[0], params, rng)
+    """gradcheck, differenced serially: each quotient evaluates one copy, the parameter's value."""
+    return serial_gradcheck(lambda p: loss_fn(p, p.value[None].copy())[0], params, rng=rng)
 
 
 def serial(monkeypatch):
@@ -124,10 +130,10 @@ def in_place_recording(inner, perturbed):
     def wrapped(loss_fn, params, **kwargs):
         originals = [p.value.copy() for p in params]
 
-        def loss():
-            for p, orig in zip(params, originals):
-                perturbed.extend((p.name, int(i)) for i in np.flatnonzero(p.value != orig))
-            return loss_fn()
+        def loss(p):
+            for q, orig in zip(params, originals):
+                perturbed.extend((q.name, int(i)) for i in np.flatnonzero(q.value != orig))
+            return loss_fn(p)
 
         return inner(loss, params, **kwargs)
 
@@ -136,35 +142,47 @@ def in_place_recording(inner, perturbed):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_branch_reports_equal_one_full_forward_gradcheck(default_dataset, monkeypatch, seed):
-    """Every side check's per-branch entries equal, with ==, those of the oracle's single
-    call, and its copies perturb the coordinates the oracle perturbs, in its order."""
+    """Every side check's entries equal, with ==, those of the oracle's serial gradcheck
+    over the side's parameters, and its copies perturb the coordinates the oracle
+    perturbs, in its order."""
     serial(monkeypatch)
-    branch_gradchecks = runner._branch_gradchecks
+    inner_branch_losses = runner.branch_losses
     perturbed = []
+    stacked_gradcheck = copies_recording(runner.gradcheck, perturbed)
+    sides = {}  # each side's loss, as built by its job, mapped to its arguments
     compared = []
 
-    def both(*args, **options):
+    def branch_losses(*args, **options):
+        loss = inner_branch_losses(*args, **options)
+        sides[loss] = args, options
+        return loss
+
+    def both(loss_fn, params, **kwargs):
+        if loss_fn not in sides:
+            return stacked_gradcheck(loss_fn, params, **kwargs)
+        (side, branches, *rest), options = sides[loss_fn]
         del perturbed[:]
-        report = branch_gradchecks(*args, **options)
-        branch_coords = perturbed[:]
+        report = stacked_gradcheck(loss_fn, params, **kwargs)
+        stacked_coords = perturbed[:]
         del perturbed[:]
-        compared.append((args[5], report.entries, oracle_gradchecks(*args, **options).entries))
-        assert branch_coords == perturbed, f"side {args[5]} sampled other coordinates than the oracle"
+        oracle = oracle_loss_check(oracle_branch_losses(side, branches, *rest, **options), branches.parameters(side))
+        compared.append((side, report.entries, oracle.entries))
+        assert stacked_coords == perturbed, f"side {side} sampled other coordinates than the oracle"
         return report
 
-    monkeypatch.setattr(runner, "_branch_gradchecks", both)
-    monkeypatch.setattr(runner, "gradcheck", copies_recording(runner.gradcheck, perturbed))
+    monkeypatch.setattr(runner, "branch_losses", branch_losses)
+    monkeypatch.setattr(runner, "gradcheck", both)
     monkeypatch.setitem(globals(), "serial_gradcheck", in_place_recording(serial_gradcheck, perturbed))
     entries, ok = runner.run_gradcheck(acceptance_config(default_dataset, seed), instances=1)
     assert ok
     assert [side for side, _, _ in compared] == ["f", "h", "f", "h"]
-    for side, branch_entries, oracle_entries in compared:
-        assert branch_entries == oracle_entries, side
+    for side, side_entries, oracle_entries in compared:
+        assert side_entries == oracle_entries, side
         assert len(oracle_entries) == (8 if side == "h" else 4)
-    # the worst over per-branch reports is the check's entry
+    # the worst of a side's entries is the check's entry
     worst = {e["check"]: e for e in entries}
-    for name, (_, branch_entries, _) in zip(SIDE_CHECKS, compared):
-        top = max(branch_entries, key=lambda e: e.max_rel_err)
+    for name, (_, side_entries, _) in zip(SIDE_CHECKS, compared):
+        top = max(side_entries, key=lambda e: e.max_rel_err)
         assert (worst[name]["max_rel_err"], worst[name]["name"], worst[name]["worst_coord"]) == (
             top.max_rel_err, top.name, top.worst_coord
         )
@@ -182,23 +200,26 @@ def test_every_report_equals_the_serial_differencer(default_dataset, monkeypatch
     runner.run_gradcheck(config, instances=1)
     monkeypatch.setitem(globals(), "serial_gradcheck", recorded(serial_gradcheck, reference))
     monkeypatch.setattr(runner, "_quadratic_layer_check", oracle_layer_check)
-    monkeypatch.setattr(runner, "_branch_gradchecks", oracle_gradchecks)
+    monkeypatch.setattr(runner, "branch_losses", oracle_branch_losses)
     monkeypatch.setattr(runner, "gradcheck", oracle_loss_check)
     # each stacked loss of the loss checks evaluates its copies one by one through the public entry
     monkeypatch.setattr(runner, "_edl_loss", lambda y, ev, _: (np.array([edl_loss_batch(y, e)[0] for e in ev]), None))
     monkeypatch.setattr(runner, "_euc_losses", lambda y, ev, lam: [euc_loss_grad_evidence(y, e, lam)[0] for e in ev])
     monkeypatch.setattr(runner, "_hsic_values", lambda x, *rest: np.array([_hsic_values(c, *rest) for c in x]).T)
     runner.run_gradcheck(config, instances=1)
-    assert len(stacked) == 5 + 3 + 2 * (2 + 4)  # layers, losses, then per side check two reports per branch
-    assert len(reference) == 5 + 3 + 4
-    assert [e for r in stacked for e in r.entries] == [e for r in reference for e in r.entries]
+    assert len(stacked) == 5 + 3 + 4  # layers, losses, then one report per side check
+    assert len(reference) == len(stacked)
+    for stacked_report, reference_report in zip(stacked, reference):
+        assert stacked_report == reference_report
 
 
 def test_run_gradcheck_entries_equal_the_oracle_run(default_dataset, monkeypatch):
-    """run_gradcheck's entries are the same floats with the oracle differencing in its place."""
+    """run_gradcheck's entries are the same floats with the serial differencer, and the
+    oracle's full-forward side losses, in place of the stacked ones."""
     config = acceptance_config(default_dataset, 2)
     entries, _ = runner.run_gradcheck(config, instances=1)
-    monkeypatch.setattr(runner, "_branch_gradchecks", oracle_gradchecks)
+    monkeypatch.setattr(runner, "branch_losses", oracle_branch_losses)
+    monkeypatch.setattr(runner, "gradcheck", oracle_loss_check)
     oracle_entries, _ = runner.run_gradcheck(config, instances=1)
     assert entries == oracle_entries
 
@@ -233,7 +254,7 @@ def test_quotients_forward_only_the_perturbed_branch(default_dataset, monkeypatc
     counts["forward"] = {}
     counts["head"] = {}
     latest = {}  # each branch's last head (input features, output evidence)
-    phase = []  # the branch being differenced, while its gradcheck runs
+    phase = []  # the branch being differenced, while a side loss call runs
 
     def counting(module, name, key=None, perturbed=None):
         """Count calls; while differencing, fail unless ``perturbed`` = (argument getter,
@@ -302,30 +323,36 @@ def test_quotients_forward_only_the_perturbed_branch(default_dataset, monkeypatc
     for cls in (EvidentialNet, EvidenceHead):
         counting(cls, "forward", key="plain_forward")  # none while differencing
     inner_gradcheck = runner.gradcheck
-    calls = []
+    quotients = []  # per side loss call: (branch, part, parameter, evaluated terms, forwards, heads)
     terms = ("_hsic_values", "_edl_loss", "_euc_losses", "_euc_loss")
 
     def tracked_gradcheck(loss_fn, params, **kwargs):
-        branches = {p.name.split(".")[0] for p in params}
-        if not branches <= {"f", "h_shuffled", "h_static"}:
+        if not {p.name.split(".")[0] for p in params} <= {"f", "h_shuffled", "h_static"}:
             return inner_gradcheck(loss_fn, params, **kwargs)
-        (branch,) = branches
-        (part,) = {p.name.split(".")[1] for p in params}
-        before = ([counts[key] for key in terms], dict(counts["forward"]), dict(counts["head"]))
-        phase.append(branch)
-        try:
-            report = inner_gradcheck(loss_fn, params, **kwargs)
-        finally:
+
+        def loss(p, values):
+            branch, part = p.name.split(".")[:2]
+            before = ([counts[key] for key in terms], Counter(counts["forward"]), Counter(counts["head"]))
+            phase.append(branch)
+            out = loss_fn(p, values)
             phase.pop()
-        evaluated = tuple(counts[key] - n for key, n in zip(terms, before[0]))
-        forwards, heads = ({b: n - was.get(b, 0) for b, n in counts[k].items() if n != was.get(b, 0)}
-                           for k, was in (("forward", before[1]), ("head", before[2])))
-        calls.append((branch, part, _coords(params), _chunks(params), evaluated, forwards, heads))
-        return report
+            evaluated = tuple(counts[key] - n for key, n in zip(terms, before[0]))
+            quotients.append((branch, part, p, evaluated, Counter(counts["forward"]) - before[1],
+                              Counter(counts["head"]) - before[2]))
+            return out
+
+        return inner_gradcheck(loss, params, **kwargs)
 
     monkeypatch.setattr(runner, "gradcheck", tracked_gradcheck)
     runner.run_gradcheck(acceptance_config(default_dataset, 0), instances=1)
 
+    calls = []  # per run of one branch part's loss calls: its parameters' coordinates and chunks, and the sums
+    for (branch, part), run in itertools.groupby(quotients, key=lambda q: q[:2]):
+        run = list(run)
+        params = list({id(q[2]): q[2] for q in run}.values())
+        evaluated = tuple(map(sum, zip(*(q[3] for q in run))))
+        forwards, heads = (sum((q[i] for q in run), Counter()) for i in (4, 5))
+        calls.append((branch, part, _coords(params), _chunks(params), evaluated, forwards, heads))
     f_side, h_side = [("f", "conv"), ("f", "head")], [(b, part) for b in ("h_shuffled", "h_static")
                                                        for part in ("conv", "head")]
     assert [call[:2] for call in calls] == f_side + h_side + f_side + h_side
