@@ -2,13 +2,9 @@
 
 Subcommands wire data generation, training, evaluation, gradient checking
 and multi-seed sweeps into reproducible runs.  Exit codes are fixed for
-scripting:
-
-    0  success
-    2  invalid configuration, dataset spec, or missing input
-    3  non-finite loss during training (offending step is in run.log)
-    4  checkpoint and dataset disagree (class count or channel mismatch)
-    5  gradient check failure
+scripting: 0 success, 2 invalid input, 3 non-finite loss during training
+(the step is in run.log), 4 checkpoint and dataset disagree, 5 gradient
+check failure; README.md's exit-code table lists every rejection.
 
 Every command is deterministic given its inputs; timestamps appear only in
 per-run ``run.log`` files.
@@ -120,6 +116,11 @@ def _sweep_one(config: RunConfig, out_dir: Path) -> dict:
     return run_evaluation(paths["checkpoint"], config.dataset, out_dir / "report.json")
 
 
+def _failure(config_path: Path, seed, exc: Exception) -> dict:
+    """A sweep's record of a config that does not parse (seed None) or of a failed run."""
+    return {"config": config_path.stem, "seed": seed, "error": f"{type(exc).__name__}: {exc}"}
+
+
 def _cmd_sweep(args) -> int:
     config_paths = sorted(Path(args.configs).glob("*.cfg"))
     if not config_paths:
@@ -134,7 +135,7 @@ def _cmd_sweep(args) -> int:
         try:
             base = RunConfig.from_file(path)
         except ConfigError as exc:
-            failures.append({"config": path.stem, "seed": None, "error": str(exc)})
+            failures.append(_failure(path, None, exc))
             continue
         for offset in range(args.seeds):
             run_config = replace(base, seed=base.seed + offset)
@@ -144,11 +145,10 @@ def _cmd_sweep(args) -> int:
     # a failed run must not kill the sweep: its exception comes back as its outcome
     outcomes = _run_jobs(partial(_naming, cfg, _sweep_one, run_config, run_dir) for cfg, run_config, run_dir in tasks)
     for (cfg, run_config, _), report in zip(tasks, outcomes):
-        stem = cfg.stem
         if isinstance(report, Exception):
-            failures.append({"config": stem, "seed": run_config.seed, "error": f"{type(report).__name__}: {report}"})
+            failures.append(_failure(cfg, run_config.seed, report))
             continue
-        bucket = per_config.setdefault(stem, {name: [] for name, _ in SWEEP_METRICS})
+        bucket = per_config.setdefault(cfg.stem, {name: [] for name, _ in SWEEP_METRICS})
         for name, path in SWEEP_METRICS:
             bucket[name].append(_dig(report, path))
 

@@ -94,13 +94,12 @@ REPORT_FORMAT = "osev-report-v1"
 # The files run_evaluation writes beside the report, in the order it writes them.
 _EVAL_SIBLINGS = ("curve.csv", "scores.jsonl", "scores_unbiased.jsonl", "timings.json")
 
-# Stream tags for seed derivation; fixed forever so old runs stay reproducible.
+# Stream tags for seed derivation; fixed forever so old runs stay reproducible (6 is retired).
 STREAM_INIT_F = 1
 STREAM_INIT_H_SHUFFLED = 2
 STREAM_INIT_H_STATIC = 3
 STREAM_ORDER = 4
 STREAM_SHUFFLE = 5
-STREAM_EVAL = 6
 STREAM_GRADCHECK = 7
 
 
@@ -613,8 +612,8 @@ KINK_MARGIN = 2e-4
 def _logit_kink_distance(logits: np.ndarray, kind: str, bound: float) -> float:
     if kind == "relu":
         return float(np.abs(logits).min())
-    if kind == "exp":
-        return float(bound - np.abs(logits).max())
+    if kind == "exp":  # evidence is constant beyond the clamp, so only |z| = bound is a kink
+        return float(np.abs(np.abs(logits) - bound).min())
     return np.inf
 
 

@@ -538,17 +538,6 @@ class TestBinaryCopies:
         for name in names:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
-    def test_a_missing_csv_exits_2_when_its_copy_exists(self, tmp_path, open_set_run, capsys):
-        data_dir, ckpt = open_set_run
-        data = tmp_path / "data"
-        shutil.copytree(data_dir, data)
-        (data / "test_unknown.csv").unlink()
-        report = tmp_path / "report.json"
-        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data), "--out", str(report)]) == 2
-        missing = data / "test_unknown.csv"
-        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
-        assert not report.exists()
-
 
 def _corrupt(path: Path, how: str) -> None:
     """Break one split file the way ``how`` names."""

@@ -20,7 +20,7 @@ from osev.debias import (
     train_step,
     vanilla_train_step,
 )
-from osev.hsic import KernelParams, hsic_value_and_grad
+from osev.hsic import KernelParams, hsic_value_and_grad, median_bandwidth
 from osev.losses import LossWeights, edl_loss_batch
 from osev.nn import apply_time_permutations, draw_time_permutations, sgd_step
 
@@ -220,6 +220,16 @@ class TestRecordOnlyDependence:
         assert record.hsic_shuffled == joint.hsic_shuffled
         assert record.hsic_static == joint.hsic_static
         assert record.ced == joint.ced
+
+    @pytest.mark.parametrize("sigma, calls", [(None, 8), (1.0, 0)])
+    def test_a_joint_step_takes_eight_median_bandwidths(self, monkeypatch, sigma, calls):
+        """Both bandwidths of each of the 4 HSIC terms come from the median heuristic; a fixed sigma takes none."""
+        counted = []
+        monkeypatch.setattr("osev.hsic.median_bandwidth", lambda x: counted.append(1) or median_bandwidth(x))
+        x, labels = make_batch()
+        accumulate_gradients(make_branches(), x, labels, weights=LossWeights(), lambda_t=0.5, use_euc=True,
+                             kernel=KernelParams(sigma=sigma), shuffle_rng=np.random.default_rng(3))
+        assert len(counted) == calls
 
 
 class TestZeroPenaltyEquivalence:

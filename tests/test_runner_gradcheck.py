@@ -395,6 +395,14 @@ def test_an_audit_that_checks_nothing_is_a_config_error(default_dataset, options
         runner.run_gradcheck(acceptance_config(default_dataset, 0), **options)
 
 
+def test_an_exp_logit_beyond_the_clamp_is_no_kink():
+    """Exp evidence is constant beyond its clamp, so only a logit near +-bound is a kink."""
+    bound, margin = 10.0, runner.KINK_MARGIN
+    assert runner._logit_kink_distance(np.array([[2 * bound, 1.0], [-2 * bound, 3.0]]), "exp", bound) == bound - 3.0
+    for near in (bound - margin / 2, -bound + margin / 2, bound + margin / 2, -bound - margin / 2):
+        assert runner._logit_kink_distance(np.array([[near, 1.0]]), "exp", bound) < margin
+
+
 def nan_gradient(edl_loss_batch):
     def wrapped(labels, e):
         losses, grads = edl_loss_batch(labels, e)
