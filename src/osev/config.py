@@ -43,7 +43,10 @@ def parse_kv_text(text: str, source: str = "<config>") -> dict[str, str]:
 
 def parse_kv_file(path) -> dict[str, str]:
     p = Path(path)
-    return parse_kv_text(p.read_text(encoding="utf-8"), source=str(p))
+    try:
+        return parse_kv_text(p.read_text(encoding="utf-8"), source=str(p))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{p}: {exc}") from None
 
 
 def _parse_bool(text: str) -> bool:

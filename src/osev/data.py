@@ -338,7 +338,8 @@ def load_split(path) -> DatasetSplit:
     p = Path(path)
     with open(p, "rb") as fh:
         csv_bytes = fh.read()
-    text = io.TextIOWrapper(io.BytesIO(csv_bytes), encoding="utf-8")  # decodes lazily: the rows only if parsed
+    # decodes lazily, the rows only if parsed; a byte that is not UTF-8 becomes "\udcXX", which no field rule takes
+    text = io.TextIOWrapper(io.BytesIO(csv_bytes), encoding="utf-8", errors="surrogateescape")
     header = text.readline().strip().split(",")
     channels, timesteps = _header_shape(p, header)
     arrays = _read_copy(p.with_suffix(".npz"), csv_bytes, channels, timesteps)

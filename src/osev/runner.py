@@ -585,11 +585,12 @@ def run_evaluation(
 
 
 def _quadratic_layer_check(layer, x: np.ndarray):
-    """The job that returns the worst gradcheck entry under the loss 0.5 * sum(out^2).
+    """``(loss, params)``: the loss 0.5 * sum(out^2) of ``layer`` on ``x``, per
+    perturbed copy, and the layer's parameters holding its analytic gradient.
 
     The upstream gradient of that loss is the output itself, so one forward
-    feeds one backward directly; both run here, and the job runs only the
-    quotients.  The layer must be freshly built, so its gradients start at zero.
+    feeds one backward directly.  The layer must be freshly built, so its
+    gradients start at zero.
     """
     out = layer.forward(x)
     layer.backward(out.copy())
@@ -598,7 +599,14 @@ def _quadratic_layer_check(layer, x: np.ndarray):
         squares = layer.forward_copies(x, (p, values)) ** 2
         return 0.5 * np.add.reduce(squares.reshape(len(values), -1), axis=1)
 
-    return lambda: gradcheck(loss, layer.parameters()).worst
+    return loss, layer.parameters()
+
+
+def _holding(name: str, value: np.ndarray, grad: np.ndarray) -> Parameter:
+    """``value`` as a :class:`Parameter` named ``name`` whose gradient is ``grad``."""
+    p = Parameter(name, value)
+    p.grad += grad
+    return p
 
 
 #: Finite differences are invalid within eps of a kink (a ReLU zero crossing,
@@ -607,6 +615,19 @@ def _quadratic_layer_check(layer, x: np.ndarray):
 #: nearest kink sits inside this margin are redrawn; the analytic gradient is
 #: correct there, the two-sided difference is not.
 KINK_MARGIN = 2e-4
+
+
+def _clear_of_kinks(draw, distance):
+    """The first instance ``draw()`` returns whose nearest kink, ``distance(*instance)``, lies beyond KINK_MARGIN."""
+    while True:
+        instance = draw()
+        if distance(*instance) > KINK_MARGIN:
+            return instance
+
+
+def _preactivation_distance(net: Sequential, x: np.ndarray) -> float:
+    """Distance of ``net``'s nearest ReLU zero crossing on ``x``: its first layer's smallest |output|."""
+    return float(np.abs(net.layers[0].forward(x)).min())
 
 
 def _logit_kink_distance(logits: np.ndarray, kind: str, bound: float) -> float:
@@ -622,7 +643,7 @@ def _top2_gap(probs: np.ndarray) -> float:
     return float((ordered[:, -1] - ordered[:, -2]).min())
 
 
-def _branch_kink_distance(branches: CedBranches, fwd: CedForward, kind: str, bound: float) -> float:
+def _branch_kink_distance(branches: CedBranches, fwd: CedForward) -> float:
     """Distance of the nearest non-smooth point across all three branches of ``fwd``.
 
     The evidence and each head's cached logits are read from that forward;
@@ -634,9 +655,8 @@ def _branch_kink_distance(branches: CedBranches, fwd: CedForward, kind: str, bou
         (branches.h_shuffled, fwd.x_shuffled, fwd.e_shuffled),
         (branches.h_static, fwd.x, fwd.e_static),
     ):
-        dist = min(dist, float(np.abs(branch.backbone.layers[0].forward(inp)).min()))
-        dist = min(dist, _logit_kink_distance(branch.head._logits, kind, bound))
-        dist = min(dist, _top2_gap(batch_probs_and_uncertainty(e)[0]))
+        dist = min(dist, _preactivation_distance(branch.backbone, inp), _top2_gap(batch_probs_and_uncertainty(e)[0]),
+                   _logit_kink_distance(branch.head._logits, branch.head.kind.value, branch.head.exp_bound))
     return dist
 
 
@@ -659,10 +679,12 @@ def run_gradcheck(config: RunConfig, tol: float = 1e-4, instances: int = 20) -> 
     Returns (entries, ok); an entry holds the check's name under "check" and
     the fields of its worst instance's :class:`~osev.nn.GradcheckEntry`.
 
-    The audit runs in two phases.  First every instance of every check is
-    prepared here, in check order: its draws from the audit's one random
-    stream (kink redraws included), its bandwidth and its analytic gradient.
-    Each prepared instance is a job that only runs its difference quotients,
+    Every check is one recipe: ``prepare()`` draws one instance from the
+    audit's one random stream and returns ``(loss, params)``, the analytic
+    gradient already on ``params``; an instance that may sit on a kink is
+    drawn through :func:`_clear_of_kinks`, the audit's one redraw loop.  Every
+    instance of every check is prepared here first, in check order.  Its job,
+    ``gradcheck(loss, params).worst``, only runs the difference quotients,
     which draw nothing from that stream, so :func:`_run_jobs` may spread the
     jobs over forked processes.  Each check's worst entry is then folded in
     job order, so the entries are the same however the jobs ran, and the
@@ -690,7 +712,9 @@ def run_gradcheck(config: RunConfig, tol: float = 1e-4, instances: int = 20) -> 
 
     def add(name: str, prepare) -> None:
         names.append(name)
-        jobs.extend(prepare() for _ in range(instances))
+        for _ in range(instances):
+            loss, params = prepare()
+            jobs.append(lambda loss=loss, params=params: gradcheck(loss, params).worst)
 
     def draw_input() -> np.ndarray:
         return rng.standard_normal((batch, channels, timesteps))
@@ -698,60 +722,44 @@ def run_gradcheck(config: RunConfig, tol: float = 1e-4, instances: int = 20) -> 
     def draw_labels() -> np.ndarray:
         return rng.integers(0, k, size=batch)
 
-    add(
-        "layer.temporal_conv",
-        lambda: _quadratic_layer_check(TemporalConv(channels, 5, config.kernel_width, rng), draw_input()),
-    )
-    add("layer.pointwise_conv", lambda: _quadratic_layer_check(TemporalConv(channels, 5, 1, rng), draw_input()))
-    add("layer.dense", lambda: _quadratic_layer_check(Dense(7, 4, rng), rng.standard_normal((batch, 7))))
-    add(
-        "layer.evidence_head",
-        lambda: _quadratic_layer_check(
-            EvidenceHead(6, k, rng, kind=config.evidence, exp_bound=config.exp_bound),
-            rng.standard_normal((batch, 6)),
-        ),
-    )
-    def backbone_chain_instance():
-        while True:
-            seq = Sequential(
-                [TemporalConv(channels, 6, config.kernel_width, rng), ReLU(), TemporalMeanPool(), Dense(6, k, rng)]
-            )
-            x = draw_input()
-            if float(np.abs(seq.layers[0].forward(x)).min()) > KINK_MARGIN:
-                return _quadratic_layer_check(seq, x)
+    def draw_evidence() -> tuple[np.ndarray, np.ndarray]:
+        return draw_labels(), rng.uniform(0.5, 4.0, size=(batch, k))
 
-    add("layer.backbone_chain", backbone_chain_instance)
+    def draw_chain() -> tuple[Sequential, np.ndarray]:
+        layers = [TemporalConv(channels, 6, config.kernel_width, rng), ReLU(), TemporalMeanPool(), Dense(6, k, rng)]
+        return Sequential(layers), draw_input()
+
+    layer_draws = {  # each a freshly built layer and its input
+        "layer.temporal_conv": lambda: (TemporalConv(channels, 5, config.kernel_width, rng), draw_input()),
+        "layer.pointwise_conv": lambda: (TemporalConv(channels, 5, 1, rng), draw_input()),
+        "layer.dense": lambda: (Dense(7, 4, rng), rng.standard_normal((batch, 7))),
+        "layer.evidence_head": lambda: (
+            EvidenceHead(6, k, rng, kind=config.evidence, exp_bound=config.exp_bound), rng.standard_normal((batch, 6))
+        ),
+        "layer.backbone_chain": lambda: _clear_of_kinks(draw_chain, _preactivation_distance),
+    }
+    for name, draw in layer_draws.items():
+        add(name, lambda draw=draw: _quadratic_layer_check(*draw()))
 
     def edl_instance():
-        labels = draw_labels()
-        e = Parameter("edl.evidence", rng.uniform(0.5, 4.0, size=(batch, k)))
-        _, grads = edl_loss_batch(labels, e.value)
-        e.grad += grads / batch
-        return lambda: gradcheck(lambda _, values: _edl_loss(labels, values, False)[0].mean(axis=-1), [e]).worst
-
-    add("loss.edl", edl_instance)
+        labels, e = draw_evidence()
+        grad = edl_loss_batch(labels, e)[1] / batch
+        return lambda _, values: _edl_loss(labels, values, False)[0].mean(axis=-1), [_holding("edl.evidence", e, grad)]
 
     def euc_instance():
-        while True:
-            labels = draw_labels()
-            e = Parameter("euc.evidence", rng.uniform(0.5, 4.0, size=(batch, k)))
-            if _top2_gap(batch_probs_and_uncertainty(e.value)[0]) > KINK_MARGIN:
-                break
-        _, grad_e = euc_loss_grad_evidence(labels, e.value, lam_t)
-        e.grad += grad_e
-        return lambda: gradcheck(lambda _, values: _euc_losses(labels, values, lam_t), [e]).worst
-
-    add("loss.euc", euc_instance)
+        labels, e = _clear_of_kinks(draw_evidence, lambda _, e: _top2_gap(batch_probs_and_uncertainty(e)[0]))
+        grad = euc_loss_grad_evidence(labels, e, lam_t)[1]
+        return lambda _, values: _euc_losses(labels, values, lam_t), [_holding("euc.evidence", e, grad)]
 
     def hsic_instance():
-        x = Parameter("hsic.x", rng.standard_normal((batch, 3)))
-        y = rng.standard_normal((batch, 3))
-        frozen = KernelParams(sigma=median_bandwidth(x.value))
-        _, grad_x = hsic_value_and_grad(x.value, y, frozen)
-        x.grad += grad_x
+        x, y = rng.standard_normal((batch, 3)), rng.standard_normal((batch, 3))
+        frozen = KernelParams(sigma=median_bandwidth(x))
+        grad = hsic_value_and_grad(x, y, frozen)[1]
         held = [centered_gram(y, frozen)]
-        return lambda: gradcheck(lambda _, values: _hsic_values(values, held, frozen)[0], [x]).worst
+        return lambda _, values: _hsic_values(values, held, frozen)[0], [_holding("hsic.x", x, grad)]
 
+    add("loss.edl", edl_instance)
+    add("loss.euc", euc_instance)
     add("loss.hsic", hsic_instance)
 
     lam = config.lambda_hsic if config.lambda_hsic > 0.0 else 1.0
@@ -760,34 +768,21 @@ def run_gradcheck(config: RunConfig, tol: float = 1e-4, instances: int = 20) -> 
     objective_weights = LossWeights(w_euc=0.0, w_ced=1.0, lambda_hsic=lam)
     sigma = KernelParams(sigma=1.0)
 
-    def fresh_instance() -> tuple[CedBranches, CedForward, np.ndarray]:
-        """Branches, their forward on an input and shuffle clear of every kink, and labels."""
-        while True:
-            branches = build_branches(
-                channels,
-                config.feature_width,
-                config.kernel_width,
-                k,
-                rng,
-                rng,
-                rng,
-                evidence=config.evidence,
-                exp_bound=config.exp_bound,
-            )
-            x = draw_input()
-            labels = draw_labels()
-            fwd = ced_forward(branches, x, perms=draw_time_permutations(rng, batch, timesteps))
-            if _branch_kink_distance(branches, fwd, config.evidence, config.exp_bound) > KINK_MARGIN:
-                return branches, fwd, labels
+    def draw_ced() -> tuple[CedBranches, CedForward, np.ndarray]:
+        """Fresh branches, their forward on a drawn input and shuffle, and labels."""
+        branches = build_branches(channels, config.feature_width, config.kernel_width, k, rng, rng, rng,
+                                  evidence=config.evidence, exp_bound=config.exp_bound)
+        x, labels = draw_input(), draw_labels()
+        return branches, ced_forward(branches, x, perms=draw_time_permutations(rng, batch, timesteps)), labels
 
     def side_instance(side: str, weights: LossWeights, composed: bool, **options):
-        """FD check of one side's objective against that side's parameters.
+        """One side's objective and that side's parameters, on a CED draw clear of every kink.
 
         The analytic gradient comes from the objective itself (debias for
         "f", bias for "h") or, when ``composed``, from the training step
         restricted to that side.
         """
-        branches, fwd, labels = fresh_instance()
+        branches, fwd, labels = _clear_of_kinks(draw_ced, lambda branches, fwd, _: _branch_kink_distance(branches, fwd))
         if composed:
             accumulate_gradients(
                 branches, fwd.x, labels, weights=weights, lambda_t=lam_t, use_euc=True, kernel=sigma,
@@ -796,8 +791,7 @@ def run_gradcheck(config: RunConfig, tol: float = 1e-4, instances: int = 20) -> 
         else:
             objective = debias_objective if side == "f" else bias_objective
             objective(branches, fwd, labels, weights, sigma, apply_grads=True, **options)
-        return lambda: gradcheck(branch_losses(side, branches, fwd, labels, weights, sigma, **options),
-                                 branches.parameters(side)).worst
+        return branch_losses(side, branches, fwd, labels, weights, sigma, **options), branches.parameters(side)
 
     add("objective.debias", lambda: side_instance("f", objective_weights, False))
     add("objective.bias", lambda: side_instance("h", objective_weights, False))

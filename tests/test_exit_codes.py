@@ -7,11 +7,13 @@ path in a message is the relative one the table shows.  ``mutate`` breaks
 one input; each command line in ``argvs`` must then exit ``code`` with
 exactly ``stderr`` (``…`` stands for any text), print nothing on stdout but
 exit 5's check lines, and write nothing (exit 3 writes only ``out/run.log``).
+Each runs with warnings turned into errors, so a numpy warning on stderr fails it.
 """
 
 import json
 import re
 import shutil
+import warnings
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable
@@ -91,13 +93,16 @@ def _truncate(path):
 
 
 def _csv_line(number, edit, path="data/train.csv"):
-    """Replace line ``number`` (from 1) of a CSV by ``edit`` of its fields; None deletes every later line too."""
+    """Replace line ``number`` (from 1) of a CSV by ``edit`` of its fields; None deletes every later line too.
+
+    A lone surrogate ``"\\udcXX"`` in a field is written as the byte 0xXX, which is not UTF-8.
+    """
 
     def mutate():
         lines = Path(path).read_text().splitlines()
         fields = edit(lines[number - 1].split(","))
         lines[number - 1 :] = [] if fields is None else [",".join(fields), *lines[number:]]
-        Path(path).write_text("".join(line + "\n" for line in lines))
+        Path(path).write_bytes("".join(line + "\n" for line in lines).encode("utf-8", "surrogateescape"))
 
     return mutate
 
@@ -160,6 +165,7 @@ ROWS = [
     *_rows(
         2, (TRAIN, GRADCHECK),
         ("config-missing", Path("run.cfg").unlink, "error: [Errno 2] No such file or directory: 'run.cfg'"),
+        ("config-not-utf8", _write("run.cfg", NOT_UTF8), "error: run.cfg: " + UTF8_ERROR),
         ("config-not-key-value", _append("run.cfg", "epochs 3"),
          "error: run.cfg:9: expected 'key = value', got 'epochs 3'"),
         ("config-empty-key", _append("run.cfg", "= 3"), "error: run.cfg:9: empty key"),
@@ -179,6 +185,7 @@ ROWS = [
     *_rows(
         2, (GENERATE,),
         ("spec-missing", Path("spec.cfg").unlink, "error: [Errno 2] No such file or directory: 'spec.cfg'"),
+        ("spec-not-utf8", _write("spec.cfg", NOT_UTF8), "error: spec.cfg: " + UTF8_ERROR),
         ("spec-unknown-key", _append("spec.cfg", "bogus = 1"), "error: spec.cfg: unknown spec key 'bogus'"),
         ("spec-not-an-integer", _replace("spec.cfg", "samples_per_class = 6", "samples_per_class = 4.0"),
          "error: spec.cfg: spec field 'samples_per_class' must be an integer, got '4.0'"),
@@ -213,6 +220,7 @@ ROWS = [
         ("manifest-split-name", _set(MANIFEST, "splits", "train", value=5),
          "error: data/manifest.json: split 'train' must name a file, got 5"),
         ("csv-missing", Path("data/train.csv").unlink, "error: [Errno 2] No such file or directory: 'data/train.csv'"),
+        ("csv-not-utf8", _csv_field(5, "\udcff"), "error: data/train.csv:3: value c0_t2='\\udcff' is not a number"),
         ("csv-header", _csv_line(1, lambda names: names[:-1] + ["value"]),
          "error: data/train.csv:1: CSV header column 83 is 'value', expected 'c{channel}_t{timestep}'"),
         ("csv-short-row", _csv_line(3, lambda fields: fields[:6]),
@@ -298,6 +306,12 @@ VARIANTS = [
     ("config-unconvertible", _replace("run.cfg", "use_euc = true", "use_euc = maybe"),
      "error: run.cfg: config field 'use_euc' must be a boolean, got 'maybe'"),
     ("config-out-of-range", _replace("run.cfg", "seed = 0", "seed = -1"), "error: run.cfg: seed: must be >= 0, got -1"),
+    *[("spec-invalid", _replace("spec.cfg", f"{key} = {value}", f"{key} = {bad}"),
+       f"error: spec.cfg: invalid dataset spec: {key} must be {rule}, got {bad}")
+      for key, value, bad, rule in [
+          ("samples_per_class", 6, 0, ">= 1"), ("dynamic_channels", 3, 0, ">= 1"),
+          ("background_channels", 2, 0, ">= 1"), *[("noise_sigma", 0.1, v, "finite and >= 0") for v in ("nan", -0.5)],
+      ]],
     ("split-shape", _set(MANIFEST, "spec", "dynamic_channels", value=4),
      "error: data/train.csv: 5 channels x 16 timesteps, manifest spec says 6 x 16"),
     ("manifest-not-json", _write(MANIFEST, NOT_UTF8),
@@ -306,10 +320,14 @@ VARIANTS = [
        f"error: data/manifest.json: spec field {key!r} must be {kind}, got {value!r}")
       for key, value, kind in [("seed", True, "an integer"), ("known_classes", 3.0, "an integer"),
                                ("noise_sigma", "0.1", "a number")]],
+    ("manifest-split-missing", _set(MANIFEST, "splits", value=["train.csv"]),
+     "error: data/manifest.json: manifest lists no file for split(s) train, test_biased, test_unbiased, test_unknown"),
     ("manifest-split-name", _set(MANIFEST, "splits", "test_unknown", value=None),
      "error: data/manifest.json: split 'test_unknown' must name a file, got None"),
     ("csv-header", _csv_line(1, lambda names: names[:3] + [names[4], names[3]] + names[5:]),
      "error: data/train.csv:1: CSV header column 4 is 'c0_t1', expected 'c0_t0'"),
+    ("csv-not-utf8", _csv_line(1, lambda names: names[:3] + ["c0_t0\udcff"] + names[4:]),
+     "error: data/train.csv:1: CSV header column 4 is 'c0_t0\\udcff', expected 'c0_t0'"),
     ("ckpt-sidecar-not-json", _write(SIDECAR, NOT_UTF8),
      "error: checkpoint run/model.ckpt: sidecar is not valid JSON: " + UTF8_ERROR),
     ("ckpt-byte-count", _set(SIDECAR, "total_bytes", value=8),
@@ -361,7 +379,8 @@ def _check(mutate, argv, code, stderr, capsys):
     if mutate is not None:
         mutate()
     before = _files()
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert main(list(argv)) == code
     out, err = capsys.readouterr()
     pattern = "".join(".+" if part == "…" else re.escape(part) for part in re.split("(…)", stderr))
@@ -410,8 +429,9 @@ def test_the_readme_table_and_the_rows_match_one_to_one():
 
 
 def test_a_sweep_records_each_config_rejection_as_type_and_message(case, capsys):
-    """Each config row's run.cfg, put in one sweep: a config that does not parse (seed None) and a
-    run that fails read alike, ``"ConfigError: <message>"``, and only the summaries are written."""
+    """Each config row's run.cfg, put in one sweep beside the valid run.cfg: a config that does not
+    parse (seed None) and a run that fails read alike, ``"ConfigError: <message>"``, and the valid
+    config's runs and the summaries are all that is written."""
     config_rows = [row for row in ROWS if row.id.startswith("config-") and row.id != "config-missing"]
     Path("cfgs").mkdir()
     pristine = Path("run.cfg").read_text()
@@ -419,10 +439,12 @@ def test_a_sweep_records_each_config_rejection_as_type_and_message(case, capsys)
         row.mutate()
         Path("run.cfg").rename(f"cfgs/{row.id}.cfg")
         Path("run.cfg").write_text(pristine)
+    Path("cfgs/valid.cfg").write_text(pristine)
     assert main(["sweep", "--configs", "cfgs", "--seeds", "2", "--out", "sweep"]) == 0
-    assert capsys.readouterr().out == f"swept 2 runs ({len(config_rows) + 1} failed), summary in sweep/summary.json\n"
+    assert capsys.readouterr().out == f"swept 4 runs ({len(config_rows) + 1} failed), summary in sweep/summary.json\n"
     summary = json.loads(Path("sweep/summary.json").read_text())
-    assert summary["configs"] == {}
+    assert list(summary["configs"]) == ["valid"]
+    assert len(summary["configs"]["valid"]["open_auc"]["values"]) == 2
     assert summary["failures"] == [
         {
             "config": row.id,
@@ -433,4 +455,4 @@ def test_a_sweep_records_each_config_rejection_as_type_and_message(case, capsys)
         for row in sorted(config_rows, key=lambda row: (row.id == "config-kernel-wider", row.id))
         for seed in ((0, 1) if row.id == "config-kernel-wider" else (None,))
     ]
-    assert sorted(p.name for p in Path("sweep").iterdir()) == ["summary.csv", "summary.json"]
+    assert sorted(p.name for p in Path("sweep").iterdir()) == ["summary.csv", "summary.json", "valid"]

@@ -126,14 +126,22 @@ def test_forked_gradcheck_entries_equal_the_serial_ones(default_dataset, cpus, s
 
 
 def test_a_gradcheck_job_that_raises_exits_as_the_serial_run_does(default_dataset, tmp_path, cpus, monkeypatch, capsys):
-    """objective.bias is job 9 at one instance, a child's job on two workers; the serial run raises there too."""
+    """objective.bias is job 9 at one instance, a child's job on two workers; its loss raises
+    while differencing, and the serial run raises there too."""
 
     def bias_side_raises(side, *args, **options):
-        if side == "h":
+        loss = branch_losses(side, *args, **options)
+        if side != "h":
+            return loss
+
+        def raising(p, values):
+            ran_in.append(os.getpid())  # lost when a forked child runs it
             raise ValueError("differencing failed")
-        return branch_losses(side, *args, **options)
+
+        return raising
 
     branch_losses = runner.branch_losses
+    ran_in = []
     monkeypatch.setattr(runner, "branch_losses", bias_side_raises)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"dataset = {default_dataset}\nseed = 0\nfeature_width = 12\nkernel_width = 9\n")
@@ -143,5 +151,6 @@ def test_a_gradcheck_job_that_raises_exits_as_the_serial_run_does(default_datase
         code = main(["gradcheck", "--config", str(cfg), "--instances", "1"])
         results.append((code, capsys.readouterr()))
     assert results[0] == results[1]
+    assert ran_in == [os.getpid()] * 2  # the serial run's jobs 9 and 11 (both h sides); the forked run's ran in a child
     assert results[1][0] == 2
     assert results[1][1].out == "" and results[1][1].err == "error: differencing failed\n"

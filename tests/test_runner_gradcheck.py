@@ -84,10 +84,11 @@ def oracle_branch_losses(side, branches, fwd, labels, weights, kernel, **options
 
 
 def oracle_layer_check(layer, x):
-    """The layer checks' job, differenced serially through the plain forward."""
+    """The layer checks' (loss, params), the loss through the plain forward: the serial
+    differencer has put the one copy it evaluates in place."""
     out = layer.forward(x)
     layer.backward(out.copy())
-    return lambda: serial_gradcheck(lambda _: float(0.5 * np.sum(layer.forward(x) ** 2)), layer.parameters()).worst
+    return lambda _, values: [float(0.5 * np.sum(layer.forward(x) ** 2)) for _ in values], layer.parameters()
 
 
 def oracle_loss_check(loss_fn, params, rng=None):
@@ -401,6 +402,13 @@ def test_an_exp_logit_beyond_the_clamp_is_no_kink():
     assert runner._logit_kink_distance(np.array([[2 * bound, 1.0], [-2 * bound, 3.0]]), "exp", bound) == bound - 3.0
     for near in (bound - margin / 2, -bound + margin / 2, bound + margin / 2, -bound - margin / 2):
         assert runner._logit_kink_distance(np.array([[near, 1.0]]), "exp", bound) < margin
+
+
+def test_clear_of_kinks_returns_the_first_draw_beyond_the_margin():
+    margin = runner.KINK_MARGIN
+    draws = iter([(0.0, "a"), (margin, "b"), (2 * margin, "c"), (1.0, "d")])
+    assert runner._clear_of_kinks(lambda: next(draws), lambda distance, _: distance) == (2 * margin, "c")
+    assert next(draws) == (1.0, "d")  # nothing drawn past it
 
 
 def nan_gradient(edl_loss_batch):

@@ -117,3 +117,33 @@ def test_every_checkpoint_loads_to_the_trained_main_branch(dataset_dir, tmp_path
         assert [n for n, _ in loaded] == [n for n, _ in trained], name
         for (_, got), (_, want) in zip(loaded, trained):
             assert got.tobytes() == want.tobytes(), name
+
+
+def test_batch_slices_fold_a_lone_last_sample_into_the_batch_before():
+    def sizes(n, batch_size):
+        chunks = runner._batch_slices(np.arange(n), batch_size)
+        assert np.concatenate(chunks).tolist() == list(range(n))
+        return [len(c) for c in chunks]
+
+    assert sizes(7, 3) == [3, 4]
+    assert sizes(7, 2) == [2, 2, 3]
+    assert sizes(8, 3) == [3, 3, 2]
+    assert sizes(6, 6) == [6]
+    assert sizes(1, 4) == [1]  # a split of one sample has no batch before to fold into
+
+
+def test_a_ced_train_steps_on_no_single_sample_batch(dataset_dir, tmp_path, monkeypatch):
+    """24 train samples in batches of 23 leave one over, which HSIC cannot take alone: each epoch
+    steps once, on all 24."""
+    sizes, train_step = [], runner.train_step
+
+    def recording(model, x, labels, **kwargs):
+        sizes.append(len(x))
+        return train_step(model, x, labels, **kwargs)
+
+    monkeypatch.setattr(runner, "train_step", recording)
+    config = replace(
+        RunConfig(dataset=dataset_dir, seed=3), feature_width=4, kernel_width=3, epochs=2, batch_size=23, use_ced=True
+    )
+    run_training(config, tmp_path)
+    assert sizes == [24, 24]
