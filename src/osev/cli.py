@@ -117,7 +117,7 @@ def _sweep_one(config: RunConfig, out_dir: Path) -> dict:
 
 
 def _failure(config_path: Path, seed, exc: Exception) -> dict:
-    """A sweep's record of a config that does not parse (seed None) or of a failed run."""
+    """A sweep's record of a config that cannot be read or does not parse (seed None), or of a failed run."""
     return {"config": config_path.stem, "seed": seed, "error": f"{type(exc).__name__}: {exc}"}
 
 
@@ -134,7 +134,7 @@ def _cmd_sweep(args) -> int:
     for path in config_paths:
         try:
             base = RunConfig.from_file(path)
-        except ConfigError as exc:
+        except (ConfigError, OSError) as exc:
             failures.append(_failure(path, None, exc))
             continue
         for offset in range(args.seeds):

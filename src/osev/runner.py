@@ -403,13 +403,31 @@ def load_model(checkpoint_path) -> tuple[EvidentialNet, RunConfig, dict]:
     return net, config, meta
 
 
+#: Bytes of one row block's float64 conv output in score_split: about what a core's L2 cache holds.
+_BLOCK_BYTES = 512 * 1024
+
+
 def score_split(net: EvidentialNet, config: RunConfig, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Known-class probabilities and rejection score for every sample.
+    """Known-class probabilities and rejection score for every sample of ``x``, (n, channels, timesteps).
 
     Evidential models score by the Dirichlet uncertainty mass; the softmax
     baseline scores by one minus the maximum softmax probability.
+
+    The backbone runs over consecutive blocks of
+    ``max(1, _BLOCK_BYTES // (8 * feature_width * (timesteps - kernel_width + 1)))``
+    rows, so each conv, ReLU and pool temporary stays cache-sized instead of
+    streaming a split-sized array through memory; the head then runs once on
+    the concatenated features.  A backbone row depends on its own sample
+    only (one matmul per sample and tap, an elementwise ReLU, a per-row
+    pool), so the output is bit for bit that of one whole-split forward,
+    and a non-finite logit is named by its index in the split.
     """
-    _, out = net.forward(np.asarray(x, dtype=np.float64))
+    x = np.asarray(x, dtype=np.float64)
+    conv_bytes_per_row = 8 * config.feature_width * max(1, x.shape[-1] - config.kernel_width + 1)
+    rows = max(1, _BLOCK_BYTES // conv_bytes_per_row)
+    # an empty split is one empty block, so its arrays keep their shapes
+    blocks = [net.backbone.forward(x[i : i + rows]) for i in range(0, max(len(x), 1), rows)]
+    out = net.head.forward(np.concatenate(blocks))
     if config.loss_type == "softmax":
         shifted = out - out.max(axis=1, keepdims=True)
         probs = np.exp(shifted)

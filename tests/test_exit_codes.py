@@ -87,6 +87,16 @@ def _write(path, content: bytes):
     return lambda: Path(path).write_bytes(content)
 
 
+def _directory(path):
+    """Put a directory where the file ``path`` was."""
+
+    def mutate():
+        Path(path).unlink()
+        Path(path).mkdir()
+
+    return mutate
+
+
 def _truncate(path):
     """Keep a JSON file's first line, so it no longer parses."""
     return lambda: Path(path).write_text(Path(path).read_text().split("\n")[0] + "\n")
@@ -165,6 +175,7 @@ ROWS = [
     *_rows(
         2, (TRAIN, GRADCHECK),
         ("config-missing", Path("run.cfg").unlink, "error: [Errno 2] No such file or directory: 'run.cfg'"),
+        ("config-unreadable", _directory("run.cfg"), "error: [Errno 21] Is a directory: 'run.cfg'"),
         ("config-not-utf8", _write("run.cfg", NOT_UTF8), "error: run.cfg: " + UTF8_ERROR),
         ("config-not-key-value", _append("run.cfg", "epochs 3"),
          "error: run.cfg:9: expected 'key = value', got 'epochs 3'"),
@@ -429,9 +440,10 @@ def test_the_readme_table_and_the_rows_match_one_to_one():
 
 
 def test_a_sweep_records_each_config_rejection_as_type_and_message(case, capsys):
-    """Each config row's run.cfg, put in one sweep beside the valid run.cfg: a config that does not
-    parse (seed None) and a run that fails read alike, ``"ConfigError: <message>"``, and the valid
-    config's runs and the summaries are all that is written."""
+    """Each config row's run.cfg, put in one sweep beside the valid run.cfg: a config that cannot be
+    read or does not parse (seed None) and a run that fails read alike, ``"<ExceptionType>: <message>"``
+    (``IsADirectoryError`` for the directory, ``ConfigError`` for the others), and the valid config's
+    runs and the summaries are all that is written."""
     config_rows = [row for row in ROWS if row.id.startswith("config-") and row.id != "config-missing"]
     Path("cfgs").mkdir()
     pristine = Path("run.cfg").read_text()
@@ -449,7 +461,8 @@ def test_a_sweep_records_each_config_rejection_as_type_and_message(case, capsys)
         {
             "config": row.id,
             "seed": seed,
-            "error": "ConfigError: " + row.stderr.removeprefix("error: ").replace("run.cfg", f"cfgs/{row.id}.cfg"),
+            "error": ("IsADirectoryError: " if row.id == "config-unreadable" else "ConfigError: ")
+            + row.stderr.removeprefix("error: ").replace("run.cfg", f"cfgs/{row.id}.cfg"),
         }
         # configs that do not parse come first, in file order
         for row in sorted(config_rows, key=lambda row: (row.id == "config-kernel-wider", row.id))
